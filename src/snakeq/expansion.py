@@ -106,15 +106,23 @@ def _raw_exponents(
     n = t.n_internal
     m = len(btilde)
     crossing = graph.crossing_vector()
+    # nonzero entries of each column of the bottom block, so that a
+    # matching costs its height support rather than the full block
+    columns = [
+        [(i - n, btilde[i][k]) for i in range(n, m) if btilde[i][k]]
+        for k in range(n)
+    ]
     out: dict[Matching, Vector] = {}
     for p in graph.matchings():
         weight = graph.weight_vector(p)
         height = graph.height_vector(p)
         cluster = tuple(weight[i] - crossing[i] for i in range(n))
-        frozen = tuple(
-            sum(btilde[i][k] * height[k] for k in range(n)) for i in range(n, m)
-        )
-        out[p] = cluster + frozen
+        frozen = [0] * (m - n)
+        for k, h in enumerate(height):
+            if h:
+                for i, b in columns[k]:
+                    frozen[i] += b * h
+        out[p] = cluster + tuple(frozen)
     return out
 
 
@@ -177,14 +185,17 @@ def quantum_expand(t: Triangulation, arc: Arc, seed: Seed) -> QuantumExpansion:
     exponents = _normalized_exponents(graph, b)
     values = compute_valuation(graph, seed.d)
     records = []
-    total = QuantumLaurent.zero(seed.m)
+    terms: dict[Vector, Coeff] = {}
     for p in graph.matchings():
         record = MatchingRecord(
             graph.matching_bits(p), p, exponents[p], values[p]
         )
         records.append(record)
-        total = total + QuantumLaurent.monomial(record.exponent, record.valuation)
-    return QuantumExpansion(total, graph, tuple(records))
+        coeff = terms.setdefault(record.exponent, {})
+        coeff[record.valuation] = coeff.get(record.valuation, 0) + 1
+    return QuantumExpansion(
+        QuantumLaurent(seed.m, terms), graph, tuple(records)
+    )
 
 
 @dataclass(frozen=True)
@@ -271,6 +282,11 @@ def verify_against_oracle(
         if not flips:
             raise ExpansionError("a slot is required when no flips are given")
         slot = flips[-1]
+    elif not 0 <= slot < seed.m:
+        raise ExpansionError(
+            f"slot {slot} is out of range: the seed has {seed.m} cluster "
+            "variables"
+        )
     expansion = quantum_expand(t, arc, seed).value
 
     surface = t

@@ -384,26 +384,38 @@ def exact_right_divide(
     d_top = max(denominator.support())
     d_top_coeff = denominator.coefficient(d_top)
 
-    remainder = numerator
-    quotient = QuantumLaurent.zero(numerator.width)
-    while not remainder.is_zero():
-        r_top = max(remainder.support())
+    remainder = {v: dict(c) for v, c in numerator._terms.items()}
+    quotient: dict[Vector, Coeff] = {}
+    while remainder:
+        r_top = max(remainder)
         e = tuple(r - d for r, d in zip(r_top, d_top))
         if any(x < l or x > h for x, l, h in zip(e, lo, hi)):
             raise ExactDivisionError(
                 "no exact quotient: elimination left the admissible exponent box"
             )
-        shifted = _coeff_shift(remainder.coefficient(r_top), -form.eval(e, d_top))
+        shifted = _coeff_shift(remainder[r_top], -form.eval(e, d_top))
         c = _coeff_div(shifted, d_top_coeff)
         if c is None:
             raise ExactDivisionError(
                 "no exact quotient: coefficient division fails at "
                 f"exponent {r_top}"
             )
-        term = QuantumLaurent(numerator.width, {e: c})
-        quotient = quotient + term
-        remainder = remainder - qmul(term, denominator, form)
+        # The leading remainder term cancels, so r_top and e strictly
+        # decrease and every quotient exponent is new.
+        quotient[e] = c
+        step = qmul(QuantumLaurent(numerator.width, {e: c}), denominator, form)
+        for v, coeff in step._terms.items():
+            target = remainder.setdefault(v, {})
+            for s_exp, n in coeff.items():
+                left = target.get(s_exp, 0) - n
+                if left:
+                    target[s_exp] = left
+                else:
+                    target.pop(s_exp, None)
+            if not target:
+                del remainder[v]
 
-    if qmul(quotient, denominator, form) != numerator:
+    result = QuantumLaurent(numerator.width, quotient)
+    if qmul(result, denominator, form) != numerator:
         raise AssertionError("internal error: quotient verification failed")
-    return quotient
+    return result

@@ -11,7 +11,7 @@ with no floating point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 from .qalgebra import LambdaForm
@@ -64,8 +64,9 @@ def check_compatible(btilde: Any, lam: LambdaForm) -> int:
         )
     d: int | None = None
     for j in range(n):
+        column = [(b[k][j], lam.rows[k]) for k in range(m) if b[k][j]]
         for i in range(m):
-            entry = sum(b[k][j] * lam.rows[k][i] for k in range(m))
+            entry = sum(c * row[i] for c, row in column)
             if i == j:
                 if entry <= 0:
                     raise SeedError(
@@ -90,14 +91,18 @@ def check_compatible(btilde: Any, lam: LambdaForm) -> int:
 
 @dataclass(frozen=True)
 class Seed:
-    """A compatible pair, validated on construction."""
+    """A compatible pair, validated on construction.
+
+    ``d`` is the compatibility scalar, computed once by that validation.
+    """
 
     btilde: Matrix
     lam: LambdaForm
+    d: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "btilde", _freeze(self.btilde))
-        check_compatible(self.btilde, self.lam)
+        object.__setattr__(self, "d", check_compatible(self.btilde, self.lam))
 
     @property
     def m(self) -> int:
@@ -106,10 +111,6 @@ class Seed:
     @property
     def n(self) -> int:
         return len(self.btilde[0])
-
-    @property
-    def d(self) -> int:
-        return check_compatible(self.btilde, self.lam)
 
     def top_block(self) -> Matrix:
         return tuple(self.btilde[i] for i in range(self.n))

@@ -23,6 +23,7 @@ single edge reference (0, "G").
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .surface import Arc, ArcTrace, SurfaceError, Triangulation, trace_arc
@@ -170,6 +171,7 @@ class SnakeGraph:
         self._labels = labels
         self._vertices = verts
         self._matchings: tuple[Matching, ...] | None = None
+        self._extremal: tuple[Matching, Matching] | None = None
 
     @staticmethod
     def _side_vertices(tile: Tile, pos: str) -> frozenset[tuple[int, int]]:
@@ -219,36 +221,41 @@ class SnakeGraph:
         return self._matchings
 
     def _enumerate(self) -> list[Matching]:
-        vertices: set[tuple[int, int]] = set()
-        incident: dict[tuple[int, int], list[EdgeRef]] = {}
+        """Depth-first search on an explicit stack, so no recursion limit.
+
+        Vertices are numbered along the snake (by x + y, then x), and each
+        step covers the lowest uncovered vertex, whose free neighbours all
+        lie one step further along.  Covered sets are bit masks, and each
+        stack entry carries its chosen edges as a linked list, so no step
+        copies the partial matching.
+        """
+        vertices = sorted(
+            set().union(*self._vertices.values()),
+            key=lambda v: (v[0] + v[1], v[0]),
+        )
+        bit = {v: 1 << i for i, v in enumerate(vertices)}
+        incident: list[list[tuple[int, EdgeRef]]] = [[] for _ in vertices]
         for ref in self.edge_refs:
-            for v in self._vertices[ref]:
-                vertices.add(v)
-                incident.setdefault(v, []).append(ref)
+            ends = [bit[v] for v in self._vertices[ref]]
+            mask = ends[0] | ends[1]
+            for end in ends:
+                incident[end.bit_length() - 1].append((mask, ref))
+        full = (1 << len(vertices)) - 1
         results: list[Matching] = []
-        chosen: list[EdgeRef] = []
-
-        def extend(uncovered: set[tuple[int, int]]) -> None:
-            if not uncovered:
-                results.append(frozenset(chosen))
-                return
-            pivot = min(
-                uncovered,
-                key=lambda v: sum(
-                    1
-                    for e in incident[v]
-                    if self._vertices[e] <= uncovered
-                ),
-            )
-            for e in incident[pivot]:
-                vs = self._vertices[e]
-                if not vs <= uncovered:
-                    continue
-                chosen.append(e)
-                extend(uncovered - vs)
-                chosen.pop()
-
-        extend(vertices)
+        stack: list[tuple[int, tuple | None]] = [(0, None)]
+        while stack:
+            covered, chosen = stack.pop()
+            if covered == full:
+                edges = []
+                while chosen is not None:
+                    ref, chosen = chosen
+                    edges.append(ref)
+                results.append(frozenset(edges))
+                continue
+            pivot = (~covered & (covered + 1)).bit_length() - 1
+            for mask, ref in incident[pivot]:
+                if not mask & covered:
+                    stack.append((covered | mask, (ref, chosen)))
         return results
 
     def matching_bits(self, matching: Matching) -> str:
@@ -258,30 +265,35 @@ class SnakeGraph:
         glue = set(self.glue_edges())
         return tuple(p for p in self.matchings() if not (p & glue))
 
+    def _extremal_matchings(self) -> tuple[Matching, Matching]:
+        """The minimal and maximal matchings, found by one boundary scan."""
+        if self._extremal is None and self.degenerate_label is not None:
+            only = self.matchings()[0]
+            self._extremal = (only, only)
+        if self._extremal is None:
+            boundary = self.boundary_matchings()
+            if len(boundary) != 2:
+                raise AssertionError(
+                    "expected exactly two all-boundary matchings, found "
+                    f"{len(boundary)}"
+                )
+            with_west = [p for p in boundary if (1, "W") in p]
+            if len(with_west) != 1:
+                raise AssertionError(
+                    "expected exactly one all-boundary matching through the "
+                    "west side of tile 1"
+                )
+            minimal = with_west[0]
+            maximal = next(p for p in boundary if p != minimal)
+            self._extremal = (minimal, maximal)
+        return self._extremal
+
     def minimal_matching(self) -> Matching:
         """The all-boundary matching through the west side of the first tile."""
-        if self.degenerate_label is not None:
-            return self.matchings()[0]
-        boundary = self.boundary_matchings()
-        if len(boundary) != 2:
-            raise AssertionError(
-                f"expected exactly two all-boundary matchings, found {len(boundary)}"
-            )
-        with_west = [p for p in boundary if (1, "W") in p]
-        if len(with_west) != 1:
-            raise AssertionError(
-                "expected exactly one all-boundary matching through the west "
-                "side of tile 1"
-            )
-        return with_west[0]
+        return self._extremal_matchings()[0]
 
     def maximal_matching(self) -> Matching:
-        if self.degenerate_label is not None:
-            return self.matchings()[0]
-        boundary = self.boundary_matchings()
-        minimal = self.minimal_matching()
-        other = [p for p in boundary if p != minimal]
-        return other[0]
+        return self._extremal_matchings()[1]
 
     # ------------------------------------------------------------------
     # twists
@@ -330,18 +342,18 @@ class SnakeGraph:
         if self.degenerate_label is not None:
             return tuple(heights)
         cycle = matching ^ self.minimal_matching()
-        verticals = []
+        rows: dict[int, list[int]] = {}
         for ref in cycle:
             tile = self.tiles[ref[0] - 1]
             if ref[1] == "W":
-                verticals.append((tile.x, tile.y))
+                rows.setdefault(tile.y, []).append(tile.x)
             elif ref[1] == "E":
-                verticals.append((tile.x + 1, tile.y))
+                rows.setdefault(tile.y, []).append(tile.x + 1)
+        for xs in rows.values():
+            xs.sort()
         for tile in self.tiles:
-            crossings_right = sum(
-                1 for vx, vy in verticals if vy == tile.y and vx > tile.x
-            )
-            if crossings_right % 2 == 1:
+            xs = rows.get(tile.y)
+            if xs and (len(xs) - bisect_right(xs, tile.x)) % 2 == 1:
                 heights[tile.diagonal] += 1
         return tuple(heights)
 

@@ -289,18 +289,17 @@ class Arc:
         if not isinstance(data, dict):
             raise SurfaceError("arc description must be a JSON object")
         if "arc" in data:
-            idx = int(data["arc"])
-            crossings = tuple(int(c) for c in data.get("crossings", ()))
-            if crossings:
+            idx = _arc_int(data["arc"], "arc")
+            if _arc_crossings(data.get("crossings", [])):
                 raise SurfaceError(
                     "an arc given by index must not list crossings"
                 )
             return cls((), -1, -1, idx)
         try:
             return cls(
-                tuple(int(c) for c in data["crossings"]),
-                int(data["start_triangle"]),
-                int(data["end_triangle"]),
+                _arc_crossings(data["crossings"]),
+                _arc_int(data["start_triangle"], "start_triangle"),
+                _arc_int(data["end_triangle"], "end_triangle"),
             )
         except KeyError as missing:
             raise SurfaceError(f"arc description lacks key {missing}") from None
@@ -313,6 +312,22 @@ class Arc:
             "start_triangle": self.start_triangle,
             "end_triangle": self.end_triangle,
         }
+
+
+def _arc_int(value: Any, key: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SurfaceError(
+            f"arc description: {key} must be an integer, not {value!r}"
+        )
+    return value
+
+
+def _arc_crossings(value: Any) -> tuple[int, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise SurfaceError(
+            f"arc description: crossings must be a list, not {value!r}"
+        )
+    return tuple(_arc_int(c, "each crossing") for c in value)
 
 
 @dataclass(frozen=True)

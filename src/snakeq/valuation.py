@@ -10,6 +10,10 @@ two traversal orders, and raises if any cycle or endpoint fails to close up.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections import deque
+from typing import Iterable
+
 from .snakegraph import EdgeRef, Matching, POSITION_ORDER, SnakeGraph
 
 __all__ = [
@@ -44,35 +48,66 @@ def omega(graph: SnakeGraph, matching: Matching, p: int, d_scale: int = 1) -> in
     """
     if not graph.can_twist(matching, p):
         raise ValueError(f"matching has no twist at tile {p}")
-    ordered = ordered_matched_edges(graph, matching)
-    tile_refs = graph.tile_edge_refs(p)
-    pair = [ref for ref in ordered if ref in tile_refs]
-    lo = ordered.index(pair[0])
-    hi = ordered.index(pair[1])
-    if hi != lo + 1:
-        raise AssertionError(
-            f"matched sides of tile {p} are not adjacent in the ordered edge list"
-        )
-    tau = graph.tiles[p - 1].diagonal
-    n_after = sum(
-        1 for ref in ordered[hi + 1 :] if graph.edge_label(ref) == tau
-    )
-    n_before = sum(1 for ref in ordered[:lo] if graph.edge_label(ref) == tau)
-    crossings = graph.arc.crossings
-    m_after = crossings[p:].count(tau)
-    m_before = crossings[: p - 1].count(tau)
+    crossings = _label_positions(graph.arc.crossings)
+    return _twist_increments(graph, matching, (p,), d_scale, crossings)[0]
 
-    south, west, east, north = tile_refs
-    matched = set(pair)
-    if matched == {south, north}:
-        horizontal = True
-    elif matched == {west, east}:
-        horizontal = False
-    else:
-        raise AssertionError(f"twistable tile {p} is matched on adjacent sides")
-    positive = horizontal == (p % 2 == 1)
-    magnitude = (n_after - m_after - n_before + m_before) * d_scale
-    return magnitude if positive else -magnitude
+
+def _label_positions(labels: Iterable[int]) -> dict[int, list[int]]:
+    """Ascending positions of each label in a sequence."""
+    out: dict[int, list[int]] = {}
+    for i, label in enumerate(labels):
+        out.setdefault(label, []).append(i)
+    return out
+
+
+def _outside(positions: list[int], lo: int, hi: int) -> tuple[int, int]:
+    """How many positions lie strictly before lo and strictly after hi."""
+    return bisect_left(positions, lo), len(positions) - bisect_right(positions, hi)
+
+
+def _twist_increments(
+    graph: SnakeGraph,
+    matching: Matching,
+    tiles: Iterable[int],
+    d_scale: int,
+    crossings: dict[int, list[int]],
+) -> list[int]:
+    """:func:`omega` at each of the given twistable tiles of one matching.
+
+    The matched edges are sorted and their labels read once, so each tile
+    costs a few bisections.  ``crossings`` is the arc's crossing sequence
+    as :func:`_label_positions`.
+    """
+    ordered = ordered_matched_edges(graph, matching)
+    rank = {ref: i for i, ref in enumerate(ordered)}
+    matched = _label_positions(graph.edge_label(ref) for ref in ordered)
+    out = []
+    for p in tiles:
+        tile_refs = graph.tile_edge_refs(p)
+        lo, hi = sorted(rank[ref] for ref in tile_refs if ref in rank)
+        if hi != lo + 1:
+            raise AssertionError(
+                f"matched sides of tile {p} are not adjacent in the ordered "
+                "edge list"
+            )
+        tau = graph.tiles[p - 1].diagonal
+        n_before, n_after = _outside(matched.get(tau, []), lo, hi)
+        m_before, m_after = _outside(crossings[tau], p - 1, p - 1)
+
+        south, west, east, north = tile_refs
+        pair = {ordered[lo], ordered[hi]}
+        if pair == {south, north}:
+            horizontal = True
+        elif pair == {west, east}:
+            horizontal = False
+        else:
+            raise AssertionError(
+                f"twistable tile {p} is matched on adjacent sides"
+            )
+        positive = horizontal == (p % 2 == 1)
+        magnitude = (n_after - m_after - n_before + m_before) * d_scale
+        out.append(magnitude if positive else -magnitude)
+    return out
 
 
 def compute_valuation(graph: SnakeGraph, d_scale: int = 1) -> dict[Matching, int]:
@@ -101,13 +136,16 @@ def compute_valuation(graph: SnakeGraph, d_scale: int = 1) -> dict[Matching, int
 def _propagate(
     graph: SnakeGraph, d_scale: int, reverse: bool
 ) -> dict[Matching, int]:
+    crossings = _label_positions(graph.arc.crossings)
     values: dict[Matching, int] = {graph.maximal_matching(): 0}
-    queue = [graph.maximal_matching()]
+    queue = deque([graph.maximal_matching()])
     while queue:
-        current = queue.pop() if reverse else queue.pop(0)
+        current = queue.pop() if reverse else queue.popleft()
         tiles = graph.twistable_tiles(current)
-        for p in reversed(tiles) if reverse else tiles:
-            step = omega(graph, current, p, d_scale)
+        if reverse:
+            tiles = tiles[::-1]
+        steps = _twist_increments(graph, current, tiles, d_scale, crossings)
+        for p, step in zip(tiles, steps):
             neighbor = graph.twist(current, p)
             value = values[current] - step
             known = values.get(neighbor)

@@ -354,6 +354,28 @@ def test_verify_requires_flips(capsys, files):
     assert err == "error: --flips must name at least one direction\n"
 
 
+@pytest.mark.parametrize("slot", ["9", "-1"])
+def test_verify_rejects_out_of_range_slots(capsys, files, slot):
+    code, out, err = run_main(
+        capsys,
+        "verify",
+        "--surface",
+        files["annulus"],
+        "--arc",
+        files["golden_arc"],
+        "--flips",
+        "0,1,0",
+        "--slot",
+        slot,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: slot {slot} is out of range: the seed has 4 cluster "
+        "variables\n"
+    )
+
+
 # ----------------------------------------------------------------------
 # flip and check-seed
 
@@ -455,6 +477,31 @@ def test_unreadable_and_malformed_files(capsys, files, tmp_path):
     )
     assert code == 2
     assert "not valid JSON" in err
+
+
+@pytest.mark.parametrize(
+    "arc, message",
+    [
+        (
+            {"crossings": ["a"], "start_triangle": 0, "end_triangle": 1},
+            "each crossing must be an integer, not 'a'",
+        ),
+        (
+            {"crossings": [0], "start_triangle": None, "end_triangle": 1},
+            "start_triangle must be an integer, not None",
+        ),
+        ({"arc": "x"}, "arc must be an integer, not 'x'"),
+    ],
+    ids=["string-crossing", "null-start-triangle", "string-index"],
+)
+def test_malformed_arc_fields_are_input_errors(capsys, files, arc, message):
+    bad = files["write"]("bad_arc.json", arc)
+    code, out, err = run_main(
+        capsys, "expand", "--surface", files["annulus"], "--arc", bad
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: arc description: {message}\n"
 
 
 # ----------------------------------------------------------------------

@@ -144,6 +144,20 @@ def test_specializing_q_recovers_the_commutative_expansion():
         }, name
 
 
+def test_quantum_expansion_is_the_sum_of_its_matching_monomials():
+    # reference: add one monomial per matching, the slow way
+    for name, t, arc in valuation_corpus():
+        for seed in seed_choices(t):
+            exp = quantum_expand(t, arc, seed)
+            total = QuantumLaurent.zero(seed.m)
+            for record in exp.records:
+                total = total + QuantumLaurent.monomial(
+                    record.exponent, record.valuation
+                )
+            assert exp.value == total, name
+            assert exp.value.width == seed.m
+
+
 def test_quantum_coefficients_are_positive_and_bar_symmetric():
     for name, t, arc in valuation_corpus():
         seed = principal_seed(signed_adjacency(t))

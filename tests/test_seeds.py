@@ -19,6 +19,7 @@ from snakeq import (
     principal_seed,
     signed_adjacency,
 )
+import snakeq.seeds
 
 KRONECKER = ((0, 2), (-2, 0), (1, 0), (0, 1))
 
@@ -74,6 +75,27 @@ def test_non_uniform_diagonal_is_rejected():
     )
     with pytest.raises(SeedError):
         check_compatible(btilde, lam)
+
+
+def test_compatibility_is_checked_once_per_seed(monkeypatch):
+    calls = []
+    check = snakeq.seeds.check_compatible
+
+    def counted(btilde, lam):
+        calls.append(btilde)
+        return check(btilde, lam)
+
+    monkeypatch.setattr(snakeq.seeds, "check_compatible", counted)
+    for seed in seed_choices(hexagon()):
+        calls.clear()
+        copy = Seed(seed.btilde, seed.lam)
+        assert len(calls) == 1
+        assert [copy.d for _ in range(5)] == [seed.d] * 5
+        assert len(calls) == 1
+        mutated = mutate_seed(copy, 0)
+        assert len(calls) == 2
+        assert mutated.d == seed.d
+        assert len(calls) == 2
 
 
 def test_seed_from_dict_round_trip():

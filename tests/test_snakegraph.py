@@ -24,9 +24,10 @@ from conftest import (
     ladder_surface,
     pentagon,
     polygon_chords,
+    polygon_fan,
     square,
 )
-from snakeq import Arc, SnakeGraph, SurfaceError
+from snakeq import Arc, SnakeGraph, SurfaceError, compute_valuation
 
 
 def golden_graph() -> SnakeGraph:
@@ -152,6 +153,11 @@ def test_small_ladder_counts_against_full_subset_enumeration():
         assert count == len(g.matchings())
 
 
+def test_long_fan_chord_enumerates_past_the_recursion_limit():
+    g = SnakeGraph(polygon_fan(1300), Arc(tuple(range(1200)), 0, 1200))
+    assert len(g.matchings()) == 1201
+
+
 # ----------------------------------------------------------------------
 # extremal matchings
 
@@ -187,6 +193,25 @@ def test_first_tile_corner_dichotomy():
                 assert (1, "W") in m or {(1, "S"), (1, "N")} <= m
             elif g.glue[0] == "U":
                 assert (1, "S") in m or {(1, "W"), (1, "E")} <= m
+
+
+def test_boundary_scan_runs_once_per_graph(monkeypatch):
+    calls = []
+    scan = SnakeGraph.boundary_matchings
+
+    def counted(graph):
+        calls.append(graph)
+        return scan(graph)
+
+    monkeypatch.setattr(SnakeGraph, "boundary_matchings", counted)
+    for g in corpus_graphs():
+        calls.clear()
+        for m in g.matchings():
+            g.height_vector(m)
+        g.minimal_matching()
+        g.maximal_matching()
+        compute_valuation(g)
+        assert calls == [g]
 
 
 def test_glue_edges_touch_no_boundary_matching():

@@ -14,8 +14,10 @@ from conftest import (
     initial_arc,
     pentagon,
     polygon_chords,
+    valuation_corpus,
 )
 from snakeq import SnakeGraph, compute_valuation, omega
+from snakeq.valuation import _label_positions, _twist_increments
 
 
 def golden_graph() -> SnakeGraph:
@@ -95,6 +97,20 @@ def test_valuation_steps_match_the_increments():
         ms, moves = g.twist_graph()
         for i, j, p in moves:
             assert values[ms[i]] - values[ms[j]] == omega(g, ms[i], p)
+
+
+def test_propagation_increments_equal_the_public_omega():
+    # the propagation computes all increments of a matching in one pass;
+    # each must equal the single-twist omega
+    for name, t, arc in valuation_corpus():
+        g = SnakeGraph(t, arc)
+        crossings = _label_positions(arc.crossings)
+        for d_scale in (1, 2):
+            for m in g.matchings():
+                tiles = g.twistable_tiles(m)
+                batch = _twist_increments(g, m, tiles, d_scale, crossings)
+                single = [omega(g, m, p, d_scale) for p in tiles]
+                assert batch == single, name
 
 
 def test_valuation_scales_with_the_compatibility_scalar():
