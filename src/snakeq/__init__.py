@@ -28,7 +28,6 @@ from .qalgebra import (
     coeff_to_string,
     exact_right_divide,
     qmul,
-    specialize_q1,
 )
 from .seeds import (
     Seed,
@@ -94,7 +93,6 @@ __all__ = [
     "qmul",
     "quantum_expand",
     "signed_adjacency",
-    "specialize_q1",
     "trace_arc",
     "verify_against_oracle",
 ]

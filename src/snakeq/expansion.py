@@ -29,7 +29,7 @@ from .qalgebra import (
 )
 from .seeds import Seed, SeedError, mutate_B, mutate_seed
 from .snakegraph import Matching, SnakeGraph
-from .surface import Arc, SurfaceError, Triangulation, flip, signed_adjacency
+from .surface import Arc, Triangulation, flip, signed_adjacency
 from .valuation import compute_valuation
 
 __all__ = [
@@ -98,12 +98,15 @@ def _check_top_block(
     return b
 
 
-def _raw_exponents(
+def _normalized_exponents(
     graph: SnakeGraph, btilde: tuple[tuple[int, ...], ...]
 ) -> dict[Matching, Vector]:
-    """Cluster part plus unnormalized coefficient part for every matching."""
-    t = graph.triangulation
-    n = t.n_internal
+    """Cluster part plus tropically normalized coefficient part per matching.
+
+    The coefficient part is the bottom block applied to the height vector,
+    shifted by the componentwise minimum over all matchings.
+    """
+    n = graph.triangulation.n_internal
     m = len(btilde)
     crossing = graph.crossing_vector()
     # nonzero entries of each column of the bottom block, so that a
@@ -112,7 +115,7 @@ def _raw_exponents(
         [(i - n, btilde[i][k]) for i in range(n, m) if btilde[i][k]]
         for k in range(n)
     ]
-    out: dict[Matching, Vector] = {}
+    raw: dict[Matching, Vector] = {}
     for p in graph.matchings():
         weight = graph.weight_vector(p)
         height = graph.height_vector(p)
@@ -122,16 +125,7 @@ def _raw_exponents(
             if h:
                 for i, b in columns[k]:
                     frozen[i] += b * h
-        out[p] = cluster + tuple(frozen)
-    return out
-
-
-def _normalized_exponents(
-    graph: SnakeGraph, btilde: tuple[tuple[int, ...], ...]
-) -> dict[Matching, Vector]:
-    raw = _raw_exponents(graph, btilde)
-    n = graph.triangulation.n_internal
-    m = len(btilde)
+        raw[p] = cluster + tuple(frozen)
     if not raw:
         return raw
     mins = [
@@ -179,8 +173,6 @@ def commutative_to_string(terms: Iterable[CommTerm], symbol: str = "x") -> str:
 def quantum_expand(t: Triangulation, arc: Arc, seed: Seed) -> QuantumExpansion:
     """Quantum Laurent expansion of an arc in the seed's quantum torus."""
     b = _check_top_block(t, seed.btilde)
-    if len(b) != seed.m:
-        raise ExpansionError("seed matrix height changed during validation")
     graph = SnakeGraph(t, arc)
     exponents = _normalized_exponents(graph, b)
     values = compute_valuation(graph, seed.d)

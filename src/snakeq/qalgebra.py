@@ -32,7 +32,6 @@ __all__ = [
     "coeff_to_string",
     "exact_right_divide",
     "qmul",
-    "specialize_q1",
 ]
 
 Vector = tuple[int, ...]
@@ -338,11 +337,6 @@ def qmul(a: QuantumLaurent, b: QuantumLaurent, form: LambdaForm) -> QuantumLaure
             else:
                 out.pop(target, None)
     return QuantumLaurent(a.width, out)
-
-
-def specialize_q1(x: QuantumLaurent) -> dict[Vector, int]:
-    """Commutative shadow of ``x``: exponent vector to integer coefficient."""
-    return x.specialize_q1()
 
 
 def _support_box(

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .qalgebra import LambdaForm
+from .surface import _json_int
 
 __all__ = [
     "Seed",
@@ -39,6 +40,11 @@ def _freeze(rows: Any) -> Matrix:
     return tuple(tuple(int(v) for v in row) for row in rows)
 
 
+def _json_matrix(rows: Any, key: str) -> Matrix:
+    what = f"each {key} entry"
+    return tuple(tuple(_json_int(v, what) for v in row) for row in rows)
+
+
 def _pos(x: int) -> int:
     return x if x > 0 else 0
 
@@ -54,6 +60,8 @@ def check_compatible(btilde: Any, lam: LambdaForm) -> int:
     if m == 0:
         raise SeedError("the exchange matrix has no rows")
     n = len(b[0])
+    if n == 0:
+        raise SeedError("the exchange matrix has no mutable columns")
     if any(len(row) != n for row in b):
         raise SeedError("the exchange matrix has ragged rows")
     if n > m:
@@ -62,7 +70,7 @@ def check_compatible(btilde: Any, lam: LambdaForm) -> int:
         raise SeedError(
             f"form rank {lam.size} does not match the {m} exchange rows"
         )
-    d: int | None = None
+    d = 0  # no diagonal entry seen yet; every entry is positive
     for j in range(n):
         column = [(b[k][j], lam.rows[k]) for k in range(m) if b[k][j]]
         for i in range(m):
@@ -73,19 +81,17 @@ def check_compatible(btilde: Any, lam: LambdaForm) -> int:
                         f"compatibility fails: diagonal entry {entry} at "
                         f"column {j} is not positive"
                     )
-                if d is None:
-                    d = entry
-                elif entry != d:
+                if d and entry != d:
                     raise SeedError(
                         f"compatibility fails: diagonal entries {d} and "
                         f"{entry} differ"
                     )
+                d = entry
             elif entry != 0:
                 raise SeedError(
                     f"compatibility fails: off-diagonal entry {entry} at "
                     f"row {j}, column {i}"
                 )
-    assert d is not None
     return d
 
 
@@ -120,8 +126,8 @@ class Seed:
         if not isinstance(data, dict):
             raise SeedError("seed description must be a JSON object")
         try:
-            btilde = _freeze(data["Btilde"])
-            lam_rows = _freeze(data["Lambda"])
+            btilde = _json_matrix(data["Btilde"], "Btilde")
+            lam_rows = _json_matrix(data["Lambda"], "Lambda")
         except KeyError as missing:
             raise SeedError(f"seed description lacks key {missing}") from None
         except (TypeError, ValueError) as bad:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .surface import Arc, ArcTrace, SurfaceError, Triangulation, trace_arc
+from .surface import Arc, ArcTrace, Triangulation, trace_arc
 
 __all__ = [
     "EdgeRef",

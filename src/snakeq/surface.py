@@ -16,7 +16,6 @@ triangulation and recovers the full sequence of visited triangles.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any
 
@@ -31,7 +30,6 @@ __all__ = [
     "quadrilateral",
     "signed_adjacency",
     "trace_arc",
-    "validate_arc",
 ]
 
 
@@ -99,6 +97,15 @@ class Triangulation:
         return 0 <= arc < self.n_internal
 
     def _validate(self) -> None:
+        # every internal arc bounds two triangles and every boundary arc one;
+        # the sum is checked first, so a huge declared arc count fails before
+        # anything is allocated per arc
+        if 2 * self.n_internal + self.n_boundary != 3 * len(self.triangles):
+            raise SurfaceError(
+                f"{len(self.triangles)} triangles have {3 * len(self.triangles)} "
+                f"sides, but {self.n_internal} internal and {self.n_boundary} "
+                f"boundary arcs need {2 * self.n_internal + self.n_boundary}"
+            )
         incidence: dict[int, list[int]] = {a: [] for a in range(self.n_arcs)}
         for idx, tri in enumerate(self.triangles):
             if len(set(tri.sides)) != 3:
@@ -173,21 +180,17 @@ class Triangulation:
         if not isinstance(data, dict):
             raise SurfaceError("surface description must be a JSON object")
         try:
-            return cls(data["n_internal"], data["n_boundary"], data["triangles"])
+            return cls(
+                _json_int(data["n_internal"], "n_internal"),
+                _json_int(data["n_boundary"], "n_boundary"),
+                [[_json_int(s, "each side") for s in t] for t in data["triangles"]],
+            )
         except KeyError as missing:
             raise SurfaceError(f"surface description lacks key {missing}") from None
         except (TypeError, ValueError) as bad:
             if isinstance(bad, SurfaceError):
                 raise
             raise SurfaceError(f"malformed surface description: {bad}") from None
-
-    @classmethod
-    def from_json(cls, text: str) -> Triangulation:
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as bad:
-            raise SurfaceError(f"surface file is not valid JSON: {bad}") from None
-        return cls.from_dict(data)
 
 
 def signed_adjacency(t: Triangulation) -> list[list[int]]:
@@ -288,21 +291,23 @@ class Arc:
     def from_dict(cls, data: Any) -> Arc:
         if not isinstance(data, dict):
             raise SurfaceError("arc description must be a JSON object")
-        if "arc" in data:
-            idx = _arc_int(data["arc"], "arc")
-            if _arc_crossings(data.get("crossings", [])):
-                raise SurfaceError(
-                    "an arc given by index must not list crossings"
-                )
-            return cls((), -1, -1, idx)
         try:
+            if "arc" in data:
+                idx = _json_int(data["arc"], "arc")
+                if _arc_crossings(data.get("crossings", [])):
+                    raise SurfaceError(
+                        "an arc given by index must not list crossings"
+                    )
+                return cls((), -1, -1, idx)
             return cls(
                 _arc_crossings(data["crossings"]),
-                _arc_int(data["start_triangle"], "start_triangle"),
-                _arc_int(data["end_triangle"], "end_triangle"),
+                _json_int(data["start_triangle"], "start_triangle"),
+                _json_int(data["end_triangle"], "end_triangle"),
             )
         except KeyError as missing:
             raise SurfaceError(f"arc description lacks key {missing}") from None
+        except TypeError as bad:
+            raise SurfaceError(f"arc description: {bad}") from None
 
     def to_dict(self) -> dict[str, Any]:
         if self.arc is not None:
@@ -314,20 +319,21 @@ class Arc:
         }
 
 
-def _arc_int(value: Any, key: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SurfaceError(
-            f"arc description: {key} must be an integer, not {value!r}"
-        )
+def _json_int(value: Any, key: str) -> int:
+    """``value`` if it is a JSON integer; raises :class:`TypeError` otherwise.
+
+    A bool or a float is rejected rather than truncated, so that ``true`` or
+    ``2.9`` never stands in for a different integer.
+    """
+    if type(value) is not int:
+        raise TypeError(f"{key} must be an integer, not {value!r}")
     return value
 
 
 def _arc_crossings(value: Any) -> tuple[int, ...]:
     if not isinstance(value, (list, tuple)):
-        raise SurfaceError(
-            f"arc description: crossings must be a list, not {value!r}"
-        )
-    return tuple(_arc_int(c, "each crossing") for c in value)
+        raise TypeError(f"crossings must be a list, not {value!r}")
+    return tuple(_json_int(c, "each crossing") for c in value)
 
 
 @dataclass(frozen=True)
@@ -397,8 +403,3 @@ def trace_arc(t: Triangulation, arc: Arc) -> ArcTrace:
         for j in range(1, d)
     )
     return ArcTrace(arc, tuple(path), connectors)
-
-
-def validate_arc(t: Triangulation, arc: Arc) -> ArcTrace:
-    """Alias of :func:`trace_arc`; raises :class:`SurfaceError` when invalid."""
-    return trace_arc(t, arc)

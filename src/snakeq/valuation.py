@@ -4,8 +4,9 @@ Each twist of a matching at a tile carries an integer increment computed from
 the positions of same-labeled edges around that tile, and the valuation v is
 the unique integer potential with v = 0 on the two extremal matchings whose
 twist-differences realize those increments.  Well-definedness is a theorem,
-not an assumption: this module recomputes v along every twist move and from
-two traversal orders, and raises if any cycle or endpoint fails to close up.
+not an assumption: this module checks every twist move from both of its ends,
+so any twist cycle that fails to sum to zero raises, and it raises too if the
+twists leave a matching unreached or the other extremal matching off 0.
 """
 
 from __future__ import annotations
@@ -113,37 +114,20 @@ def _twist_increments(
 def compute_valuation(graph: SnakeGraph, d_scale: int = 1) -> dict[Matching, int]:
     """Valuation of every perfect matching, anchored at the extremal ones.
 
-    Starts from the all-boundary matching on the counterclockwise side with
-    value 0 and propagates along twists.  Raises :class:`ValuationError` if
-    any twist cycle is inconsistent, if the opposite extremal matching does
-    not land on 0, or if a reversed traversal disagrees.
+    A breadth-first search from the maximal matching, at value 0, along
+    twists.  Every matching it reaches has all of its twists checked, so each
+    twist move is checked from both of its ends.  Raises
+    :class:`ValuationError` if a twist cycle is inconsistent, if the twists
+    do not connect all matchings, or if the minimal matching does not land
+    on 0.
     """
-    first = _propagate(graph, d_scale, reverse=False)
-    second = _propagate(graph, d_scale, reverse=True)
-    if first != second:
-        raise ValuationError(
-            "valuation ill-defined: traversal order changes the result"
-        )
-    minimal = graph.minimal_matching()
-    if first[minimal] != 0:
-        raise ValuationError(
-            "valuation ill-defined: the minimal matching has value "
-            f"{first[minimal]}, expected 0"
-        )
-    return first
-
-
-def _propagate(
-    graph: SnakeGraph, d_scale: int, reverse: bool
-) -> dict[Matching, int]:
     crossings = _label_positions(graph.arc.crossings)
-    values: dict[Matching, int] = {graph.maximal_matching(): 0}
-    queue = deque([graph.maximal_matching()])
+    maximal = graph.maximal_matching()
+    values: dict[Matching, int] = {maximal: 0}
+    queue = deque([maximal])
     while queue:
-        current = queue.pop() if reverse else queue.popleft()
+        current = queue.popleft()
         tiles = graph.twistable_tiles(current)
-        if reverse:
-            tiles = tiles[::-1]
         steps = _twist_increments(graph, current, tiles, d_scale, crossings)
         for p, step in zip(tiles, steps):
             neighbor = graph.twist(current, p)
@@ -157,9 +141,14 @@ def _propagate(
                     "valuation ill-defined: twist cycle assigns both "
                     f"{known} and {value} to a matching"
                 )
-    all_matchings = graph.matchings()
-    if len(values) != len(all_matchings):
+    if len(values) != len(graph.matchings()):
         raise ValuationError(
             "valuation ill-defined: twists do not connect all matchings"
+        )
+    minimal = graph.minimal_matching()
+    if values[minimal] != 0:
+        raise ValuationError(
+            "valuation ill-defined: the minimal matching has value "
+            f"{values[minimal]}, expected 0"
         )
     return values

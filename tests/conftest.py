@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import os
+
 from hypothesis import HealthCheck, settings
 
+import snakeq
 from snakeq import (
     Arc,
     LambdaForm,
@@ -19,6 +22,17 @@ settings.register_profile(
     settings(derandomize=True, suppress_health_check=[HealthCheck.too_slow]),
 )
 settings.load_profile("fixed")
+
+# tests that run ``python -m snakeq`` in a subprocess must import the package
+# this process imported, which pytest's ``pythonpath`` setting may have found
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    path
+    for path in (
+        os.path.dirname(os.path.dirname(snakeq.__file__)),
+        os.environ.get("PYTHONPATH"),
+    )
+    if path
+)
 
 
 # ----------------------------------------------------------------------

@@ -44,7 +44,6 @@ from snakeq import (
     principal_seed,
     quantum_expand,
     signed_adjacency,
-    specialize_q1,
     verify_against_oracle,
 )
 
@@ -243,7 +242,7 @@ def test_specialization_recovers_the_commutative_expansion():
         for seed in seed_choices(t)[:2]:
             commutative = commutative_expand(t, arc, seed.btilde)
             quantum = quantum_expand(t, arc, seed)
-            assert specialize_q1(quantum.value) == {
+            assert quantum.value.specialize_q1() == {
                 x.exponent: x.coefficient for x in commutative
             }, name
 

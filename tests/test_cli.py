@@ -23,6 +23,7 @@ from snakeq import (
     quantum_expand,
     signed_adjacency,
 )
+from snakeq import valuation
 from snakeq.cli import main
 
 GOLDEN_COMMUTATIVE = (
@@ -502,6 +503,110 @@ def test_malformed_arc_fields_are_input_errors(capsys, files, arc, message):
     assert code == 2
     assert out == ""
     assert err == f"error: arc description: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "option, path, value, message",
+    [
+        (
+            "--seed",
+            (),
+            {"Btilde": [[]], "Lambda": [[0]]},
+            "the exchange matrix has no mutable columns",
+        ),
+        (
+            "--seed",
+            ("Btilde", 1, 0),
+            2.9,
+            "each Btilde entry must be an integer, not 2.9",
+        ),
+        (
+            "--seed",
+            ("Btilde", 2, 0),
+            True,
+            "each Btilde entry must be an integer, not True",
+        ),
+        (
+            "--surface",
+            ("n_boundary",),
+            2.5,
+            "n_boundary must be an integer, not 2.5",
+        ),
+        (
+            "--surface",
+            ("triangles", 0, 2),
+            2.2,
+            "each side must be an integer, not 2.2",
+        ),
+        (
+            "--surface",
+            ("n_boundary",),
+            10**12,
+            "boundary arcs need 1000000000004",
+        ),
+    ],
+    ids=[
+        "zero-column-seed",
+        "float-in-btilde",
+        "bool-in-btilde",
+        "float-boundary-count",
+        "float-side",
+        "huge-boundary-count",
+    ],
+)
+def test_malformed_surfaces_and_seeds_are_input_errors(
+    capsys, files, option, path, value, message
+):
+    t = annulus()
+    payload = {
+        "--surface": t.to_dict(),
+        "--seed": principal_seed(signed_adjacency(t)).to_dict(),
+    }[option]
+    if path:
+        *parents, last = path
+        entry = payload
+        for key in parents:
+            entry = entry[key]
+        entry[last] = value
+    else:
+        payload = value
+    inputs = {
+        "--surface": files["annulus"],
+        "--arc": files["golden_arc"],
+        "--seed": files["seed"],
+        option: files["write"]("bad.json", payload),
+    }
+    argv = ["expand", "--quantum"]
+    for key, name in inputs.items():
+        argv += [key, name]
+    code, out, err = run_main(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_ill_defined_valuation_is_an_input_error(capsys, files, monkeypatch):
+    increments = valuation._twist_increments
+    monkeypatch.setattr(
+        valuation,
+        "_twist_increments",
+        lambda *args: [step + 1 for step in increments(*args)],
+    )
+    code, out, err = run_main(
+        capsys,
+        "expand",
+        "--surface",
+        files["annulus"],
+        "--arc",
+        files["golden_arc"],
+        "--quantum",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: valuation ill-defined: ")
+    assert err.count("\n") == 1
 
 
 # ----------------------------------------------------------------------

@@ -71,6 +71,25 @@ def test_from_dict_rejects_malformed_triangles():
         )
 
 
+@pytest.mark.parametrize(
+    "n_internal, n_boundary, triangles, message",
+    [
+        (0, 10**12, [[0, 1, 2]], "boundary arcs need 1000000000000"),
+        (1, 4, [[0, 0, 1], [2, 3, 4]], "is self-folded"),
+        (1, 4, [[0, 1, 2], [0, 1, 3]], "boundary arc 1 lies in 2 triangles"),
+    ],
+    ids=["huge-boundary-count", "self-folded", "boundary-arc-twice"],
+)
+def test_from_dict_reaches_each_incidence_check(
+    n_internal, n_boundary, triangles, message
+):
+    # the arc count is checked against the triangles before anything is
+    # allocated per arc; the last two inputs pass it and fail later checks
+    data = {"n_internal": n_internal, "n_boundary": n_boundary, "triangles": triangles}
+    with pytest.raises(SurfaceError, match=message):
+        Triangulation.from_dict(data)
+
+
 # ----------------------------------------------------------------------
 # signed adjacency
 

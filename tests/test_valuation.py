@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 
+import pytest
+
 from conftest import (
     GOLDEN_VALUATIONS,
     annulus,
@@ -16,7 +18,7 @@ from conftest import (
     polygon_chords,
     valuation_corpus,
 )
-from snakeq import SnakeGraph, compute_valuation, omega
+from snakeq import SnakeGraph, ValuationError, compute_valuation, omega, valuation
 from snakeq.valuation import _label_positions, _twist_increments
 
 
@@ -139,3 +141,48 @@ def test_degenerate_graph_valuation():
 def test_valuation_is_deterministic():
     g = golden_graph()
     assert compute_valuation(g) == compute_valuation(g)
+
+
+# ----------------------------------------------------------------------
+# the well-definedness checks, reached with corrupted increments
+
+def corrupt_increments(monkeypatch, shift):
+    """Add ``shift(graph, matching, p)`` to every increment the search uses."""
+
+    def shifted(graph, matching, tiles, d_scale, crossings):
+        steps = _twist_increments(graph, matching, tiles, d_scale, crossings)
+        return [step + shift(graph, matching, p) for p, step in zip(tiles, steps)]
+
+    monkeypatch.setattr(valuation, "_twist_increments", shifted)
+
+
+def test_one_wrong_increment_breaks_a_twist_cycle(monkeypatch):
+    g = golden_graph()
+    target = g.minimal_matching()
+    corrupt_increments(
+        monkeypatch, lambda graph, m, p: int(m == target and p == 2)
+    )
+    with pytest.raises(ValuationError, match="twist cycle assigns both"):
+        compute_valuation(g)
+
+
+def test_consistent_increments_must_put_the_minimal_matching_at_zero(
+    monkeypatch,
+):
+    # shifting by the coboundary g(u) - g(v) of the minimal matching's
+    # indicator g keeps every twist cycle closed but moves v(minimal) to 1
+    g = golden_graph()
+    minimal = g.minimal_matching()
+    corrupt_increments(
+        monkeypatch,
+        lambda graph, m, p: int(m == minimal) - int(graph.twist(m, p) == minimal),
+    )
+    with pytest.raises(ValuationError, match="the minimal matching has value 1"):
+        compute_valuation(g)
+
+
+def test_twists_must_reach_every_matching(monkeypatch):
+    g = golden_graph()
+    monkeypatch.setattr(g, "twistable_tiles", lambda matching: ())
+    with pytest.raises(ValuationError, match="do not connect all matchings"):
+        compute_valuation(g)
