@@ -25,7 +25,7 @@ from .qalgebra import Coeff, ExactDivisionError, QuantumLaurent, coeff_to_string
 from .seeds import Seed, SeedError, principal_seed
 from .snakegraph import SnakeGraph
 from .surface import Arc, SurfaceError, Triangulation, flip, signed_adjacency
-from .valuation import ValuationError, compute_valuation, omega
+from .valuation import TwistTable, ValuationError, compute_valuation
 
 __all__ = ["main"]
 
@@ -187,10 +187,11 @@ def cmd_valuation(args: argparse.Namespace) -> int:
     seed = _load_seed(args.seed, t)
     graph = SnakeGraph(t, arc)
     values = compute_valuation(graph, seed.d)
+    table = TwistTable(graph)
     for matching in graph.matchings():
         twists = ",".join(
-            f"{p}:{omega(graph, matching, p, seed.d):+d}"
-            for p in graph.twistable_tiles(matching)
+            f"{p}:{step:+d}"
+            for p, _, step in table.twists(table.mask(matching), seed.d)
         )
         print(
             f"{graph.matching_bits(matching)} v={values[matching]} "

@@ -14,17 +14,19 @@ import sys
 
 import pytest
 
-from conftest import annulus, golden_arc, pentagon
+from conftest import annulus, annulus_bridge, doubled_lambda, golden_arc, pentagon
 from snakeq import (
     QuantumLaurent,
+    Seed,
+    SnakeGraph,
     Triangulation,
     commutative_expand,
     principal_seed,
     quantum_expand,
     signed_adjacency,
 )
-from snakeq import valuation
 from snakeq.cli import main
+from snakeq.valuation import TwistTable
 
 GOLDEN_COMMUTATIVE = (
     "x^(1,-2,0,0) + 2·x^(-1,0,1,1) + 2·x^(-1,-2,0,1) + x^(-3,4,3,2)"
@@ -277,6 +279,39 @@ def test_valuation_listing(capsys, files):
     assert len(lines) == 13
     assert lines[0] == "0100101000101010 v=0 twists=[2:+1,4:-1]"
     assert all(" v=" in line and "twists=[" in line for line in lines)
+
+
+@pytest.mark.parametrize(
+    "arc, doubled", [(golden_arc(), False), (annulus_bridge(5)[0], True)]
+)
+def test_valuation_listing_increments_are_value_differences(
+    capsys, files, arc, doubled
+):
+    # every printed p:±Ω is v(m) - v(twist of m at p), read off the listing
+    t = annulus()
+    b = signed_adjacency(t)
+    seed = Seed(principal_seed(b).btilde, doubled_lambda(b)) if doubled else None
+    argv = ["valuation", "--surface", files["annulus"]]
+    argv += ["--arc", files["write"]("arc.json", arc.to_dict())]
+    if seed is not None:
+        assert seed.d == 2
+        argv += ["--seed", files["write"]("doubled.json", seed.to_dict())]
+    code, out, _ = run_main(capsys, *argv)
+    assert code == 0
+    g = SnakeGraph(t, arc)
+    row = re.compile(r"(\d+) v=(-?\d+) twists=\[(.*)\]")
+    rows = [row.fullmatch(line).groups() for line in out.splitlines()]
+    values = {bits: int(v) for bits, v, _ in rows}
+    assert len(rows) == len(g.matchings())
+    checked = 0
+    for m, (bits, _, twists) in zip(g.matchings(), rows):
+        assert bits == g.matching_bits(m)
+        for entry in filter(None, twists.split(",")):
+            p, step = entry.split(":")
+            twisted = g.matching_bits(g.twist(m, int(p)))
+            assert int(step) == values[bits] - values[twisted]
+            checked += 1
+    assert checked == len(g.twist_graph()[1]) * 2
 
 
 # ----------------------------------------------------------------------
@@ -588,11 +623,11 @@ def test_malformed_surfaces_and_seeds_are_input_errors(
 
 
 def test_ill_defined_valuation_is_an_input_error(capsys, files, monkeypatch):
-    increments = valuation._twist_increments
+    twists = TwistTable.twists
     monkeypatch.setattr(
-        valuation,
-        "_twist_increments",
-        lambda *args: [step + 1 for step in increments(*args)],
+        TwistTable,
+        "twists",
+        lambda *args: [(p, m, step + 1) for p, m, step in twists(*args)],
     )
     code, out, err = run_main(
         capsys,

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
+from collections import deque
 
 import pytest
 
@@ -18,12 +20,77 @@ from conftest import (
     polygon_chords,
     valuation_corpus,
 )
-from snakeq import SnakeGraph, ValuationError, compute_valuation, omega, valuation
-from snakeq.valuation import _label_positions, _twist_increments
+from snakeq import SnakeGraph, ValuationError, compute_valuation, omega
+from snakeq.snakegraph import POSITION_ORDER
+from snakeq.valuation import TwistTable
 
 
 def golden_graph() -> SnakeGraph:
     return SnakeGraph(annulus(), golden_arc())
+
+
+def reference_increments(graph, matching, tiles, d_scale):
+    """The increment at each twistable tile, by sorting and bisection.
+
+    The matched edges are sorted by tile, then south, west, east, north; the
+    two matched sides of tile p must be adjacent in that list, and the
+    increment counts matched edges of the diagonal's label strictly after
+    minus strictly before them, corrected by the occurrences of that label
+    among later minus earlier crossings, signed by which pair of sides is
+    matched, and scaled by the compatibility scalar.
+    """
+
+    def label_positions(labels):
+        out = {}
+        for i, label in enumerate(labels):
+            out.setdefault(label, []).append(i)
+        return out
+
+    def outside(positions, lo, hi):
+        return (
+            bisect_left(positions, lo),
+            len(positions) - bisect_right(positions, hi),
+        )
+
+    position_rank = {pos: i for i, pos in enumerate(POSITION_ORDER)}
+    ordered = sorted(
+        matching, key=lambda ref: (ref[0], position_rank.get(ref[1], -1))
+    )
+    rank = {ref: i for i, ref in enumerate(ordered)}
+    matched = label_positions(graph.edge_label(ref) for ref in ordered)
+    crossings = label_positions(graph.arc.crossings)
+    out = []
+    for p in tiles:
+        tile_refs = graph.tile_edge_refs(p)
+        lo, hi = sorted(rank[ref] for ref in tile_refs if ref in rank)
+        assert hi == lo + 1
+        tau = graph.tiles[p - 1].diagonal
+        n_before, n_after = outside(matched.get(tau, []), lo, hi)
+        m_before, m_after = outside(crossings[tau], p - 1, p - 1)
+        south, west, east, north = tile_refs
+        pair = {ordered[lo], ordered[hi]}
+        assert pair in ({south, north}, {west, east})
+        positive = (pair == {south, north}) == (p % 2 == 1)
+        magnitude = (n_after - m_after - n_before + m_before) * d_scale
+        out.append(magnitude if positive else -magnitude)
+    return out
+
+
+def reference_valuation(graph, d_scale):
+    """The potential of the reference increments, from the maximal matching."""
+    maximal = graph.maximal_matching()
+    values = {maximal: 0}
+    queue = deque([maximal])
+    while queue:
+        current = queue.popleft()
+        tiles = graph.twistable_tiles(current)
+        steps = reference_increments(graph, current, tiles, d_scale)
+        for p, step in zip(tiles, steps):
+            neighbor = graph.twist(current, p)
+            if neighbor not in values:
+                values[neighbor] = values[current] - step
+                queue.append(neighbor)
+    return values
 
 
 def corpus_graphs() -> list[SnakeGraph]:
@@ -101,18 +168,39 @@ def test_valuation_steps_match_the_increments():
             assert values[ms[i]] - values[ms[j]] == omega(g, ms[i], p)
 
 
-def test_propagation_increments_equal_the_public_omega():
-    # the propagation computes all increments of a matching in one pass;
-    # each must equal the single-twist omega
+def test_omega_equals_the_sort_and_bisect_reference():
     for name, t, arc in valuation_corpus():
         g = SnakeGraph(t, arc)
-        crossings = _label_positions(arc.crossings)
-        for d_scale in (1, 2):
+        for d_scale in (1, 2, 3):
             for m in g.matchings():
                 tiles = g.twistable_tiles(m)
-                batch = _twist_increments(g, m, tiles, d_scale, crossings)
                 single = [omega(g, m, p, d_scale) for p in tiles]
-                assert batch == single, name
+                assert single == reference_increments(g, m, tiles, d_scale), name
+
+
+def test_valuation_equals_the_potential_of_the_reference_increments():
+    for name, t, arc in valuation_corpus():
+        g = SnakeGraph(t, arc)
+        for d_scale in (1, 2, 3):
+            expected = reference_valuation(g, d_scale)
+            assert compute_valuation(g, d_scale) == expected, name
+
+
+def test_valuation_builds_one_table_and_no_twisted_frozensets(monkeypatch):
+    counts = {"tile_edge_refs": 0, "twist": 0, "can_twist": 0}
+    for method in counts:
+        original = getattr(SnakeGraph, method)
+
+        def counted(graph, *args, _method=method, _original=original):
+            counts[_method] += 1
+            return _original(graph, *args)
+
+        monkeypatch.setattr(SnakeGraph, method, counted)
+    g = SnakeGraph(annulus(), annulus_bridge(6)[0])
+    assert len(g.matchings()) == 89
+    compute_valuation(g, 2)
+    assert counts["tile_edge_refs"] <= g.d
+    assert counts["twist"] == counts["can_twist"] == 0
 
 
 def test_valuation_scales_with_the_compatibility_scalar():
@@ -147,20 +235,27 @@ def test_valuation_is_deterministic():
 # the well-definedness checks, reached with corrupted increments
 
 def corrupt_increments(monkeypatch, shift):
-    """Add ``shift(graph, matching, p)`` to every increment the search uses."""
+    """Add ``shift(mask, p, twisted)`` to every increment the search uses."""
+    twists = TwistTable.twists
 
-    def shifted(graph, matching, tiles, d_scale, crossings):
-        steps = _twist_increments(graph, matching, tiles, d_scale, crossings)
-        return [step + shift(graph, matching, p) for p, step in zip(tiles, steps)]
+    def shifted(table, mask, d_scale, tiles=None):
+        return [
+            (p, twisted, step + shift(mask, p, twisted))
+            for p, twisted, step in twists(table, mask, d_scale, tiles)
+        ]
 
-    monkeypatch.setattr(valuation, "_twist_increments", shifted)
+    monkeypatch.setattr(TwistTable, "twists", shifted)
+
+
+def minimal_mask(g: SnakeGraph) -> int:
+    return TwistTable(g).mask(g.minimal_matching())
 
 
 def test_one_wrong_increment_breaks_a_twist_cycle(monkeypatch):
     g = golden_graph()
-    target = g.minimal_matching()
+    target = minimal_mask(g)
     corrupt_increments(
-        monkeypatch, lambda graph, m, p: int(m == target and p == 2)
+        monkeypatch, lambda mask, p, twisted: int(mask == target and p == 2)
     )
     with pytest.raises(ValuationError, match="twist cycle assigns both"):
         compute_valuation(g)
@@ -172,10 +267,10 @@ def test_consistent_increments_must_put_the_minimal_matching_at_zero(
     # shifting by the coboundary g(u) - g(v) of the minimal matching's
     # indicator g keeps every twist cycle closed but moves v(minimal) to 1
     g = golden_graph()
-    minimal = g.minimal_matching()
+    minimal = minimal_mask(g)
     corrupt_increments(
         monkeypatch,
-        lambda graph, m, p: int(m == minimal) - int(graph.twist(m, p) == minimal),
+        lambda mask, p, twisted: int(mask == minimal) - int(twisted == minimal),
     )
     with pytest.raises(ValuationError, match="the minimal matching has value 1"):
         compute_valuation(g)
@@ -183,6 +278,6 @@ def test_consistent_increments_must_put_the_minimal_matching_at_zero(
 
 def test_twists_must_reach_every_matching(monkeypatch):
     g = golden_graph()
-    monkeypatch.setattr(g, "twistable_tiles", lambda matching: ())
+    monkeypatch.setattr(TwistTable, "twists", lambda table, mask, d_scale: [])
     with pytest.raises(ValuationError, match="do not connect all matchings"):
         compute_valuation(g)
