@@ -16,6 +16,7 @@ from typing import Sequence
 
 from .expansion import (
     ExpansionError,
+    _check_top_block,
     commutative_expand,
     commutative_to_string,
     quantum_expand,
@@ -167,6 +168,7 @@ def cmd_matchings(args: argparse.Namespace) -> int:
     t = _load_surface(args.surface)
     arc = _load_arc(args.arc)
     seed = _load_seed(args.seed, t)
+    _check_top_block(t, seed.btilde)
     graph = SnakeGraph(t, arc)
     values = compute_valuation(graph, seed.d)
     for matching in graph.matchings():
@@ -185,6 +187,7 @@ def cmd_valuation(args: argparse.Namespace) -> int:
     t = _load_surface(args.surface)
     arc = _load_arc(args.arc)
     seed = _load_seed(args.seed, t)
+    _check_top_block(t, seed.btilde)
     graph = SnakeGraph(t, arc)
     values = compute_valuation(graph, seed.d)
     table = TwistTable(graph)

@@ -77,29 +77,28 @@ class QuantumExpansion:
     records: tuple[MatchingRecord, ...]
 
 
-def _check_top_block(
-    t: Triangulation, btilde: Sequence[Sequence[int]]
-) -> tuple[tuple[int, ...], ...]:
-    b = tuple(tuple(int(x) for x in row) for row in btilde)
+def _check_top_block(t: Triangulation, btilde: Sequence[Sequence[int]]) -> None:
+    """Raise unless ``btilde`` has the surface's signed adjacency on top.
+
+    Only the top block is read; the rows are compared as they are given.
+    """
     n = t.n_internal
-    if not b or len(b[0]) != n:
+    if not btilde or len(btilde[0]) != n:
         raise ExpansionError(
-            f"extended matrix has {len(b[0]) if b else 0} columns, expected "
-            f"{n} mutable directions"
+            f"extended matrix has {len(btilde[0]) if btilde else 0} columns, "
+            f"expected {n} mutable directions"
         )
-    if len(b) < n:
+    if len(btilde) < n:
         raise ExpansionError("extended matrix has fewer rows than columns")
-    adjacency = tuple(tuple(row) for row in signed_adjacency(t))
-    if tuple(b[:n]) != adjacency:
+    if [list(row) for row in btilde[:n]] != signed_adjacency(t):
         raise ExpansionError(
             "the top block of the extended matrix is not the signed adjacency "
             "matrix of the triangulation"
         )
-    return b
 
 
 def _normalized_exponents(
-    graph: SnakeGraph, btilde: tuple[tuple[int, ...], ...]
+    graph: SnakeGraph, btilde: Sequence[Sequence[int]]
 ) -> dict[Matching, Vector]:
     """Cluster part plus tropically normalized coefficient part per matching.
 
@@ -141,18 +140,18 @@ def exponent_vector(
     graph: SnakeGraph, matching: Matching, btilde: Sequence[Sequence[int]]
 ) -> Vector:
     """Full exponent of one matching, tropically normalized over the graph."""
-    b = _check_top_block(graph.triangulation, btilde)
-    return _normalized_exponents(graph, b)[matching]
+    _check_top_block(graph.triangulation, btilde)
+    return _normalized_exponents(graph, btilde)[matching]
 
 
 def commutative_expand(
     t: Triangulation, arc: Arc, btilde: Sequence[Sequence[int]]
 ) -> list[CommTerm]:
     """Laurent expansion at q = 1, as terms in lex-descending exponent order."""
-    b = _check_top_block(t, btilde)
+    _check_top_block(t, btilde)
     graph = SnakeGraph(t, arc)
     totals: dict[Vector, int] = {}
-    for vec in _normalized_exponents(graph, b).values():
+    for vec in _normalized_exponents(graph, btilde).values():
         totals[vec] = totals.get(vec, 0) + 1
     return [
         CommTerm(vec, totals[vec]) for vec in sorted(totals, reverse=True)
@@ -172,9 +171,9 @@ def commutative_to_string(terms: Iterable[CommTerm], symbol: str = "x") -> str:
 
 def quantum_expand(t: Triangulation, arc: Arc, seed: Seed) -> QuantumExpansion:
     """Quantum Laurent expansion of an arc in the seed's quantum torus."""
-    b = _check_top_block(t, seed.btilde)
+    _check_top_block(t, seed.btilde)
     graph = SnakeGraph(t, arc)
-    exponents = _normalized_exponents(graph, b)
+    exponents = _normalized_exponents(graph, seed.btilde)
     values = compute_valuation(graph, seed.d)
     records = []
     terms: dict[Vector, Coeff] = {}

@@ -9,7 +9,10 @@ where L is a skew-symmetric integer bilinear form.  Setting s = q^(1/2), every
 element is a finite sum of terms c(s) * X^a with c in ZZ[s, s^(-1)].  This
 module represents such elements exactly: coefficients are dicts mapping the
 s-exponent to an integer, exponent vectors are integer tuples, and nothing is
-ever floated or truncated.
+ever floated or truncated.  The :class:`QuantumLaurent` constructor is the
+only place that merges equal exponents and drops zero coefficients of a
+finished value; sums, negation, scaling, products and quotients accumulate
+into plain dicts and hand them to it.
 
 The one nontrivial algorithm is :func:`exact_right_divide`, which solves
 Q * D = N for Q by eliminating lexicographically maximal terms.  Because a
@@ -42,39 +45,12 @@ class ExactDivisionError(ArithmeticError):
     """Raised when a requested exact quotient does not exist."""
 
 
-def _coeff_clean(c: Coeff) -> Coeff:
-    return {e: n for e, n in c.items() if n != 0}
-
-
-def _coeff_add(a: Coeff, b: Coeff) -> Coeff:
-    out = dict(a)
-    for e, n in b.items():
-        out[e] = out.get(e, 0) + n
-        if out[e] == 0:
-            del out[e]
-    return out
-
-
-def _coeff_mul(a: Coeff, b: Coeff) -> Coeff:
-    out: Coeff = {}
-    for ea, na in a.items():
-        for eb, nb in b.items():
-            e = ea + eb
-            out[e] = out.get(e, 0) + na * nb
-    return _coeff_clean(out)
-
-
-def _coeff_neg(a: Coeff) -> Coeff:
-    return {e: -n for e, n in a.items()}
-
-
-def _coeff_shift(a: Coeff, k: int) -> Coeff:
-    """Multiply by s^k."""
-    return {e + k: n for e, n in a.items()}
-
-
 def _coeff_div(num: Coeff, den: Coeff) -> Coeff | None:
-    """Exact quotient num / den in ZZ[s, s^(-1)], or None."""
+    """Exact quotient num / den in ZZ[s, s^(-1)], or None.
+
+    ``num`` stores no zero; every quotient coefficient is then nonzero, since
+    a zero ``lead`` leaves ``extra`` nonzero.
+    """
     if not den:
         raise ZeroDivisionError("division by the zero coefficient")
     rem = dict(num)
@@ -95,7 +71,7 @@ def _coeff_div(num: Coeff, den: Coeff) -> Coeff | None:
                 del rem[tgt]
         if rem and max(rem) >= rem_top:
             return None
-    return _coeff_clean(quot)
+    return quot
 
 
 def _q_power_string(s_exp: int) -> str:
@@ -196,15 +172,18 @@ class QuantumLaurent:
     """An element of a rank-m quantum torus, stored term by term.
 
     Terms map exponent vectors to coefficients in ZZ[s, s^(-1)]; zero
-    coefficients are never stored.  Addition is ordinary; multiplication
-    requires the skew form and is provided by :func:`qmul`.
+    coefficients are never stored.  The constructor is the one place that
+    converts, merges equal exponents and drops zeros: ``terms`` is a mapping
+    or an iterable of ``(vector, coefficient)`` pairs, repeats are summed,
+    and the arithmetic below hands it raw sums.  Addition is ordinary;
+    multiplication requires the skew form and is provided by :func:`qmul`.
     """
 
     __slots__ = ("width", "_terms")
 
     def __init__(self, width: int, terms: Mapping[Vector, Mapping[int, int]] = ()):
         self.width = int(width)
-        clean: dict[Vector, Coeff] = {}
+        merged: dict[Vector, Coeff] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for vec, coeff in items:
             v = tuple(int(x) for x in vec)
@@ -212,13 +191,15 @@ class QuantumLaurent:
                 raise ValueError(
                     f"exponent vector {v} does not have width {self.width}"
                 )
-            c = _coeff_clean({int(e): int(n) for e, n in dict(coeff).items()})
-            if c:
-                merged = clean.get(v)
-                clean[v] = _coeff_add(merged, c) if merged else c
-                if not clean[v]:
-                    del clean[v]
-        self._terms = clean
+            target = merged.setdefault(v, {})
+            for e, n in coeff.items():
+                e = int(e)
+                target[e] = target.get(e, 0) + int(n)
+        self._terms = {}
+        for v, c in merged.items():
+            nonzero = {e: n for e, n in c.items() if n}
+            if nonzero:
+                self._terms[v] = nonzero
 
     @classmethod
     def zero(cls, width: int) -> QuantumLaurent:
@@ -259,18 +240,14 @@ class QuantumLaurent:
 
     def __add__(self, other: QuantumLaurent) -> QuantumLaurent:
         self._check_width(other)
-        out = {v: dict(c) for v, c in self._terms.items()}
-        for v, c in other._terms.items():
-            merged = _coeff_add(out.get(v, {}), c)
-            if merged:
-                out[v] = merged
-            else:
-                out.pop(v, None)
-        return QuantumLaurent(self.width, out)
+        return QuantumLaurent(
+            self.width, [*self._terms.items(), *other._terms.items()]
+        )
 
     def __neg__(self) -> QuantumLaurent:
         return QuantumLaurent(
-            self.width, {v: _coeff_neg(c) for v, c in self._terms.items()}
+            self.width,
+            {v: {e: -n for e, n in c.items()} for v, c in self._terms.items()},
         )
 
     def __sub__(self, other: QuantumLaurent) -> QuantumLaurent:
@@ -329,13 +306,11 @@ def qmul(a: QuantumLaurent, b: QuantumLaurent, form: LambdaForm) -> QuantumLaure
     for va, ca in a._terms.items():
         for vb, cb in b._terms.items():
             twist = form.eval(va, vb)
-            target = tuple(x + y for x, y in zip(va, vb))
-            contrib = _coeff_shift(_coeff_mul(ca, cb), twist)
-            merged = _coeff_add(out.get(target, {}), contrib)
-            if merged:
-                out[target] = merged
-            else:
-                out.pop(target, None)
+            target = out.setdefault(tuple(x + y for x, y in zip(va, vb)), {})
+            for ea, na in ca.items():
+                for eb, nb in cb.items():
+                    e = ea + eb + twist
+                    target[e] = target.get(e, 0) + na * nb
     return QuantumLaurent(a.width, out)
 
 
@@ -387,8 +362,11 @@ def exact_right_divide(
             raise ExactDivisionError(
                 "no exact quotient: elimination left the admissible exponent box"
             )
-        shifted = _coeff_shift(remainder[r_top], -form.eval(e, d_top))
-        c = _coeff_div(shifted, d_top_coeff)
+        twist = form.eval(e, d_top)
+        c = _coeff_div(
+            {s_exp - twist: n for s_exp, n in remainder[r_top].items()},
+            d_top_coeff,
+        )
         if c is None:
             raise ExactDivisionError(
                 "no exact quotient: coefficient division fails at "

@@ -6,7 +6,9 @@ pair is compatible when transpose(B) * Lambda = (d*I | 0) for a single
 positive integer d; that scalar also calibrates the valuation on snake-graph
 matchings.  Matrix mutation, form mutation, and the tropical dynamics of
 coefficient vectors are implemented directly from the exchange recurrences,
-with no floating point anywhere.
+with no floating point anywhere.  A :class:`Seed` freezes its exchange matrix
+once, and :class:`~snakeq.qalgebra.LambdaForm` converts its rows once; the
+functions here read matrices as the sequences of integer rows they are given.
 """
 
 from __future__ import annotations
@@ -40,9 +42,11 @@ def _freeze(rows: Any) -> Matrix:
     return tuple(tuple(int(v) for v in row) for row in rows)
 
 
-def _json_matrix(rows: Any, key: str) -> Matrix:
+def _check_json_matrix(rows: Any, key: str) -> None:
     what = f"each {key} entry"
-    return tuple(tuple(_json_int(v, what) for v in row) for row in rows)
+    for row in rows:
+        for v in row:
+            _json_int(v, what)
 
 
 def _pos(x: int) -> int:
@@ -52,17 +56,18 @@ def _pos(x: int) -> int:
 def check_compatible(btilde: Any, lam: LambdaForm) -> int:
     """Return the scalar d with transpose(B) * Lambda = (d*I | 0).
 
-    Raises :class:`SeedError` when the product is not of that shape or d is
-    not a positive integer shared by all columns.
+    ``btilde`` is read as given: a sequence of integer rows, such as the
+    frozen matrix of a :class:`Seed`.  Raises :class:`SeedError` when the
+    product is not of that shape or d is not a positive integer shared by
+    all columns.
     """
-    b = _freeze(btilde)
-    m = len(b)
+    m = len(btilde)
     if m == 0:
         raise SeedError("the exchange matrix has no rows")
-    n = len(b[0])
+    n = len(btilde[0])
     if n == 0:
         raise SeedError("the exchange matrix has no mutable columns")
-    if any(len(row) != n for row in b):
+    if any(len(row) != n for row in btilde):
         raise SeedError("the exchange matrix has ragged rows")
     if n > m:
         raise SeedError(f"more mutable columns ({n}) than rows ({m})")
@@ -72,7 +77,7 @@ def check_compatible(btilde: Any, lam: LambdaForm) -> int:
         )
     d = 0  # no diagonal entry seen yet; every entry is positive
     for j in range(n):
-        column = [(b[k][j], lam.rows[k]) for k in range(m) if b[k][j]]
+        column = [(btilde[k][j], lam.rows[k]) for k in range(m) if btilde[k][j]]
         for i in range(m):
             entry = sum(c * row[i] for c, row in column)
             if i == j:
@@ -99,7 +104,10 @@ def check_compatible(btilde: Any, lam: LambdaForm) -> int:
 class Seed:
     """A compatible pair, validated on construction.
 
-    ``d`` is the compatibility scalar, computed once by that validation.
+    ``btilde`` is frozen to a tuple of integer tuples once, here, and the
+    form converts its own rows once; code that receives a ``Seed`` reads
+    both as they are.  ``d`` is the compatibility scalar, computed once by
+    that validation.
     """
 
     btilde: Matrix
@@ -126,8 +134,10 @@ class Seed:
         if not isinstance(data, dict):
             raise SeedError("seed description must be a JSON object")
         try:
-            btilde = _json_matrix(data["Btilde"], "Btilde")
-            lam_rows = _json_matrix(data["Lambda"], "Lambda")
+            btilde = data["Btilde"]
+            _check_json_matrix(btilde, "Btilde")
+            lam_rows = data["Lambda"]
+            _check_json_matrix(lam_rows, "Lambda")
         except KeyError as missing:
             raise SeedError(f"seed description lacks key {missing}") from None
         except (TypeError, ValueError) as bad:
@@ -146,24 +156,25 @@ class Seed:
 
 
 def mutate_B(btilde: Any, k: int) -> Matrix:
-    """Matrix mutation in direction k (a mutable column index)."""
-    b = _freeze(btilde)
-    m = len(b)
-    n = len(b[0])
+    """Matrix mutation in direction k (a mutable column index).
+
+    ``btilde`` is a sequence of integer rows; the result is frozen.
+    """
+    n = len(btilde[0])
     if not 0 <= k < n:
         raise SeedError(f"mutation direction {k} out of range for {n} columns")
-    out = [[0] * n for _ in range(m)]
-    for i in range(m):
-        for j in range(n):
-            if i == k or j == k:
-                out[i][j] = -b[i][j]
-            else:
-                out[i][j] = (
-                    b[i][j]
-                    + _pos(b[i][k]) * _pos(b[k][j])
-                    - _pos(-b[i][k]) * _pos(-b[k][j])
-                )
-    return _freeze(out)
+    pivot = btilde[k]
+    return tuple(
+        tuple(
+            -row[j]
+            if i == k or j == k
+            else row[j]
+            + _pos(row[k]) * _pos(pivot[j])
+            - _pos(-row[k]) * _pos(-pivot[j])
+            for j in range(n)
+        )
+        for i, row in enumerate(btilde)
+    )
 
 
 def mutate_Lambda(lam: LambdaForm, btilde: Any, k: int) -> LambdaForm:
@@ -171,17 +182,17 @@ def mutate_Lambda(lam: LambdaForm, btilde: Any, k: int) -> LambdaForm:
 
     Row and column k are replaced by the pairing of the basis vectors with
     -e_k + sum_l [b_lk]_+ e_l; all other entries are untouched.
+    ``btilde`` is a sequence of integer rows.
     """
-    b = _freeze(btilde)
     m = lam.size
-    if len(b) != m:
+    if len(btilde) != m:
         raise SeedError("exchange matrix rows do not match the form rank")
-    n = len(b[0])
+    n = len(btilde[0])
     if not 0 <= k < n:
         raise SeedError(f"mutation direction {k} out of range for {n} columns")
     target = [-1 if l == k else 0 for l in range(m)]
     for l in range(m):
-        target[l] += _pos(b[l][k])
+        target[l] += _pos(btilde[l][k])
     new_rows = [list(row) for row in lam.rows]
     for i in range(m):
         if i == k:
@@ -236,24 +247,20 @@ def principal_lambda(b_matrix: Any) -> LambdaForm:
     In block shape (rows and columns split n + n) it is ((0, -I), (I, -B)),
     which pairs with (B over I) to give transpose(Btilde) * Lambda = (I | 0).
     """
-    b = _freeze(b_matrix)
-    n = len(b)
-    if any(len(row) != n for row in b):
+    n = len(b_matrix)
+    if any(len(row) != n for row in b_matrix):
         raise SeedError("the exchange matrix must be square")
     rows = [[0] * (2 * n) for _ in range(2 * n)]
     for i in range(n):
         rows[i][n + i] = -1
         rows[n + i][i] = 1
         for j in range(n):
-            rows[n + i][n + j] = -b[i][j]
+            rows[n + i][n + j] = -b_matrix[i][j]
     return LambdaForm(rows)
 
 
 def principal_seed(b_matrix: Any) -> Seed:
     """Principal-coefficient seed: Btilde stacks B on the identity."""
-    b = _freeze(b_matrix)
-    n = len(b)
-    btilde = [list(row) for row in b]
-    for i in range(n):
-        btilde.append([1 if j == i else 0 for j in range(n)])
-    return Seed(_freeze(btilde), principal_lambda(b))
+    n = len(b_matrix)
+    identity = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
+    return Seed([*b_matrix, *identity], principal_lambda(b_matrix))

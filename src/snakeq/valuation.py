@@ -71,19 +71,14 @@ class TwistTable:
     def mask(self, matching: Matching) -> int:
         return sum(map(self.bit.__getitem__, matching))
 
-    def twists(
-        self, mask: int, d_scale: int, tiles: tuple | None = None
-    ) -> list[tuple[int, int, int]]:
+    def twists(self, mask: int, d_scale: int) -> list[tuple[int, int, int]]:
         """``(p, twisted mask, increment)`` at each twistable tile p.
 
         Tile p twists when exactly two of its sides are matched; the
-        increment is :func:`omega`.  ``tiles`` restricts the scan to some
-        rows.
+        increment is :func:`omega`.
         """
         out = []
-        for p, sides, south_north, west_east, label, balance in (
-            self.tiles if tiles is None else tiles
-        ):
+        for p, sides, south_north, west_east, label, balance in self.tiles:
             matched = mask & sides
             if matched.bit_count() != 2:
                 continue
@@ -122,11 +117,10 @@ def omega(graph: SnakeGraph, matching: Matching, p: int, d_scale: int = 1) -> in
     scaled by the compatibility scalar.
     """
     table = TwistTable(graph)
-    rows = table.tiles[p - 1 : p] if p >= 1 else ()
-    found = table.twists(table.mask(matching), d_scale, rows)
-    if not found:
-        raise ValueError(f"matching has no twist at tile {p}")
-    return found[0][2]
+    for tile, _, step in table.twists(table.mask(matching), d_scale):
+        if tile == p:
+            return step
+    raise ValueError(f"matching has no twist at tile {p}")
 
 
 def compute_valuation(graph: SnakeGraph, d_scale: int = 1) -> dict[Matching, int]:

@@ -14,7 +14,14 @@ import sys
 
 import pytest
 
-from conftest import annulus, annulus_bridge, doubled_lambda, golden_arc, pentagon
+from conftest import (
+    annulus,
+    annulus_bridge,
+    doubled_lambda,
+    golden_arc,
+    ladder_surface,
+    pentagon,
+)
 from snakeq import (
     QuantumLaurent,
     Seed,
@@ -615,6 +622,42 @@ def test_malformed_surfaces_and_seeds_are_input_errors(
     for key, name in inputs.items():
         argv += [key, name]
     code, out, err = run_main(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["matchings", "valuation"])
+@pytest.mark.parametrize(
+    "surface, message",
+    [
+        (
+            ladder_surface(10),
+            "extended matrix has 10 columns, expected 2 mutable directions",
+        ),
+        (
+            pentagon(),
+            "the top block of the extended matrix is not the signed adjacency",
+        ),
+    ],
+    ids=["ladder-d10-seed", "pentagon-seed"],
+)
+def test_listings_reject_a_seed_that_does_not_fit_the_surface(
+    capsys, files, command, surface, message
+):
+    seed = principal_seed(signed_adjacency(surface))
+    code, out, err = run_main(
+        capsys,
+        command,
+        "--surface",
+        files["annulus"],
+        "--arc",
+        files["write"]("bridge.json", annulus_bridge(6)[0].to_dict()),
+        "--seed",
+        files["write"]("other.json", seed.to_dict()),
+    )
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

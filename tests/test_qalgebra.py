@@ -172,6 +172,139 @@ def test_division_respects_the_twist():
 
 
 # ----------------------------------------------------------------------
+# canonical form: the constructor is the only merge and zero-drop
+#
+# The reference sum and product below clean every coefficient as they go,
+# with helpers of their own, and return plain dicts, so they do not rely on
+# the constructor to merge exponents or drop zeros.
+
+def _ref_coeff_clean(c):
+    return {e: n for e, n in c.items() if n != 0}
+
+
+def _ref_coeff_add(a, b):
+    out = dict(a)
+    for e, n in b.items():
+        out[e] = out.get(e, 0) + n
+        if out[e] == 0:
+            del out[e]
+    return out
+
+
+def _ref_coeff_mul(a, b):
+    out = {}
+    for ea, na in a.items():
+        for eb, nb in b.items():
+            e = ea + eb
+            out[e] = out.get(e, 0) + na * nb
+    return _ref_coeff_clean(out)
+
+
+def _ref_coeff_shift(a, k):
+    return {e + k: n for e, n in a.items()}
+
+
+def reference_add(a, b):
+    out = {v: dict(c) for v, c in a.items()}
+    for v, c in b.items():
+        merged = _ref_coeff_add(out.get(v, {}), c)
+        if merged:
+            out[v] = merged
+        else:
+            out.pop(v, None)
+    return out
+
+
+def reference_qmul(a, b, form):
+    out = {}
+    for va, ca in a.items():
+        for vb, cb in b.items():
+            twist = form.eval(va, vb)
+            target = tuple(x + y for x, y in zip(va, vb))
+            contrib = _ref_coeff_shift(_ref_coeff_mul(ca, cb), twist)
+            merged = _ref_coeff_add(out.get(target, {}), contrib)
+            if merged:
+                out[target] = merged
+            else:
+                out.pop(target, None)
+    return out
+
+
+# exponent vectors from a narrow range, so that terms often meet
+tiny = st.integers(min_value=-1, max_value=1)
+
+
+def polys(width):
+    return st.dictionaries(
+        st.tuples(*[tiny] * width), coeffs, max_size=4
+    ).map(lambda d: QuantumLaurent(width, d))
+
+
+FORMS = pytest.mark.parametrize("width, form", [(2, LAM2), (4, LAM4)])
+
+
+@FORMS
+@given(data=st.data())
+def test_sum_and_product_equal_the_cleaning_reference(width, form, data):
+    a = data.draw(polys(width))
+    b = data.draw(polys(width))
+    # the last two pairs cancel some or all of a's terms
+    for x, y in ((a, b), (a, -a), (a, b - a)):
+        assert dict((x + y).items()) == reference_add(x, y)
+        assert dict(qmul(x, y, form).items()) == reference_qmul(x, y, form)
+
+
+def _stores_no_zero(x):
+    return all(c and 0 not in c.values() for _, c in x.items())
+
+
+@FORMS
+@given(data=st.data())
+def test_no_value_stores_a_zero_coefficient(width, form, data):
+    a = data.draw(polys(width))
+    b = data.draw(polys(width))
+    raw = data.draw(
+        st.lists(
+            st.tuples(
+                st.tuples(*[tiny] * width),
+                st.dictionaries(tiny, st.integers(-2, 2), max_size=3),
+            ),
+            max_size=6,
+        )
+    )
+    values = [
+        QuantumLaurent(width, raw),
+        a + b,
+        a + (-a),
+        a - b,
+        a - a,
+        -a,
+        a.scaled(s_exp=3),
+        a.scaled(coefficient=0),
+        qmul(a, b, form),
+    ]
+    if not b.is_zero():
+        values.append(exact_right_divide(qmul(a, b, form), b, form))
+    assert all(_stores_no_zero(x) for x in values)
+
+
+def test_constructor_merges_repeated_pairs_and_cancels_to_zero():
+    x = QuantumLaurent(
+        2,
+        [
+            ((1, 0), {0: 1, 2: 5}),
+            ((0, 1), {1: 1}),
+            ((1, 0), {0: -1, 4: 2}),
+            ((0, 1), {1: -1}),
+        ],
+    )
+    assert dict(x.items()) == {(1, 0): {2: 5, 4: 2}}
+    gone = QuantumLaurent(2, [((1, 0), {0: 1, 1: -3}), ((1, 0), {0: -1, 1: 3})])
+    assert gone.is_zero()
+    assert gone == QuantumLaurent.zero(2)
+
+
+# ----------------------------------------------------------------------
 # printing
 
 def test_coefficient_strings():

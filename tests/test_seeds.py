@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import annulus, hexagon, pentagon, seed_choices
+from conftest import annulus, golden_arc, hexagon, pentagon, seed_choices
 from snakeq import (
     LambdaForm,
     Seed,
@@ -17,6 +17,7 @@ from snakeq import (
     mutate_tropical,
     principal_lambda,
     principal_seed,
+    quantum_expand,
     signed_adjacency,
 )
 import snakeq.seeds
@@ -96,6 +97,47 @@ def test_compatibility_is_checked_once_per_seed(monkeypatch):
         assert len(calls) == 2
         assert mutated.d == seed.d
         assert len(calls) == 2
+
+
+class CountedRow(tuple):
+    """A matrix row that counts the passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        CountedRow.passes += 1
+        return super().__iter__()
+
+
+def test_seed_matrices_are_converted_once(monkeypatch):
+    calls = []
+    freeze = snakeq.seeds._freeze
+
+    def counted(rows):
+        calls.append(rows)
+        return freeze(rows)
+
+    monkeypatch.setattr(snakeq.seeds, "_freeze", counted)
+    t = annulus()
+    seed = principal_seed(signed_adjacency(t))
+    assert len(calls) == 1
+    calls.clear()
+    loaded = Seed.from_dict(seed.to_dict())
+    assert len(calls) == 1
+    calls.clear()
+    assert check_compatible(loaded.btilde, loaded.lam) == loaded.d
+    assert calls == []
+    mutate_seed(loaded, 0)
+    assert len(calls) == 1
+
+    # the expansion reads the bottom block by index and never passes over it
+    n = loaded.n
+    expected = quantum_expand(t, golden_arc(), loaded).records
+    bottom = tuple(CountedRow(row) for row in loaded.btilde[n:])
+    object.__setattr__(loaded, "btilde", loaded.btilde[:n] + bottom)
+    CountedRow.passes = 0
+    assert quantum_expand(t, golden_arc(), loaded).records == expected
+    assert CountedRow.passes == 0
 
 
 def test_seed_from_dict_round_trip():

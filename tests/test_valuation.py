@@ -238,10 +238,10 @@ def corrupt_increments(monkeypatch, shift):
     """Add ``shift(mask, p, twisted)`` to every increment the search uses."""
     twists = TwistTable.twists
 
-    def shifted(table, mask, d_scale, tiles=None):
+    def shifted(table, mask, d_scale):
         return [
             (p, twisted, step + shift(mask, p, twisted))
-            for p, twisted, step in twists(table, mask, d_scale, tiles)
+            for p, twisted, step in twists(table, mask, d_scale)
         ]
 
     monkeypatch.setattr(TwistTable, "twists", shifted)
