@@ -1,10 +1,11 @@
 """Laurent expansions of arcs on triangulated surfaces.
 
 The package computes cluster variables attached to arcs on unpunctured
-surfaces, both commutative and quantum, by enumerating perfect matchings of
-snake graphs.  Quantum powers of q are assigned by a valuation built from
-local twist moves, and an independent seed-mutation oracle cross-checks the
-results in exact arithmetic.
+surfaces, both commutative and quantum, as sums over the perfect matchings of
+snake graphs, taken by a transfer over the tiles rather than one matching at
+a time.  Quantum powers of q are assigned by a valuation built from local
+twist moves, and an independent seed-mutation oracle cross-checks the results
+in exact arithmetic.
 """
 
 from .expansion import (
@@ -16,7 +17,7 @@ from .expansion import (
     VerifyReport,
     commutative_expand,
     commutative_to_string,
-    exponent_vector,
+    matching_records,
     oracle_mutate_variables,
     quantum_expand,
     verify_against_oracle,
@@ -80,8 +81,8 @@ __all__ = [
     "commutative_to_string",
     "compute_valuation",
     "exact_right_divide",
-    "exponent_vector",
     "flip",
+    "matching_records",
     "mutate_B",
     "mutate_Lambda",
     "mutate_seed",

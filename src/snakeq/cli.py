@@ -19,6 +19,7 @@ from .expansion import (
     _check_top_block,
     commutative_expand,
     commutative_to_string,
+    matching_records,
     quantum_expand,
     verify_against_oracle,
 )
@@ -96,28 +97,36 @@ def cmd_expand(args: argparse.Namespace) -> int:
     arc = _load_arc(args.arc)
     seed = _load_seed(args.seed, t)
 
-    if args.audit or args.quantum:
-        expansion = quantum_expand(t, arc, seed)
-        if args.audit:
-            for record in expansion.records:
-                if args.machine:
-                    print(
-                        f"{record.bits}|{_exponent_csv(record.exponent)}|"
-                        f"{record.valuation}"
-                    )
-                else:
-                    print(
-                        f"# matching {record.bits} "
-                        f"a=({_exponent_csv(record.exponent)}) "
-                        f"v={record.valuation}"
-                    )
-        if args.quantum:
+    value = None
+    if args.audit:
+        records = matching_records(t, arc, seed)
+        for record in records:
             if args.machine:
-                for exponent, coeff in expansion.value.terms_lex_descending():
-                    print(f"{_exponent_csv(exponent)}|{_coeff_pairs_csv(coeff)}")
+                print(
+                    f"{record.bits}|{_exponent_csv(record.exponent)}|"
+                    f"{record.valuation}"
+                )
             else:
-                print(expansion.value.to_string("X"))
-            return 0
+                print(
+                    f"# matching {record.bits} "
+                    f"a=({_exponent_csv(record.exponent)}) "
+                    f"v={record.valuation}"
+                )
+        if args.quantum:
+            terms: dict[tuple[int, ...], Coeff] = {}
+            for record in records:
+                coeff = terms.setdefault(record.exponent, {})
+                coeff[record.valuation] = coeff.get(record.valuation, 0) + 1
+            value = QuantumLaurent(seed.m, terms)
+    elif args.quantum:
+        value = quantum_expand(t, arc, seed).value
+    if value is not None:
+        if args.machine:
+            for exponent, coeff in value.terms_lex_descending():
+                print(f"{_exponent_csv(exponent)}|{_coeff_pairs_csv(coeff)}")
+        else:
+            print(value.to_string("X"))
+        return 0
 
     terms = commutative_expand(t, arc, seed.btilde)
     if args.machine:
@@ -214,13 +223,7 @@ def cmd_flip(args: argparse.Namespace) -> int:
 def cmd_check_seed(args: argparse.Namespace) -> int:
     seed = Seed.from_dict(_load_json(args.seed))
     if args.surface is not None:
-        t = _load_surface(args.surface)
-        adjacency = tuple(tuple(row) for row in signed_adjacency(t))
-        if seed.n != t.n_internal or tuple(seed.top_block()) != adjacency:
-            raise SeedError(
-                "seed exchange matrix does not match the surface's signed "
-                "adjacency matrix"
-            )
+        _check_top_block(_load_surface(args.surface), seed.btilde)
     print(f"ok: m={seed.m} n={seed.n} d={seed.d}")
     return 0
 

@@ -1,11 +1,14 @@
 """Laurent expansions of arcs and the mutation oracle that checks them.
 
-The expansion of an arc collects one term per perfect matching of its snake
+The expansion of an arc sums one term per perfect matching of its snake
 graph.  The cluster part of the exponent is the matched weight minus the
 crossing total, the coefficient part is the bottom rows of the extended
 exchange matrix applied to the height vector and normalized tropically
 (componentwise minimum over all matchings), and in the quantum case each term
-additionally carries q to half the matching's valuation.
+additionally carries q to half the matching's valuation.  The expansions
+compute that sum by a transfer over the tiles whose cost follows the
+distinct (last bit, height) states, not the matchings; only the audit rows of
+:func:`matching_records` enumerate the matchings one by one.
 
 The oracle takes the same initial seed and computes cluster variables the
 long way around, by mutating seeds and dividing binomials exactly in the
@@ -16,7 +19,9 @@ point below.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from operator import sub
 from typing import Iterable, Sequence
 
 from .qalgebra import (
@@ -30,7 +35,7 @@ from .qalgebra import (
 from .seeds import Seed, SeedError, mutate_B, mutate_seed
 from .snakegraph import Matching, SnakeGraph
 from .surface import Arc, Triangulation, flip, signed_adjacency
-from .valuation import compute_valuation
+from .valuation import compute_valuation, twist_chain
 
 __all__ = [
     "CommTerm",
@@ -41,7 +46,7 @@ __all__ = [
     "VerifyReport",
     "commutative_expand",
     "commutative_to_string",
-    "exponent_vector",
+    "matching_records",
     "oracle_mutate_variables",
     "quantum_expand",
     "verify_against_oracle",
@@ -74,7 +79,6 @@ class MatchingRecord:
 class QuantumExpansion:
     value: QuantumLaurent
     graph: SnakeGraph
-    records: tuple[MatchingRecord, ...]
 
 
 def _check_top_block(t: Triangulation, btilde: Sequence[Sequence[int]]) -> None:
@@ -136,12 +140,138 @@ def _normalized_exponents(
     }
 
 
-def exponent_vector(
-    graph: SnakeGraph, matching: Matching, btilde: Sequence[Sequence[int]]
-) -> Vector:
-    """Full exponent of one matching, tropically normalized over the graph."""
-    _check_top_block(graph.triangulation, btilde)
-    return _normalized_exponents(graph, btilde)[matching]
+def _merge(
+    left: dict[int, Coeff], right: dict[int, Coeff]
+) -> dict[int, Coeff]:
+    """Union of two transfer layers, adding coefficients of equal heights.
+
+    Neither argument changes: coefficient dicts are shared, never updated.
+    """
+    out = dict(left)
+    for key, coeff in right.items():
+        have = out.get(key)
+        if have is None:
+            out[key] = coeff
+        else:
+            merged = dict(have)
+            for e, c in coeff.items():
+                merged[e] = merged.get(e, 0) + c
+            out[key] = merged
+    return out
+
+
+def _tile_constants(
+    graph: SnakeGraph,
+    g: Sequence[int],
+    slot: dict[int, int],
+    pairing: Sequence[Sequence[tuple[int, int]]],
+    d_scale: int,
+) -> list[int]:
+    """The constant l_p of each tile p (entry 0 unused), from one twist chain.
+
+    Along the chain of :func:`twist_chain`, raising t_p changes the
+    valuation by the chain's step and the ordered product's twist by
+    -d·g_tau plus d·B[tau_q][tau] for each raised tile q before p and
+    d·B[tau][tau_q] = -d·B[tau_q][tau] for each raised tile q after it;
+    l_p is the difference.  Raised tiles are kept as one bit mask per label.
+    """
+    constants = [0] * (graph.d + 1)
+    raised = [0] * len(slot)
+    for p, step in twist_chain(graph, d_scale):
+        label = graph.tiles[p - 1].diagonal
+        k = slot[label]
+        below = (1 << p) - 1
+        twist = -d_scale * g[label]
+        for i, db in pairing[k]:
+            before = (raised[i] & below).bit_count()
+            twist += db * (2 * before - raised[i].bit_count())
+        constants[p] = step - twist
+        raised[k] |= 1 << p
+    return constants
+
+
+def _transfer(
+    graph: SnakeGraph, btilde: Sequence[Sequence[int]], d_scale: int
+) -> list[tuple[Vector, Coeff]]:
+    """Normalized exponents and s-exponent counts, summed over all matchings.
+
+    A matching is its tile bits t_1..t_d (:meth:`SnakeGraph.fence`) and its
+    height h is their sum by label.  Its exponent is g + Btilde·h, with
+    g the minimal matching's weight minus the crossings on top and 0 below
+    (x = X^g F(y-hat)), normalized tropically below.  Its valuation is the
+    twist of the ordered product X^g · y_1^(t_1) ··· y_d^(t_d), with y_p the
+    monomial of Btilde's column of tile p's label, plus the sum of l_p t_p
+    (:func:`_tile_constants`).  Because transpose(Btilde)·Lambda =
+    (d I | 0), that twist pairs y_i with y_j to d·B[i][j] and g with y_j to
+    -d·g_j.
+
+    The sum runs tile by tile over states (t_p, h), each holding a dict from
+    s-exponent to count, so the cost follows the distinct states and not the
+    matchings; :meth:`SnakeGraph.fence` decides which bits may follow which.
+    With ``d_scale`` 0 every s-exponent is 0: that is the commutative
+    expansion.  The bottom rows of ``btilde`` are read by index only.
+    """
+    n = graph.triangulation.n_internal
+    m = len(btilde)
+    weight = graph.weight_vector(graph.minimal_matching())
+    crossing = graph.crossing_vector()
+    g = [weight[i] - crossing[i] for i in range(n)] + [0] * (m - n)
+    crossed = Counter(graph.arc.crossings)
+    labels = sorted(crossed)
+    slot = {label: k for k, label in enumerate(labels)}
+    # a height is packed into one int, ``bits`` bits per crossed label
+    bits = max(crossed.values(), default=0).bit_length()
+    low = (1 << bits) - 1
+    columns = [
+        [(i, btilde[i][label]) for i in range(m) if btilde[i][label]]
+        for label in labels
+    ]
+    # d·B[i][tau] for crossed labels i, per crossed label tau
+    pairing = [
+        [(slot[i], d_scale * b) for i, b in column if i < n and i in slot]
+        for column in columns
+    ]
+
+    constants = _tile_constants(graph, g, slot, pairing, d_scale)
+
+    # heights of the states whose last bit is 0 and 1; the empty prefix
+    # counts as a 0, which lets tile 1 take either bit
+    zero: dict[int, Coeff] = {0: {0: 1}}
+    one: dict[int, Coeff] = {}
+    for tile, rising in zip(graph.tiles, (True, *graph.fence())):
+        k = slot[tile.diagonal]
+        unit = 1 << (bits * k)
+        base = constants[tile.index] - d_scale * g[tile.diagonal]
+        shifts = [(bits * i, db) for i, db in pairing[k] if db]
+        lifted: dict[int, Coeff] = {}
+        for states in (zero, one) if rising else (one,):
+            for h, coeff in states.items():
+                s = base
+                for shift, db in shifts:
+                    s += db * ((h >> shift) & low)
+                target = lifted.setdefault(h + unit, {})
+                for e, c in coeff.items():
+                    target[e + s] = target.get(e + s, 0) + c
+        zero, one = (zero if rising else _merge(zero, one)), lifted
+
+    vectors = []
+    finals = _merge(zero, one)
+    for h in finals:
+        vec = list(g)
+        k = 0
+        while h:
+            count = h & low
+            if count:
+                for i, b in columns[k]:
+                    vec[i] += b * count
+            h >>= bits
+            k += 1
+        vectors.append(vec)
+    mins = [min(entries) for entries in zip(*(vec[n:] for vec in vectors))]
+    return [
+        (tuple(vec[:n]) + tuple(map(sub, vec[n:], mins)), coeff)
+        for vec, coeff in zip(vectors, finals.values())
+    ]
 
 
 def commutative_expand(
@@ -149,10 +279,9 @@ def commutative_expand(
 ) -> list[CommTerm]:
     """Laurent expansion at q = 1, as terms in lex-descending exponent order."""
     _check_top_block(t, btilde)
-    graph = SnakeGraph(t, arc)
     totals: dict[Vector, int] = {}
-    for vec in _normalized_exponents(graph, btilde).values():
-        totals[vec] = totals.get(vec, 0) + 1
+    for vec, coeff in _transfer(SnakeGraph(t, arc), btilde, 0):
+        totals[vec] = totals.get(vec, 0) + sum(coeff.values())
     return [
         CommTerm(vec, totals[vec]) for vec in sorted(totals, reverse=True)
     ]
@@ -173,19 +302,27 @@ def quantum_expand(t: Triangulation, arc: Arc, seed: Seed) -> QuantumExpansion:
     """Quantum Laurent expansion of an arc in the seed's quantum torus."""
     _check_top_block(t, seed.btilde)
     graph = SnakeGraph(t, arc)
+    return QuantumExpansion(
+        QuantumLaurent(seed.m, _transfer(graph, seed.btilde, seed.d)), graph
+    )
+
+
+def matching_records(
+    t: Triangulation, arc: Arc, seed: Seed
+) -> tuple[MatchingRecord, ...]:
+    """One audit row per perfect matching, in bit-string order.
+
+    This enumerates the matchings and runs the exhaustive valuation
+    (:func:`compute_valuation`); the sum of ``X^exponent`` times
+    ``s^valuation`` over the rows is :func:`quantum_expand`'s value.
+    """
+    _check_top_block(t, seed.btilde)
+    graph = SnakeGraph(t, arc)
     exponents = _normalized_exponents(graph, seed.btilde)
     values = compute_valuation(graph, seed.d)
-    records = []
-    terms: dict[Vector, Coeff] = {}
-    for p in graph.matchings():
-        record = MatchingRecord(
-            graph.matching_bits(p), p, exponents[p], values[p]
-        )
-        records.append(record)
-        coeff = terms.setdefault(record.exponent, {})
-        coeff[record.valuation] = coeff.get(record.valuation, 0) + 1
-    return QuantumExpansion(
-        QuantumLaurent(seed.m, terms), graph, tuple(records)
+    return tuple(
+        MatchingRecord(graph.matching_bits(p), p, exponents[p], values[p])
+        for p in graph.matchings()
     )
 
 

@@ -126,9 +126,6 @@ class Seed:
     def n(self) -> int:
         return len(self.btilde[0])
 
-    def top_block(self) -> Matrix:
-        return tuple(self.btilde[i] for i in range(self.n))
-
     @classmethod
     def from_dict(cls, data: Any) -> Seed:
         if not isinstance(data, dict):

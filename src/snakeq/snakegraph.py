@@ -11,9 +11,11 @@ on the east or the north side of the earlier tile and decides whether the
 chain grows rightward or upward.
 
 Perfect matchings of the resulting plane graph are the combinatorial support
-of Laurent expansions.  This module enumerates them exactly, distinguishes
-the two all-boundary matchings, computes height and weight data, twists, and
-the label-equivalence classes used to compare expansions across a flip.
+of Laurent expansions.  This module enumerates them exactly, finds the two
+all-boundary matchings by one walk of the boundary, states the fence
+relations between the tiles' bits that characterize the matchings without
+listing them, computes height and weight data, twists, and the
+label-equivalence classes used to compare expansions across a flip.
 
 Tiles are indexed from 1; an edge is addressed as (tile, position) with
 positions "S", "W", "E", "N", and a shared edge belongs to the earlier tile.
@@ -261,31 +263,44 @@ class SnakeGraph:
     def matching_bits(self, matching: Matching) -> str:
         return "".join("1" if ref in matching else "0" for ref in self.edge_refs)
 
-    def boundary_matchings(self) -> tuple[Matching, ...]:
-        glue = set(self.glue_edges())
-        return tuple(p for p in self.matchings() if not (p & glue))
-
     def _extremal_matchings(self) -> tuple[Matching, Matching]:
-        """The minimal and maximal matchings, found by one boundary scan."""
+        """The minimal and maximal matchings, from one walk of the boundary.
+
+        Every edge but the glue edges lies on the boundary, and the boundary
+        is one even cycle through every vertex.  Walking it from the west
+        side of tile 1, the alternate edges are the minimal matching and the
+        others the maximal one, so nothing is enumerated.
+        """
         if self._extremal is None and self.degenerate_label is not None:
-            only = self.matchings()[0]
+            only = frozenset((DEGENERATE_EDGE,))
             self._extremal = (only, only)
         if self._extremal is None:
-            boundary = self.boundary_matchings()
-            if len(boundary) != 2:
+            glue = set(self.glue_edges())
+            ends: dict[tuple[int, int], list[EdgeRef]] = {}
+            for ref in self.edge_refs:
+                if ref not in glue:
+                    for v in self._vertices[ref]:
+                        ends.setdefault(v, []).append(ref)
+            if any(len(refs) != 2 for refs in ends.values()):
                 raise AssertionError(
-                    "expected exactly two all-boundary matchings, found "
-                    f"{len(boundary)}"
+                    "expected every vertex to meet exactly two boundary edges"
                 )
-            with_west = [p for p in boundary if (1, "W") in p]
-            if len(with_west) != 1:
+            start: EdgeRef = (1, "W")
+            walk = [start]
+            vertex = min(self._vertices[start])
+            while True:
+                first, second = ends[vertex]
+                ref = second if first == walk[-1] else first
+                if ref == start:
+                    break
+                walk.append(ref)
+                (vertex,) = self._vertices[ref] - {vertex}
+            if len(walk) % 2 or len(walk) != len(ends):
                 raise AssertionError(
-                    "expected exactly one all-boundary matching through the "
-                    "west side of tile 1"
+                    "expected the boundary to be one even cycle through "
+                    "every vertex"
                 )
-            minimal = with_west[0]
-            maximal = next(p for p in boundary if p != minimal)
-            self._extremal = (minimal, maximal)
+            self._extremal = (frozenset(walk[0::2]), frozenset(walk[1::2]))
         return self._extremal
 
     def minimal_matching(self) -> Matching:
@@ -294,6 +309,26 @@ class SnakeGraph:
 
     def maximal_matching(self) -> Matching:
         return self._extremal_matchings()[1]
+
+    def fence(self) -> tuple[bool, ...]:
+        """The order between consecutive tile bits of every matching.
+
+        The bit t_p of a matching is 1 when tile p lies inside its symmetric
+        difference with the minimal matching, so the height vector sums the
+        bits by label.  Entry p - 1 is True when t_p <= t_(p+1) in every
+        matching and False when t_p >= t_(p+1).  The first pair rises
+        when tile 2 sits east of tile 1, and the direction flips after each
+        straight glue.  The bit patterns these relations allow are exactly
+        the patterns of the perfect matchings.
+        """
+        out: list[bool] = []
+        for j, g in enumerate(self.glue):
+            if j == 0:
+                rising = g == "R"
+            elif g == self.glue[j - 1]:
+                rising = not rising
+            out.append(rising)
+        return tuple(out)
 
     # ------------------------------------------------------------------
     # twists

@@ -8,15 +8,18 @@ a tile carries an integer increment, a difference of popcounts of the
 matched edges labeled like the tile's diagonal, and the valuation v is the
 unique integer potential with v = 0 on the two extremal matchings whose
 twist-differences realize those increments.  Well-definedness is a theorem,
-not an assumption: this module checks every twist move from both of its
+not an assumption: :func:`compute_valuation`, which values every matching
+for the per-matching listings, checks every twist move from both of its
 ends, so any twist cycle that fails to sum to zero raises, and it raises too
 if the twists leave a matching unreached or the other extremal matching off
-0.
+0.  The expansions need only :func:`twist_chain`, d twists from one extremal
+matching to the other, which raises unless it ends at 0.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
+from collections.abc import Iterable
 
 from .snakegraph import Matching, SnakeGraph
 
@@ -25,6 +28,7 @@ __all__ = [
     "ValuationError",
     "compute_valuation",
     "omega",
+    "twist_chain",
 ]
 
 
@@ -71,14 +75,19 @@ class TwistTable:
     def mask(self, matching: Matching) -> int:
         return sum(map(self.bit.__getitem__, matching))
 
-    def twists(self, mask: int, d_scale: int) -> list[tuple[int, int, int]]:
+    def twists(
+        self, mask: int, d_scale: int, rows: Iterable[tuple] | None = None
+    ) -> list[tuple[int, int, int]]:
         """``(p, twisted mask, increment)`` at each twistable tile p.
 
         Tile p twists when exactly two of its sides are matched; the
-        increment is :func:`omega`.
+        increment is :func:`omega`.  ``rows`` restricts the scan to those
+        rows of :attr:`tiles` (by default every tile).
         """
         out = []
-        for p, sides, south_north, west_east, label, balance in self.tiles:
+        for p, sides, south_north, west_east, label, balance in (
+            self.tiles if rows is None else rows
+        ):
             matched = mask & sides
             if matched.bit_count() != 2:
                 continue
@@ -165,3 +174,49 @@ def compute_valuation(graph: SnakeGraph, d_scale: int = 1) -> dict[Matching, int
             f"{minimal}, expected 0"
         )
     return {matchings[mask]: value for mask, value in values.items()}
+
+
+def twist_chain(graph: SnakeGraph, d_scale: int = 1) -> list[tuple[int, int]]:
+    """One chain of twists from the minimal to the maximal matching.
+
+    Each step twists one tile p whose bit t_p (see :meth:`SnakeGraph.fence`)
+    goes from 0 to 1, in an order that the fence relations allow, and gives
+    ``(p, v(after) - v(before))`` from one :class:`TwistTable` row, so the d
+    steps cost d rows.  This is the valuation check on the expansion path:
+    raises
+    :class:`ValuationError` unless the chain ends on the maximal matching at
+    value 0.
+    """
+    d = graph.d
+    fence = graph.fence()
+    # the number of neighbours whose bit must be raised before tile p's
+    waiting = [0] * (d + 1)
+    for p, rising in enumerate(fence, start=1):
+        waiting[p if rising else p + 1] += 1
+    ready = [p for p in range(1, d + 1) if not waiting[p]]
+    table = TwistTable(graph)
+    mask = table.mask(graph.minimal_matching())
+    value = 0
+    steps = []
+    while ready:
+        p = ready.pop()
+        found = table.twists(mask, d_scale, (table.tiles[p - 1],))
+        if not found:
+            raise AssertionError(f"tile {p} does not twist on the chain")
+        ((_, mask, step),) = found
+        value -= step
+        steps.append((p, -step))
+        if p > 1 and fence[p - 2]:
+            waiting[p - 1] -= 1
+            if not waiting[p - 1]:
+                ready.append(p - 1)
+        if p < d and not fence[p - 1]:
+            waiting[p + 1] -= 1
+            if not waiting[p + 1]:
+                ready.append(p + 1)
+    if mask != table.mask(graph.maximal_matching()) or value != 0:
+        raise ValuationError(
+            "valuation ill-defined: the twist chain from the minimal matching "
+            f"ends at value {value}, not on the maximal matching at 0"
+        )
+    return steps

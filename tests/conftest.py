@@ -199,6 +199,36 @@ def seed_choices(t: Triangulation) -> list[Seed]:
     ]
 
 
+def sheared_seed(t: Triangulation) -> Seed:
+    """The principal seed changed by P = diag(I_n, U), with U unimodular.
+
+    U negates the first coefficient row and adds it to the second, so the
+    bottom block takes negative values on heights and the tropical
+    normalization of exponents is not the identity.  Btilde' = P·Btilde and
+    Lambda' = P^(-T)·Lambda·P^(-1) keep transpose(Btilde')·Lambda' = (d I | 0);
+    here P is its own inverse.
+    """
+    b = signed_adjacency(t)
+    base = principal_seed(b)
+    n, m = len(b), base.m
+    p = [[int(i == j) for j in range(m)] for i in range(m)]
+    p[n][n] = -1
+    if n >= 2:
+        p[n + 1][n] = 1
+
+    def times(x, y):
+        return [
+            [sum(x[i][k] * y[k][j] for k in range(len(y))) for j in range(len(y[0]))]
+            for i in range(len(x))
+        ]
+
+    assert times(p, p) == [[int(i == j) for j in range(m)] for i in range(m)]
+    p_t = [list(row) for row in zip(*p)]
+    return Seed(
+        times(p, base.btilde), LambdaForm(times(times(p_t, base.lam.rows), p))
+    )
+
+
 # ----------------------------------------------------------------------
 # corpus sweeps
 
@@ -232,6 +262,42 @@ def oracle_corpus() -> list[tuple[str, Triangulation, Arc, list[int]]]:
         arc, plan = annulus_bridge(w)
         out.append((f"annulus bridge {w}", t, arc, plan))
     return out
+
+
+def transfer_corpus() -> list[tuple[str, Triangulation, Arc]]:
+    """Arcs on which the transfer expansion is compared with enumeration.
+
+    The valuation and oracle corpora, ladders with d = 6..11, annulus
+    bridges with w = +-6..+-8 and the longest chords of the 10- and 30-fan.
+    """
+    out = list(valuation_corpus())
+    out += [(name, t, arc) for name, t, arc, _ in oracle_corpus()]
+    for d in range(6, 12):
+        out.append((f"ladder {d}", ladder_surface(d), ladder_arc(d)))
+    t = annulus()
+    for w in (6, 7, 8, -6, -7, -8):
+        out.append((f"annulus bridge {w}", t, annulus_bridge(w)[0]))
+    for k in (10, 30):
+        chords = {pair: arc for pair, arc, _ in polygon_chords(k)}
+        out.append((f"{k}-fan chord (1, {k + 2})", polygon_fan(k), chords[1, k + 2]))
+    return out
+
+
+def tile_bits(g, matching) -> tuple[int, ...]:
+    """Reference: bit t_p is 1 when tile p lies inside the cycles of the
+    matching's symmetric difference with the minimal matching, that is when
+    a ray east from the tile's centre crosses an odd number of their
+    vertical edges."""
+    cycle = matching ^ g.minimal_matching()
+    bits = []
+    for tile in g.tiles:
+        crossed = 0
+        for ref in cycle:
+            low, high = sorted(g.edge_vertices(ref))
+            if low[0] == high[0] > tile.x and low[1] == tile.y:
+                crossed += 1
+        bits.append(crossed % 2)
+    return tuple(bits)
 
 
 # ----------------------------------------------------------------------

@@ -466,7 +466,7 @@ def test_check_seed(capsys, files):
         capsys, "check-seed", "--seed", files["seed"], "--surface", files["pentagon"]
     )
     assert code == 2
-    assert "does not match" in err
+    assert "is not the signed adjacency matrix" in err
 
 
 # ----------------------------------------------------------------------
@@ -663,6 +663,34 @@ def test_listings_reject_a_seed_that_does_not_fit_the_surface(
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "surface", [ladder_surface(10), pentagon()], ids=["ladder-d10-seed", "pentagon-seed"]
+)
+def test_check_seed_and_expand_reject_a_seed_alike(capsys, files, surface):
+    seed = files["write"](
+        "other.json", principal_seed(signed_adjacency(surface)).to_dict()
+    )
+    errors = []
+    for argv in (
+        ["check-seed", "--seed", seed, "--surface", files["annulus"]],
+        [
+            "expand",
+            "--surface",
+            files["annulus"],
+            "--arc",
+            files["golden_arc"],
+            "--seed",
+            seed,
+        ],
+    ):
+        code, out, err = run_main(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        errors.append(err)
+    assert errors[0] == errors[1]
 
 
 def test_ill_defined_valuation_is_an_input_error(capsys, files, monkeypatch):

@@ -22,7 +22,9 @@ from conftest import (
     pentagon,
     polygon_chords,
     seed_choices,
+    sheared_seed,
     square,
+    transfer_corpus,
     valuation_corpus,
 )
 from snakeq import (
@@ -35,7 +37,7 @@ from snakeq import (
     commutative_expand,
     commutative_to_string,
     compute_valuation,
-    exponent_vector,
+    matching_records,
     oracle_mutate_variables,
     principal_seed,
     quantum_expand,
@@ -46,6 +48,30 @@ from snakeq import (
 
 def principal_btilde(t):
     return principal_seed(signed_adjacency(t)).btilde
+
+
+def exponent_vector(g, matching, btilde):
+    """Reference: the full exponent of one matching, tropically normalized.
+
+    Matched weight minus crossings on top, the bottom block applied to the
+    height vector below, shifted by the componentwise minimum over every
+    matching of the graph.
+    """
+    n = g.triangulation.n_internal
+    crossing = g.crossing_vector()
+
+    def raw(p):
+        weight = g.weight_vector(p)
+        height = g.height_vector(p)
+        return [weight[i] - crossing[i] for i in range(n)] + [
+            sum(row[k] * height[k] for k in range(n)) for row in btilde[n:]
+        ]
+
+    mins = [min(column) for column in zip(*map(raw, g.matchings()))]
+    own = raw(matching)
+    return tuple(own[:n]) + tuple(
+        v - low for v, low in zip(own[n:], mins[n:])
+    )
 
 
 # ----------------------------------------------------------------------
@@ -83,9 +109,11 @@ def test_initial_arc_expands_to_one_monomial():
             assert commutative_expand(t, initial_arc(i), b) == [
                 CommTerm(unit, 1)
             ]
-            exp = quantum_expand(t, initial_arc(i), principal_seed(signed_adjacency(t)))
+            seed = principal_seed(signed_adjacency(t))
+            exp = quantum_expand(t, initial_arc(i), seed)
             assert exp.value == QuantumLaurent.monomial(unit)
-            assert [r.valuation for r in exp.records] == [0]
+            records = matching_records(t, initial_arc(i), seed)
+            assert [r.valuation for r in records] == [0]
 
 
 def test_golden_commutative_string():
@@ -121,12 +149,13 @@ def test_golden_records_are_the_matchings():
     t = annulus()
     seed = principal_seed(signed_adjacency(t))
     exp = quantum_expand(t, golden_arc(), seed)
+    records = matching_records(t, golden_arc(), seed)
     g = exp.graph
-    assert len(exp.records) == len(g.matchings()) == 13
-    assert len({r.bits for r in exp.records}) == 13
+    assert len(records) == len(g.matchings()) == 13
+    assert len({r.bits for r in records}) == 13
     values = compute_valuation(g, seed.d)
     total = QuantumLaurent.zero(seed.m)
-    for record in exp.records:
+    for record in records:
         assert record.valuation == values[record.matching]
         assert record.exponent == exponent_vector(g, record.matching, seed.btilde)
         total = total + QuantumLaurent.monomial(record.exponent, record.valuation)
@@ -144,17 +173,60 @@ def test_specializing_q_recovers_the_commutative_expansion():
 
 
 def test_quantum_expansion_is_the_sum_of_its_matching_monomials():
-    # reference: add one monomial per matching, the slow way
-    for name, t, arc in valuation_corpus():
-        for seed in seed_choices(t):
+    # reference: one monomial per enumerated matching, merged by the
+    # constructor, with its enumerated exponent and its valuation from the
+    # exhaustive twist search; the sheared seed's exponents need the
+    # tropical minimum
+    for name, t, arc in transfer_corpus():
+        for seed in (*seed_choices(t), sheared_seed(t)):
             exp = quantum_expand(t, arc, seed)
-            total = QuantumLaurent.zero(seed.m)
-            for record in exp.records:
-                total = total + QuantumLaurent.monomial(
-                    record.exponent, record.valuation
-                )
+            records = matching_records(t, arc, seed)
+            total = QuantumLaurent(
+                seed.m, [(r.exponent, {r.valuation: 1}) for r in records]
+            )
             assert exp.value == total, name
             assert exp.value.width == seed.m
+            counts: dict = {}
+            for record in records:
+                counts[record.exponent] = counts.get(record.exponent, 0) + 1
+            assert commutative_expand(t, arc, seed.btilde) == [
+                CommTerm(vec, counts[vec]) for vec in sorted(counts, reverse=True)
+            ], name
+
+
+def test_expansions_never_enumerate_matchings(monkeypatch):
+    def refuse(graph):
+        raise AssertionError("the expansion enumerated the matchings")
+
+    monkeypatch.setattr(SnakeGraph, "_enumerate", refuse)
+    for name, t, arc in valuation_corpus():
+        seed = principal_seed(signed_adjacency(t))
+        quantum_expand(t, arc, seed)
+        commutative_expand(t, arc, seed.btilde)
+    for name, t, arc, plan in oracle_corpus()[:3]:
+        assert verify_against_oracle(t, seed_choices(t)[2], plan, arc).ok, name
+
+
+def fibonacci(k: int) -> int:
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+def test_bridges_past_enumeration_expand_under_every_quantization():
+    # about 6·10^7 and 1.7·10^8 matchings, out of reach for enumeration
+    t = annulus()
+    for w in (20, -20):
+        arc, _ = annulus_bridge(w)
+        for seed in seed_choices(t):
+            value = quantum_expand(t, arc, seed).value
+            total = sum(value.specialize_q1().values())
+            assert total == fibonacci(len(arc.crossings) + 2), (w, seed.d)
+            for vec, coeff in value.items():
+                for s, c in coeff.items():
+                    assert c > 0, (w, vec)
+                    assert coeff.get(-s) == c, (w, vec)
 
 
 def test_quantum_coefficients_are_positive_and_bar_symmetric():
@@ -233,6 +305,12 @@ def test_verify_oracle_corpus_under_three_quantizations():
         for seed in seed_choices(t):
             report = verify_against_oracle(t, seed, plan, arc)
             assert report.ok, (name, report.detail)
+
+
+def test_verify_oracle_corpus_with_a_sheared_coefficient_block():
+    for name, t, arc, plan in oracle_corpus():
+        report = verify_against_oracle(t, sheared_seed(t), plan, arc)
+        assert report.ok, (name, report.detail)
 
 
 def test_pentagon_flip_cycle_swaps_the_first_two_variables():

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +24,6 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [x for x in module.__all__ if not hasattr(module, x)]
     assert missing == []
-
 
 
 # library names the benchmark scripts perfbench/run.py and perfbench/record.py
@@ -48,3 +49,37 @@ def test_every_name_the_benchmark_calls_resolves(module_name, path):
     target = importlib.import_module(module_name)
     for attr in path.split("."):
         target = getattr(target, attr)
+
+
+def _load_tracing():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# names perfbench/tracing.py patches for its per-layer metrics; the tracer
+# skips a name that is gone, so a rename would read 0 without this test.
+# ``snakeq.cli.omega`` was already gone before this test was written.
+_TRACING = _load_tracing()
+TRACED_FUNCTIONS = [
+    (module, attr)
+    for module, attr, _ in _TRACING.FUNCTION_SPANS
+    if (module, attr) != ("snakeq.cli", "omega")
+]
+TRACED_METHODS = [
+    (module, cls, attr)
+    for module, cls, attr, _ in _TRACING.METHOD_SPANS + _TRACING.METHOD_COUNTS
+]
+
+
+@pytest.mark.parametrize("module_name, attr", TRACED_FUNCTIONS)
+def test_every_function_the_benchmark_traces_resolves(module_name, attr):
+    assert hasattr(importlib.import_module(module_name), attr)
+
+
+@pytest.mark.parametrize("module_name, cls, attr", TRACED_METHODS)
+def test_every_method_the_benchmark_traces_resolves(module_name, cls, attr):
+    # the tracer patches only methods defined on the class itself
+    assert attr in vars(getattr(importlib.import_module(module_name), cls))

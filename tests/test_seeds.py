@@ -11,6 +11,8 @@ from snakeq import (
     Seed,
     SeedError,
     check_compatible,
+    commutative_expand,
+    matching_records,
     mutate_B,
     mutate_Lambda,
     mutate_seed,
@@ -130,13 +132,20 @@ def test_seed_matrices_are_converted_once(monkeypatch):
     mutate_seed(loaded, 0)
     assert len(calls) == 1
 
-    # the expansion reads the bottom block by index and never passes over it
+    # the expansions read the bottom block by index and never pass over it:
+    # the enumerated audit rows and the transfer, quantum and commutative
     n = loaded.n
-    expected = quantum_expand(t, golden_arc(), loaded).records
+    expected = (
+        matching_records(t, golden_arc(), loaded),
+        quantum_expand(t, golden_arc(), loaded).value,
+        commutative_expand(t, golden_arc(), loaded.btilde),
+    )
     bottom = tuple(CountedRow(row) for row in loaded.btilde[n:])
     object.__setattr__(loaded, "btilde", loaded.btilde[:n] + bottom)
     CountedRow.passes = 0
-    assert quantum_expand(t, golden_arc(), loaded).records == expected
+    assert matching_records(t, golden_arc(), loaded) == expected[0]
+    assert quantum_expand(t, golden_arc(), loaded).value == expected[1]
+    assert commutative_expand(t, golden_arc(), loaded.btilde) == expected[2]
     assert CountedRow.passes == 0
 
 

@@ -26,6 +26,8 @@ from conftest import (
     polygon_chords,
     polygon_fan,
     square,
+    tile_bits,
+    transfer_corpus,
 )
 from snakeq import Arc, SnakeGraph, SurfaceError, compute_valuation
 
@@ -81,6 +83,7 @@ def test_degenerate_graph_for_an_existing_arc():
     assert g.d == 0
     assert g.degenerate_label == 1
     assert g.matchings() == (frozenset({(0, "G")}),)
+    assert g.minimal_matching() == g.maximal_matching() == g.matchings()[0]
 
 
 def test_graph_rejects_invalid_arcs():
@@ -167,9 +170,26 @@ def test_golden_extremal_matchings():
     assert g.maximal_matching() == GOLDEN_MAXIMAL
 
 
+def boundary_matchings(g: SnakeGraph) -> tuple:
+    """Reference: the matchings that use no glue edge, by enumeration."""
+    glue = set(g.glue_edges())
+    return tuple(p for p in g.matchings() if not (p & glue))
+
+
+def transfer_graphs(max_d: int) -> list[SnakeGraph]:
+    return [
+        SnakeGraph(t, arc)
+        for _, t, arc in transfer_corpus()
+        if len(arc.crossings) <= max_d
+    ]
+
+
 def test_exactly_two_all_boundary_matchings():
-    for g in corpus_graphs():
-        boundary = g.boundary_matchings()
+    # the boundary walk against the boundary scan
+    for g in corpus_graphs() + transfer_graphs(15):
+        if g.degenerate_label is not None:
+            continue
+        boundary = boundary_matchings(g)
         assert len(boundary) == 2
         low = g.minimal_matching()
         high = g.maximal_matching()
@@ -180,6 +200,30 @@ def test_exactly_two_all_boundary_matchings():
         assert (1, "W") not in high
         if g.d == 1 or g.glue[0] == "R":
             assert {(1, "S"), (1, "N")} <= high
+
+
+def test_fence_allows_exactly_the_tile_patterns_of_the_matchings():
+    for g in transfer_graphs(12):
+        fence = g.fence()
+        assert len(fence) == max(g.d - 1, 0)
+        allowed = {
+            bits
+            for bits in itertools.product((0, 1), repeat=g.d)
+            if all(
+                bits[j] <= bits[j + 1] if rising else bits[j] >= bits[j + 1]
+                for j, rising in enumerate(fence)
+            )
+        }
+        patterns = []
+        for m in g.matchings():
+            bits = tile_bits(g, m)
+            heights = [0] * g.triangulation.n_internal
+            for tile, bit in zip(g.tiles, bits):
+                heights[tile.diagonal] += bit
+            assert tuple(heights) == g.height_vector(m)
+            patterns.append(bits)
+        assert len(set(patterns)) == len(patterns)
+        assert set(patterns) == allowed
 
 
 def test_first_tile_corner_dichotomy():
@@ -196,22 +240,36 @@ def test_first_tile_corner_dichotomy():
 
 
 def test_boundary_scan_runs_once_per_graph(monkeypatch):
-    calls = []
-    scan = SnakeGraph.boundary_matchings
+    # the extremal matchings come from one walk of the boundary (one
+    # glue_edges call) per graph and never from enumerating the matchings
+    enumerated = []
+    walks = []
+    enumerate_all = SnakeGraph._enumerate
+    glue_edges = SnakeGraph.glue_edges
 
-    def counted(graph):
-        calls.append(graph)
-        return scan(graph)
+    def counted_enumerate(graph):
+        enumerated.append(graph)
+        return enumerate_all(graph)
 
-    monkeypatch.setattr(SnakeGraph, "boundary_matchings", counted)
+    def counted_glue_edges(graph):
+        walks.append(graph)
+        return glue_edges(graph)
+
+    monkeypatch.setattr(SnakeGraph, "_enumerate", counted_enumerate)
+    monkeypatch.setattr(SnakeGraph, "glue_edges", counted_glue_edges)
     for g in corpus_graphs():
-        calls.clear()
+        enumerated.clear()
+        walks.clear()
+        g.minimal_matching()
+        g.maximal_matching()
+        assert enumerated == []
+        assert walks == [g]
         for m in g.matchings():
             g.height_vector(m)
         g.minimal_matching()
-        g.maximal_matching()
         compute_valuation(g)
-        assert calls == [g]
+        assert enumerated == [g]
+        assert walks == [g]
 
 
 def test_glue_edges_touch_no_boundary_matching():

@@ -18,11 +18,21 @@ from conftest import (
     initial_arc,
     pentagon,
     polygon_chords,
+    tile_bits,
+    transfer_corpus,
     valuation_corpus,
 )
-from snakeq import SnakeGraph, ValuationError, compute_valuation, omega
+from snakeq import (
+    SnakeGraph,
+    ValuationError,
+    compute_valuation,
+    omega,
+    principal_seed,
+    quantum_expand,
+    signed_adjacency,
+)
 from snakeq.snakegraph import POSITION_ORDER
-from snakeq.valuation import TwistTable
+from snakeq.valuation import TwistTable, twist_chain
 
 
 def golden_graph() -> SnakeGraph:
@@ -281,3 +291,38 @@ def test_twists_must_reach_every_matching(monkeypatch):
     monkeypatch.setattr(TwistTable, "twists", lambda table, mask, d_scale: [])
     with pytest.raises(ValuationError, match="do not connect all matchings"):
         compute_valuation(g)
+
+
+# ----------------------------------------------------------------------
+# the twist chain of the expansion
+
+def test_twist_chain_steps_are_valuation_differences():
+    for name, t, arc in transfer_corpus():
+        if len(arc.crossings) > 15:
+            continue
+        g = SnakeGraph(t, arc)
+        for d_scale in (1, 2):
+            values = compute_valuation(g, d_scale)
+            current = g.minimal_matching()
+            raised = []
+            for p, step in twist_chain(g, d_scale):
+                assert tile_bits(g, current)[p - 1] == 0, name
+                twisted = g.twist(current, p)
+                assert values[twisted] - values[current] == step, name
+                current = twisted
+                raised.append(p)
+            assert sorted(raised) == list(range(1, g.d + 1)), name
+            assert current == g.maximal_matching(), name
+
+
+def test_a_wrong_chain_increment_makes_the_expansion_ill_defined(monkeypatch):
+    t = annulus()
+    seed = principal_seed(signed_adjacency(t))
+    twists = TwistTable.twists
+    monkeypatch.setattr(
+        TwistTable,
+        "twists",
+        lambda *args: [(p, m, step + (p == 3)) for p, m, step in twists(*args)],
+    )
+    with pytest.raises(ValuationError, match="the twist chain .* ends at value"):
+        quantum_expand(t, golden_arc(), seed)
