@@ -37,7 +37,6 @@ from .seeds import (
     mutate_B,
     mutate_Lambda,
     mutate_seed,
-    mutate_tropical,
     principal_lambda,
     principal_seed,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "mutate_B",
     "mutate_Lambda",
     "mutate_seed",
-    "mutate_tropical",
     "omega",
     "oracle_mutate_variables",
     "principal_lambda",

@@ -25,7 +25,7 @@ from .expansion import (
 )
 from .qalgebra import Coeff, ExactDivisionError, QuantumLaurent, coeff_to_string
 from .seeds import Seed, SeedError, principal_seed
-from .snakegraph import SnakeGraph
+from .snakegraph import Matching, SnakeGraph
 from .surface import Arc, SurfaceError, Triangulation, flip, signed_adjacency
 from .valuation import TwistTable, ValuationError, compute_valuation
 
@@ -67,8 +67,7 @@ def _load_arc(path: str) -> Arc:
 def _load_seed(path: str | None, t: Triangulation) -> Seed:
     if path is None:
         return principal_seed(signed_adjacency(t))
-    seed = Seed.from_dict(_load_json(path))
-    return seed
+    return Seed.from_dict(_load_json(path))
 
 
 def _parse_flips(text: str) -> list[int]:
@@ -173,13 +172,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1
 
 
-def cmd_matchings(args: argparse.Namespace) -> int:
+def _valued_graph(
+    args: argparse.Namespace,
+) -> tuple[SnakeGraph, int, dict[Matching, int]]:
+    """The arc's snake graph, the seed's scalar d and every matching's value."""
     t = _load_surface(args.surface)
     arc = _load_arc(args.arc)
     seed = _load_seed(args.seed, t)
     _check_top_block(t, seed.btilde)
     graph = SnakeGraph(t, arc)
-    values = compute_valuation(graph, seed.d)
+    return graph, seed.d, compute_valuation(graph, seed.d)
+
+
+def cmd_matchings(args: argparse.Namespace) -> int:
+    graph, _, values = _valued_graph(args)
     for matching in graph.matchings():
         labels = sorted(graph.edge_label(ref) for ref in matching)
         heights = graph.height_vector(matching)
@@ -193,17 +199,11 @@ def cmd_matchings(args: argparse.Namespace) -> int:
 
 
 def cmd_valuation(args: argparse.Namespace) -> int:
-    t = _load_surface(args.surface)
-    arc = _load_arc(args.arc)
-    seed = _load_seed(args.seed, t)
-    _check_top_block(t, seed.btilde)
-    graph = SnakeGraph(t, arc)
-    values = compute_valuation(graph, seed.d)
+    graph, d, values = _valued_graph(args)
     table = TwistTable(graph)
     for matching in graph.matchings():
         twists = ",".join(
-            f"{p}:{step:+d}"
-            for p, _, step in table.twists(table.mask(matching), seed.d)
+            f"{p}:{step:+d}" for p, _, step in table.twists(graph.mask(matching), d)
         )
         print(
             f"{graph.matching_bits(matching)} v={values[matching]} "

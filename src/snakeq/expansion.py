@@ -81,6 +81,11 @@ class QuantumExpansion:
     graph: SnakeGraph
 
 
+def _top_block_matches(t: Triangulation, rows: Sequence[Sequence[int]]) -> bool:
+    """Whether the first rows of ``rows`` are the surface's signed adjacency."""
+    return [list(row) for row in rows[: t.n_internal]] == signed_adjacency(t)
+
+
 def _check_top_block(t: Triangulation, btilde: Sequence[Sequence[int]]) -> None:
     """Raise unless ``btilde`` has the surface's signed adjacency on top.
 
@@ -94,50 +99,48 @@ def _check_top_block(t: Triangulation, btilde: Sequence[Sequence[int]]) -> None:
         )
     if len(btilde) < n:
         raise ExpansionError("extended matrix has fewer rows than columns")
-    if [list(row) for row in btilde[:n]] != signed_adjacency(t):
+    if not _top_block_matches(t, btilde):
         raise ExpansionError(
             "the top block of the extended matrix is not the signed adjacency "
             "matrix of the triangulation"
         )
 
 
-def _normalized_exponents(
-    graph: SnakeGraph, btilde: Sequence[Sequence[int]]
-) -> dict[Matching, Vector]:
-    """Cluster part plus tropically normalized coefficient part per matching.
-
-    The coefficient part is the bottom block applied to the height vector,
-    shifted by the componentwise minimum over all matchings.
-    """
-    n = graph.triangulation.n_internal
-    m = len(btilde)
+def _offset(graph: SnakeGraph, m: int) -> list[int]:
+    """g: the minimal matching's weight minus the crossings on top, 0 below."""
+    weight = graph.weight_vector(graph.minimal_matching())
     crossing = graph.crossing_vector()
-    # nonzero entries of each column of the bottom block, so that a
-    # matching costs its height support rather than the full block
+    return list(map(sub, weight, crossing)) + [0] * (m - len(weight))
+
+
+def _exponents(
+    g: Sequence[int],
+    btilde: Sequence[Sequence[int]],
+    labels: Iterable[int],
+    heights: Iterable[Sequence[int]],
+) -> list[Vector]:
+    """g + Btilde·h for each height h, normalized tropically below.
+
+    Each height lists one count per entry of ``labels``.  The bottom entries
+    are shifted by their componentwise minimum over all the heights.
+    """
+    n = len(btilde[0])
     columns = [
-        [(i - n, btilde[i][k]) for i in range(n, m) if btilde[i][k]]
-        for k in range(n)
+        [(i, row[label]) for i, row in enumerate(btilde) if row[label]]
+        for label in labels
     ]
-    raw: dict[Matching, Vector] = {}
-    for p in graph.matchings():
-        weight = graph.weight_vector(p)
-        height = graph.height_vector(p)
-        cluster = tuple(weight[i] - crossing[i] for i in range(n))
-        frozen = [0] * (m - n)
-        for k, h in enumerate(height):
-            if h:
-                for i, b in columns[k]:
-                    frozen[i] += b * h
-        raw[p] = cluster + tuple(frozen)
-    if not raw:
-        return raw
-    mins = [
-        min(vec[i] for vec in raw.values()) for i in range(n, m)
+    vectors = []
+    for h in heights:
+        vec = list(g)
+        for column, count in zip(columns, h):
+            if count:
+                for i, b in column:
+                    vec[i] += b * count
+        vectors.append(vec)
+    mins = [min(entries) for entries in zip(*(vec[n:] for vec in vectors))]
+    return [
+        tuple(vec[:n]) + tuple(map(sub, vec[n:], mins)) for vec in vectors
     ]
-    return {
-        p: vec[:n] + tuple(vec[n + j] - mins[j] for j in range(m - n))
-        for p, vec in raw.items()
-    }
 
 
 def _merge(
@@ -211,25 +214,17 @@ def _transfer(
     With ``d_scale`` 0 every s-exponent is 0: that is the commutative
     expansion.  The bottom rows of ``btilde`` are read by index only.
     """
-    n = graph.triangulation.n_internal
-    m = len(btilde)
-    weight = graph.weight_vector(graph.minimal_matching())
-    crossing = graph.crossing_vector()
-    g = [weight[i] - crossing[i] for i in range(n)] + [0] * (m - n)
+    g = _offset(graph, len(btilde))
     crossed = Counter(graph.arc.crossings)
     labels = sorted(crossed)
     slot = {label: k for k, label in enumerate(labels)}
     # a height is packed into one int, ``bits`` bits per crossed label
     bits = max(crossed.values(), default=0).bit_length()
     low = (1 << bits) - 1
-    columns = [
-        [(i, btilde[i][label]) for i in range(m) if btilde[i][label]]
-        for label in labels
-    ]
     # d·B[i][tau] for crossed labels i, per crossed label tau
     pairing = [
-        [(slot[i], d_scale * b) for i, b in column if i < n and i in slot]
-        for column in columns
+        [(slot[i], d_scale * btilde[i][tau]) for i in labels if btilde[i][tau]]
+        for tau in labels
     ]
 
     constants = _tile_constants(graph, g, slot, pairing, d_scale)
@@ -254,24 +249,10 @@ def _transfer(
                     target[e + s] = target.get(e + s, 0) + c
         zero, one = (zero if rising else _merge(zero, one)), lifted
 
-    vectors = []
     finals = _merge(zero, one)
-    for h in finals:
-        vec = list(g)
-        k = 0
-        while h:
-            count = h & low
-            if count:
-                for i, b in columns[k]:
-                    vec[i] += b * count
-            h >>= bits
-            k += 1
-        vectors.append(vec)
-    mins = [min(entries) for entries in zip(*(vec[n:] for vec in vectors))]
-    return [
-        (tuple(vec[:n]) + tuple(map(sub, vec[n:], mins)), coeff)
-        for vec, coeff in zip(vectors, finals.values())
-    ]
+    shifts = [bits * k for k in range(len(labels))]
+    heights = ([(h >> shift) & low for shift in shifts] for h in finals)
+    return list(zip(_exponents(g, btilde, labels, heights), finals.values()))
 
 
 def commutative_expand(
@@ -318,11 +299,17 @@ def matching_records(
     """
     _check_top_block(t, seed.btilde)
     graph = SnakeGraph(t, arc)
-    exponents = _normalized_exponents(graph, seed.btilde)
+    matchings = graph.matchings()
+    exponents = _exponents(
+        _offset(graph, seed.m),
+        seed.btilde,
+        range(seed.n),
+        map(graph.height_vector, matchings),
+    )
     values = compute_valuation(graph, seed.d)
     return tuple(
-        MatchingRecord(graph.matching_bits(p), p, exponents[p], values[p])
-        for p in graph.matchings()
+        MatchingRecord(graph.matching_bits(p), p, a, values[p])
+        for p, a in zip(matchings, exponents)
     )
 
 
@@ -422,8 +409,7 @@ def verify_against_oracle(
     for k in flips:
         surface = flip(surface, k)
         matrix = mutate_B(matrix, k)
-        adjacency = tuple(tuple(row) for row in signed_adjacency(surface))
-        if tuple(matrix[: surface.n_internal]) != adjacency:
+        if not _top_block_matches(surface, matrix):
             return VerifyReport(
                 False,
                 slot,

@@ -4,11 +4,11 @@ A seed pairs an m x n integer exchange matrix (rows for all m generators,
 columns for the n mutable ones) with a skew-symmetric m x m form Lambda.  The
 pair is compatible when transpose(B) * Lambda = (d*I | 0) for a single
 positive integer d; that scalar also calibrates the valuation on snake-graph
-matchings.  Matrix mutation, form mutation, and the tropical dynamics of
-coefficient vectors are implemented directly from the exchange recurrences,
-with no floating point anywhere.  A :class:`Seed` freezes its exchange matrix
-once, and :class:`~snakeq.qalgebra.LambdaForm` converts its rows once; the
-functions here read matrices as the sequences of integer rows they are given.
+matchings.  Matrix mutation and form mutation are implemented directly from
+the exchange recurrences, with no floating point anywhere.  A :class:`Seed`
+freezes its exchange matrix once, and :class:`~snakeq.qalgebra.LambdaForm`
+converts its rows once; the functions here read matrices as the sequences of
+integer rows they are given.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "mutate_B",
     "mutate_Lambda",
     "mutate_seed",
-    "mutate_tropical",
     "principal_lambda",
     "principal_seed",
 ]
@@ -206,36 +205,6 @@ def mutate_seed(seed: Seed, k: int) -> Seed:
     new_lam = mutate_Lambda(seed.lam, seed.btilde, k)
     new_b = mutate_B(seed.btilde, k)
     return Seed(new_b, new_lam)
-
-
-def mutate_tropical(ys: Any, b_top: Any, k: int) -> tuple[tuple[int, ...], ...]:
-    """Tropical coefficient dynamics in the direction k.
-
-    ``ys`` lists one integer exponent vector per mutable index; ``b_top`` is
-    the current n x n top block.  Direction k is inverted, and every other
-    vector picks up [b_kj]_+ copies of y_k minus b_kj times the componentwise
-    minimum of 0 and y_k.
-    """
-    vecs = _freeze(ys)
-    b = _freeze(b_top)
-    n = len(vecs)
-    if not 0 <= k < n:
-        raise SeedError(f"mutation direction {k} out of range for {n} vectors")
-    width = len(vecs[k])
-    floor = tuple(min(0, v) for v in vecs[k])
-    out = []
-    for j in range(n):
-        if j == k:
-            out.append(tuple(-v for v in vecs[k]))
-            continue
-        coef = b[k][j]
-        out.append(
-            tuple(
-                vecs[j][i] + _pos(coef) * vecs[k][i] - coef * floor[i]
-                for i in range(width)
-            )
-        )
-    return tuple(out)
 
 
 def principal_lambda(b_matrix: Any) -> LambdaForm:

@@ -11,22 +11,24 @@ on the east or the north side of the earlier tile and decides whether the
 chain grows rightward or upward.
 
 Perfect matchings of the resulting plane graph are the combinatorial support
-of Laurent expansions.  This module enumerates them exactly, finds the two
-all-boundary matchings by one walk of the boundary, states the fence
-relations between the tiles' bits that characterize the matchings without
-listing them, computes height and weight data, twists, and the
-label-equivalence classes used to compare expansions across a flip.
+of Laurent expansions.  Each is the minimal matching, found by one walk of
+the boundary, with the four sides of every tile whose bit is 1 switched, and
+the fence relations between neighbouring bits say which bit patterns occur.
+This module lists the matchings that way and computes heights, weights,
+twists and the label-equivalence classes used to compare expansions across a
+flip.
 
 Tiles are indexed from 1; an edge is addressed as (tile, position) with
 positions "S", "W", "E", "N", and a shared edge belongs to the earlier tile.
 An arc already in the triangulation has a degenerate one-edge graph with the
-single edge reference (0, "G").
+single edge reference (0, "G").  In an edge mask, bit i stands for
+``edge_refs[i]``: by owning tile, then south, west, east, north.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress
 
 from .surface import Arc, ArcTrace, Triangulation, trace_arc
 
@@ -45,6 +47,9 @@ EdgeRef = tuple[int, str]
 Matching = frozenset[EdgeRef]
 
 DEGENERATE_EDGE: EdgeRef = (0, "G")
+
+# a bit string's characters as the selectors 0 and 1 of ``compress``
+_SELECTORS = bytes.maketrans(b"01", b"\0\1")
 
 
 @dataclass(frozen=True)
@@ -172,6 +177,12 @@ class SnakeGraph:
         self.edge_refs: tuple[EdgeRef, ...] = tuple(refs)
         self._labels = labels
         self._vertices = verts
+        self.bit = {ref: 1 << i for i, ref in enumerate(refs)}
+        # row p - 1: the bits of tile p's south, west, east and north sides
+        self.tile_sides: tuple[tuple[int, ...], ...] = tuple(
+            tuple(map(self.bit.__getitem__, self.tile_edge_refs(p)))
+            for p in range(1, self.d + 1)
+        )
         self._matchings: tuple[Matching, ...] | None = None
         self._extremal: tuple[Matching, Matching] | None = None
 
@@ -188,6 +199,10 @@ class SnakeGraph:
 
     def edge_label(self, ref: EdgeRef) -> int:
         return self._labels[ref]
+
+    def mask(self, matching: Matching) -> int:
+        """The matching as an edge mask: bit i set when ``edge_refs[i]`` is in it."""
+        return sum(map(self.bit.__getitem__, matching))
 
     def edge_vertices(self, ref: EdgeRef) -> frozenset[tuple[int, int]]:
         return self._vertices[ref]
@@ -214,51 +229,25 @@ class SnakeGraph:
     # perfect matchings
 
     def matchings(self) -> tuple[Matching, ...]:
-        """All perfect matchings, ordered by their bit strings."""
+        """All perfect matchings, ordered by their bit strings.
+
+        The bit patterns the fence allows are walked tile by tile as edge
+        masks, split by their last bit: each starts as the minimal
+        matching's mask, and a tile whose bit is 1 switches its four sides.
+        """
         if self._matchings is None:
-            found = self._enumerate()
+            zero, one = [self.mask(self.minimal_matching())], []
+            for sides, rising in zip(self.tile_sides, (True, *self.fence())):
+                switched = sum(sides)
+                lifted = [m ^ switched for m in (zero + one if rising else one)]
+                zero, one = (zero if rising else zero + one), lifted
+            refs = self.edge_refs
+            keys = sorted(format(m, f"0{len(refs)}b")[::-1] for m in zero + one)
             self._matchings = tuple(
-                sorted(found, key=self.matching_bits)
+                frozenset(compress(refs, key.encode().translate(_SELECTORS)))
+                for key in keys
             )
         return self._matchings
-
-    def _enumerate(self) -> list[Matching]:
-        """Depth-first search on an explicit stack, so no recursion limit.
-
-        Vertices are numbered along the snake (by x + y, then x), and each
-        step covers the lowest uncovered vertex, whose free neighbours all
-        lie one step further along.  Covered sets are bit masks, and each
-        stack entry carries its chosen edges as a linked list, so no step
-        copies the partial matching.
-        """
-        vertices = sorted(
-            set().union(*self._vertices.values()),
-            key=lambda v: (v[0] + v[1], v[0]),
-        )
-        bit = {v: 1 << i for i, v in enumerate(vertices)}
-        incident: list[list[tuple[int, EdgeRef]]] = [[] for _ in vertices]
-        for ref in self.edge_refs:
-            ends = [bit[v] for v in self._vertices[ref]]
-            mask = ends[0] | ends[1]
-            for end in ends:
-                incident[end.bit_length() - 1].append((mask, ref))
-        full = (1 << len(vertices)) - 1
-        results: list[Matching] = []
-        stack: list[tuple[int, tuple | None]] = [(0, None)]
-        while stack:
-            covered, chosen = stack.pop()
-            if covered == full:
-                edges = []
-                while chosen is not None:
-                    ref, chosen = chosen
-                    edges.append(ref)
-                results.append(frozenset(edges))
-                continue
-            pivot = (~covered & (covered + 1)).bit_length() - 1
-            for mask, ref in incident[pivot]:
-                if not mask & covered:
-                    stack.append((covered | mask, (ref, chosen)))
-        return results
 
     def matching_bits(self, matching: Matching) -> str:
         return "".join("1" if ref in matching else "0" for ref in self.edge_refs)
@@ -370,25 +359,18 @@ class SnakeGraph:
     # exponent data
 
     def height_vector(self, matching: Matching) -> tuple[int, ...]:
-        """Multiplicity of each internal arc among tiles enclosed by the
-        symmetric difference with the minimal matching."""
-        n = self.triangulation.n_internal
-        heights = [0] * n
-        if self.degenerate_label is not None:
-            return tuple(heights)
-        cycle = matching ^ self.minimal_matching()
-        rows: dict[int, list[int]] = {}
-        for ref in cycle:
-            tile = self.tiles[ref[0] - 1]
-            if ref[1] == "W":
-                rows.setdefault(tile.y, []).append(tile.x)
-            elif ref[1] == "E":
-                rows.setdefault(tile.y, []).append(tile.x + 1)
-        for xs in rows.values():
-            xs.sort()
-        for tile in self.tiles:
-            xs = rows.get(tile.y)
-            if xs and (len(xs) - bisect_right(xs, tile.x)) % 2 == 1:
+        """Multiplicity of each internal arc among the tiles whose bit is 1.
+
+        Tile p's bit t_p (see :meth:`fence`) is 1 when the matching and the
+        minimal matching differ on a side that only tile p has: its north
+        side when tile p + 1 sits to its east, otherwise its east side.
+        """
+        heights = [0] * self.triangulation.n_internal
+        switched = self.mask(matching ^ self.minimal_matching())
+        for tile, (_, _, east, north), glue in zip(
+            self.tiles, self.tile_sides, (*self.glue, "U")
+        ):
+            if switched & (north if glue == "R" else east):
                 heights[tile.diagonal] += 1
         return tuple(heights)
 

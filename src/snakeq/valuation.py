@@ -1,19 +1,19 @@
 """The twist-defined valuation on perfect matchings.
 
-A matching is held as an integer bit mask: bit i stands for the edge
-``graph.edge_refs[i]``.  That order is the snake's edge order, by owning tile
-and then south, west, east, north, so the matched edges before or after a
-tile are the set bits below or above its sides.  Each twist of a matching at
-a tile carries an integer increment, a difference of popcounts of the
-matched edges labeled like the tile's diagonal, and the valuation v is the
-unique integer potential with v = 0 on the two extremal matchings whose
-twist-differences realize those increments.  Well-definedness is a theorem,
-not an assumption: :func:`compute_valuation`, which values every matching
-for the per-matching listings, checks every twist move from both of its
-ends, so any twist cycle that fails to sum to zero raises, and it raises too
-if the twists leave a matching unreached or the other extremal matching off
-0.  The expansions need only :func:`twist_chain`, d twists from one extremal
-matching to the other, which raises unless it ends at 0.
+A matching is held as its edge mask (:meth:`SnakeGraph.mask`), whose bits
+follow the snake's edge order, by owning tile and then south, west, east,
+north, so the matched edges before or after a tile are the set bits below or
+above its sides.  Each twist of a matching at a tile carries an integer
+increment, a difference of popcounts of the matched edges labeled like the
+tile's diagonal, and the valuation v is the unique integer potential with
+v = 0 on the two extremal matchings whose twist-differences realize those
+increments.  Well-definedness is a theorem, not an assumption:
+:func:`compute_valuation`, which values every matching for the per-matching
+listings, checks every twist move from both of its ends, so any twist cycle
+that fails to sum to zero raises, and it raises too if the twists leave a
+matching unreached or the other extremal matching off 0.  The expansions
+need only :func:`twist_chain`, d twists from one extremal matching to the
+other, which raises unless it ends at 0.
 """
 
 from __future__ import annotations
@@ -37,30 +37,25 @@ class ValuationError(ValueError):
 
 
 class TwistTable:
-    """Edge bits and per-tile masks of one snake graph, built in O(d).
+    """Per-tile masks of one snake graph, built in O(d) from its edge bits.
 
-    ``bit`` maps each edge reference to its bit.  Row p - 1 of ``tiles`` is
-    ``(p, sides, south_north, west_east, label, balance)``: the masks of
-    tile p's four sides, of its south-north and west-east pairs and of the
-    edges labeled like its diagonal, and how many crossings of that label
-    come before tile p minus how many come after it.
+    Row p - 1 of ``tiles`` is ``(p, sides, south_north, west_east, label,
+    balance)``: the masks of tile p's four sides, of its south-north and
+    west-east pairs and of the edges labeled like its diagonal, and how many
+    crossings of that label come before tile p minus how many come after it.
     """
 
     def __init__(self, graph: SnakeGraph):
-        self.bit = {ref: 1 << i for i, ref in enumerate(graph.edge_refs)}
         by_label: dict[int, int] = {}
-        for ref, bit in self.bit.items():
+        for ref, bit in graph.bit.items():
             label = graph.edge_label(ref)
             by_label[label] = by_label.get(label, 0) | bit
         before: Counter[int] = Counter()
         after = Counter(graph.arc.crossings)
         rows = []
-        for tile in graph.tiles:
+        for tile, (south, west, east, north) in zip(graph.tiles, graph.tile_sides):
             tau = tile.diagonal
             after[tau] -= 1
-            south, west, east, north = map(
-                self.bit.__getitem__, graph.tile_edge_refs(tile.index)
-            )
             rows.append((
                 tile.index,
                 south | west | east | north,
@@ -71,9 +66,6 @@ class TwistTable:
             ))
             before[tau] += 1
         self.tiles = tuple(rows)
-
-    def mask(self, matching: Matching) -> int:
-        return sum(map(self.bit.__getitem__, matching))
 
     def twists(
         self, mask: int, d_scale: int, rows: Iterable[tuple] | None = None
@@ -126,7 +118,7 @@ def omega(graph: SnakeGraph, matching: Matching, p: int, d_scale: int = 1) -> in
     scaled by the compatibility scalar.
     """
     table = TwistTable(graph)
-    for tile, _, step in table.twists(table.mask(matching), d_scale):
+    for tile, _, step in table.twists(graph.mask(matching), d_scale):
         if tile == p:
             return step
     raise ValueError(f"matching has no twist at tile {p}")
@@ -145,8 +137,8 @@ def compute_valuation(graph: SnakeGraph, d_scale: int = 1) -> dict[Matching, int
     on 0.
     """
     table = TwistTable(graph)
-    matchings = {table.mask(m): m for m in graph.matchings()}
-    maximal = table.mask(graph.maximal_matching())
+    matchings = {graph.mask(m): m for m in graph.matchings()}
+    maximal = graph.mask(graph.maximal_matching())
     values = {maximal: 0}
     queue = deque([maximal])
     while queue:
@@ -167,7 +159,7 @@ def compute_valuation(graph: SnakeGraph, d_scale: int = 1) -> dict[Matching, int
         raise ValuationError(
             "valuation ill-defined: twists do not connect all matchings"
         )
-    minimal = values[table.mask(graph.minimal_matching())]
+    minimal = values[graph.mask(graph.minimal_matching())]
     if minimal != 0:
         raise ValuationError(
             "valuation ill-defined: the minimal matching has value "
@@ -195,7 +187,7 @@ def twist_chain(graph: SnakeGraph, d_scale: int = 1) -> list[tuple[int, int]]:
         waiting[p if rising else p + 1] += 1
     ready = [p for p in range(1, d + 1) if not waiting[p]]
     table = TwistTable(graph)
-    mask = table.mask(graph.minimal_matching())
+    mask = graph.mask(graph.minimal_matching())
     value = 0
     steps = []
     while ready:
@@ -214,7 +206,7 @@ def twist_chain(graph: SnakeGraph, d_scale: int = 1) -> list[tuple[int, int]]:
             waiting[p + 1] -= 1
             if not waiting[p + 1]:
                 ready.append(p + 1)
-    if mask != table.mask(graph.maximal_matching()) or value != 0:
+    if mask != graph.mask(graph.maximal_matching()) or value != 0:
         raise ValuationError(
             "valuation ill-defined: the twist chain from the minimal matching "
             f"ends at value {value}, not on the maximal matching at 0"

@@ -283,6 +283,46 @@ def transfer_corpus() -> list[tuple[str, Triangulation, Arc]]:
     return out
 
 
+def reference_matchings(g) -> tuple:
+    """Reference: every perfect matching by a vertex search, in bit order.
+
+    Depth-first search on an explicit stack, so no recursion limit.
+    Vertices are numbered along the snake (by x + y, then x), and each step
+    covers the lowest uncovered vertex, whose free neighbours all lie one
+    step further along.  Covered sets are bit masks, and each stack entry
+    carries its chosen edges as a linked list, so no step copies the
+    partial matching.
+    """
+    vertices = sorted(
+        set().union(*map(g.edge_vertices, g.edge_refs)),
+        key=lambda v: (v[0] + v[1], v[0]),
+    )
+    bit = {v: 1 << i for i, v in enumerate(vertices)}
+    incident: list[list] = [[] for _ in vertices]
+    for ref in g.edge_refs:
+        ends = [bit[v] for v in g.edge_vertices(ref)]
+        mask = ends[0] | ends[1]
+        for end in ends:
+            incident[end.bit_length() - 1].append((mask, ref))
+    full = (1 << len(vertices)) - 1
+    results = []
+    stack: list = [(0, None)]
+    while stack:
+        covered, chosen = stack.pop()
+        if covered == full:
+            edges = []
+            while chosen is not None:
+                ref, chosen = chosen
+                edges.append(ref)
+            results.append(frozenset(edges))
+            continue
+        pivot = (~covered & (covered + 1)).bit_length() - 1
+        for mask, ref in incident[pivot]:
+            if not mask & covered:
+                stack.append((covered | mask, (ref, chosen)))
+    return tuple(sorted(results, key=g.matching_bits))
+
+
 def tile_bits(g, matching) -> tuple[int, ...]:
     """Reference: bit t_p is 1 when tile p lies inside the cycles of the
     matching's symmetric difference with the minimal matching, that is when

@@ -50,8 +50,8 @@ def principal_btilde(t):
     return principal_seed(signed_adjacency(t)).btilde
 
 
-def exponent_vector(g, matching, btilde):
-    """Reference: the full exponent of one matching, tropically normalized.
+def exponent_vectors(g, btilde):
+    """Reference: the full exponent of every matching, tropically normalized.
 
     Matched weight minus crossings on top, the bottom block applied to the
     height vector below, shifted by the componentwise minimum over every
@@ -67,11 +67,17 @@ def exponent_vector(g, matching, btilde):
             sum(row[k] * height[k] for k in range(n)) for row in btilde[n:]
         ]
 
-    mins = [min(column) for column in zip(*map(raw, g.matchings()))]
-    own = raw(matching)
-    return tuple(own[:n]) + tuple(
-        v - low for v, low in zip(own[n:], mins[n:])
-    )
+    raws = {p: raw(p) for p in g.matchings()}
+    mins = [min(column) for column in zip(*raws.values())]
+    return {
+        p: tuple(own[:n]) + tuple(v - low for v, low in zip(own[n:], mins[n:]))
+        for p, own in raws.items()
+    }
+
+
+def exponent_vector(g, matching, btilde):
+    """Reference: the full exponent of one matching (see exponent_vectors)."""
+    return exponent_vectors(g, btilde)[matching]
 
 
 # ----------------------------------------------------------------------
@@ -176,7 +182,8 @@ def test_quantum_expansion_is_the_sum_of_its_matching_monomials():
     # reference: one monomial per enumerated matching, merged by the
     # constructor, with its enumerated exponent and its valuation from the
     # exhaustive twist search; the sheared seed's exponents need the
-    # tropical minimum
+    # tropical minimum, and each record's exponent must be the reference's,
+    # since the records and the transfer share one exponent routine
     for name, t, arc in transfer_corpus():
         for seed in (*seed_choices(t), sheared_seed(t)):
             exp = quantum_expand(t, arc, seed)
@@ -186,6 +193,9 @@ def test_quantum_expansion_is_the_sum_of_its_matching_monomials():
             )
             assert exp.value == total, name
             assert exp.value.width == seed.m
+            reference = exponent_vectors(exp.graph, seed.btilde)
+            for record in records:
+                assert record.exponent == reference[record.matching], name
             counts: dict = {}
             for record in records:
                 counts[record.exponent] = counts.get(record.exponent, 0) + 1
@@ -198,7 +208,7 @@ def test_expansions_never_enumerate_matchings(monkeypatch):
     def refuse(graph):
         raise AssertionError("the expansion enumerated the matchings")
 
-    monkeypatch.setattr(SnakeGraph, "_enumerate", refuse)
+    monkeypatch.setattr(SnakeGraph, "matchings", refuse)
     for name, t, arc in valuation_corpus():
         seed = principal_seed(signed_adjacency(t))
         quantum_expand(t, arc, seed)

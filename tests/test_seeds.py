@@ -16,7 +16,6 @@ from snakeq import (
     mutate_B,
     mutate_Lambda,
     mutate_seed,
-    mutate_tropical,
     principal_lambda,
     principal_seed,
     quantum_expand,
@@ -246,6 +245,30 @@ def test_hexagon_form_mutation_frozen_value():
 
 # ----------------------------------------------------------------------
 # tropical dynamics
+
+def mutate_tropical(ys, b_top, k):
+    """Reference: tropical coefficient dynamics in the direction k.
+
+    ``ys`` lists one integer exponent vector per mutable index; ``b_top`` is
+    the current n x n top block.  Direction k is inverted, and every other
+    vector picks up [b_kj]_+ copies of y_k minus b_kj times the componentwise
+    minimum of 0 and y_k.
+    """
+    floor = [min(0, v) for v in ys[k]]
+    out = []
+    for j, y in enumerate(ys):
+        if j == k:
+            out.append(tuple(-v for v in y))
+            continue
+        coef = b_top[k][j]
+        out.append(
+            tuple(
+                v + max(coef, 0) * v_k - coef * low
+                for v, v_k, low in zip(y, ys[k], floor)
+            )
+        )
+    return tuple(out)
+
 
 @given(st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=8))
 def test_tropical_dynamics_tracks_the_frozen_rows(path):

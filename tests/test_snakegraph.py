@@ -25,6 +25,7 @@ from conftest import (
     pentagon,
     polygon_chords,
     polygon_fan,
+    reference_matchings,
     square,
     tile_bits,
     transfer_corpus,
@@ -202,6 +203,12 @@ def test_exactly_two_all_boundary_matchings():
             assert {(1, "S"), (1, "N")} <= high
 
 
+def test_matchings_equal_the_vertex_search_in_bit_order():
+    # the fence walk against an independent depth-first vertex search
+    for g in corpus_graphs() + transfer_graphs(12):
+        assert g.matchings() == reference_matchings(g)
+
+
 def test_fence_allows_exactly_the_tile_patterns_of_the_matchings():
     for g in transfer_graphs(12):
         fence = g.fence()
@@ -244,18 +251,19 @@ def test_boundary_scan_runs_once_per_graph(monkeypatch):
     # glue_edges call) per graph and never from enumerating the matchings
     enumerated = []
     walks = []
-    enumerate_all = SnakeGraph._enumerate
+    matchings = SnakeGraph.matchings
     glue_edges = SnakeGraph.glue_edges
 
-    def counted_enumerate(graph):
-        enumerated.append(graph)
-        return enumerate_all(graph)
+    def counted_matchings(graph):
+        if graph._matchings is None:
+            enumerated.append(graph)
+        return matchings(graph)
 
     def counted_glue_edges(graph):
         walks.append(graph)
         return glue_edges(graph)
 
-    monkeypatch.setattr(SnakeGraph, "_enumerate", counted_enumerate)
+    monkeypatch.setattr(SnakeGraph, "matchings", counted_matchings)
     monkeypatch.setattr(SnakeGraph, "glue_edges", counted_glue_edges)
     for g in corpus_graphs():
         enumerated.clear()

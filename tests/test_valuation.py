@@ -258,7 +258,7 @@ def corrupt_increments(monkeypatch, shift):
 
 
 def minimal_mask(g: SnakeGraph) -> int:
-    return TwistTable(g).mask(g.minimal_matching())
+    return g.mask(g.minimal_matching())
 
 
 def test_one_wrong_increment_breaks_a_twist_cycle(monkeypatch):
