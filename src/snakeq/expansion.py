@@ -26,6 +26,7 @@ from typing import Iterable, Sequence
 
 from .qalgebra import (
     Coeff,
+    ExactDivisionError,
     LambdaForm,
     QuantumLaurent,
     Vector,
@@ -250,8 +251,13 @@ def _transfer(
         zero, one = (zero if rising else _merge(zero, one)), lifted
 
     finals = _merge(zero, one)
-    shifts = [bits * k for k in range(len(labels))]
-    heights = ([(h >> shift) & low for shift in shifts] for h in finals)
+    heights = []
+    for h in finals:
+        counts = []
+        for _ in labels:
+            counts.append(h & low)
+            h >>= bits
+        heights.append(counts)
     return list(zip(_exponents(g, btilde, labels, heights), finals.values()))
 
 
@@ -341,7 +347,7 @@ def oracle_mutate_variables(seed: Seed, flips: Sequence[int]) -> OracleRun:
     step the exchange binomial is assembled from the current seed, normalized
     with the current skew form, and divided on the right by the outgoing
     variable; exactness of that division is part of the Laurent phenomenon
-    and any failure raises immediately.
+    and any failure raises immediately, naming the flip that failed.
     """
     m = seed.m
     form0 = seed.lam
@@ -350,7 +356,7 @@ def oracle_mutate_variables(seed: Seed, flips: Sequence[int]) -> OracleRun:
         for i in range(m)
     ]
     current = seed
-    for k in flips:
+    for position, k in enumerate(flips, start=1):
         if not 0 <= k < current.n:
             raise SeedError(f"flip direction {k} out of range")
         b = current.btilde
@@ -365,7 +371,12 @@ def oracle_mutate_variables(seed: Seed, flips: Sequence[int]) -> OracleRun:
                 powers
             )
             binomial = binomial + product.scaled(s_exp=s_exp)
-        variables[k] = exact_right_divide(binomial, variables[k], form0)
+        try:
+            variables[k] = exact_right_divide(binomial, variables[k], form0)
+        except ExactDivisionError as exc:
+            raise ExactDivisionError(
+                f"flip {position} of {len(flips)} (direction {k}): {exc}"
+            ) from exc
         current = mutate_seed(current, k)
     return OracleRun(tuple(variables), current)
 

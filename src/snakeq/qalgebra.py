@@ -19,12 +19,16 @@ Q * D = N for Q by eliminating lexicographically maximal terms.  Because a
 quantum torus over a domain has no zero divisors, the exponents of any exact
 quotient are confined to a finite box computed from N and D, which makes the
 elimination loop a decision procedure: it either returns the exact quotient or
-proves there is none.
+proves there is none.  Each step subtracts its quotient term times D straight
+into the remainder, with every term of D paired with L once per division, and
+the leading term comes from a heap; one full product checks the quotient.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
+from heapq import heapify, heappop, heappush
+from operator import add, mul, neg, sub
 
 __all__ = [
     "Coeff",
@@ -45,6 +49,11 @@ class ExactDivisionError(ArithmeticError):
     """Raised when a requested exact quotient does not exist."""
 
 
+def _dot(a: Sequence[int], lb: Sequence[int]) -> int:
+    """The dot product of a with lb."""
+    return sum(map(mul, a, lb))
+
+
 def _coeff_div(num: Coeff, den: Coeff) -> Coeff | None:
     """Exact quotient num / den in ZZ[s, s^(-1)], or None.
 
@@ -56,6 +65,8 @@ def _coeff_div(num: Coeff, den: Coeff) -> Coeff | None:
     rem = dict(num)
     den_top = max(den)
     den_lead = den[den_top]
+    # no exponent of an exact quotient lies below this, so the loop stops
+    floor = min(num, default=0) - min(den)
     quot: Coeff = {}
     while rem:
         rem_top = max(rem)
@@ -63,6 +74,8 @@ def _coeff_div(num: Coeff, den: Coeff) -> Coeff | None:
         if extra != 0:
             return None
         shift = rem_top - den_top
+        if shift < floor:
+            return None
         quot[shift] = lead
         for e, n in den.items():
             tgt = e + shift
@@ -137,18 +150,23 @@ class LambdaForm:
     def __repr__(self) -> str:
         return f"LambdaForm({[list(r) for r in self.rows]})"
 
+    def pair(self, v: Sequence[int]) -> list[int]:
+        """L·v, accumulated over the nonzero entries of v.
+
+        Since L is skew, L·v is minus the sum of v_j times row j.
+        """
+        out = [0] * len(self.rows)
+        for vj, row in zip(v, self.rows):
+            if vj:
+                out = [o - vj * x for o, x in zip(out, row)]
+        return out
+
     def eval(self, a: Iterable[int], b: Iterable[int]) -> int:
         av = tuple(a)
         bv = tuple(b)
         if len(av) != self.size or len(bv) != self.size:
             raise ValueError("vector length does not match the form")
-        total = 0
-        for i, ai in enumerate(av):
-            if ai == 0:
-                continue
-            row = self.rows[i]
-            total += ai * sum(row[j] * bj for j, bj in enumerate(bv) if bj != 0)
-        return total
+        return _dot(av, self.pair(bv))
 
     def ordered_product_twist(self, a: Iterable[int]) -> int:
         """s-exponent relating X_1^(a_1)···X_m^(a_m) to the normalized X^a.
@@ -186,20 +204,28 @@ class QuantumLaurent:
         merged: dict[Vector, Coeff] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for vec, coeff in items:
-            v = tuple(int(x) for x in vec)
+            v = tuple(map(int, vec))
             if len(v) != self.width:
                 raise ValueError(
                     f"exponent vector {v} does not have width {self.width}"
                 )
-            target = merged.setdefault(v, {})
+            target = merged.get(v)
+            if target is None:
+                target = dict(zip(map(int, coeff), map(int, coeff.values())))
+                merged[v] = target
+                if len(target) == len(coeff):
+                    continue
+                # s-exponents that collide after int() are added below
+                target.clear()
             for e, n in coeff.items():
                 e = int(e)
                 target[e] = target.get(e, 0) + int(n)
         self._terms = {}
         for v, c in merged.items():
-            nonzero = {e: n for e, n in c.items() if n}
-            if nonzero:
-                self._terms[v] = nonzero
+            if 0 in c.values():
+                c = {e: n for e, n in c.items() if n}
+            if c:
+                self._terms[v] = c
 
     @classmethod
     def zero(cls, width: int) -> QuantumLaurent:
@@ -298,15 +324,20 @@ class QuantumLaurent:
 
 
 def qmul(a: QuantumLaurent, b: QuantumLaurent, form: LambdaForm) -> QuantumLaurent:
-    """Product in the quantum torus with skew form ``form``."""
+    """Product in the quantum torus with skew form ``form``.
+
+    L·v is paired once per term of ``b``, so each pair of terms costs one
+    dot product.
+    """
     a._check_width(b)
     if form.size != a.width:
         raise ValueError("form rank does not match the operands")
+    right = [(vb, form.pair(vb), cb) for vb, cb in b._terms.items()]
     out: dict[Vector, Coeff] = {}
     for va, ca in a._terms.items():
-        for vb, cb in b._terms.items():
-            twist = form.eval(va, vb)
-            target = out.setdefault(tuple(x + y for x, y in zip(va, vb)), {})
+        for vb, lb, cb in right:
+            twist = _dot(va, lb)
+            target = out.setdefault(tuple(map(add, va, vb)), {})
             for ea, na in ca.items():
                 for eb, nb in cb.items():
                     e = ea + eb + twist
@@ -350,19 +381,27 @@ def exact_right_divide(
         return QuantumLaurent.zero(numerator.width)
 
     lo, hi = _support_box(numerator, denominator)
-    d_top = max(denominator.support())
-    d_top_coeff = denominator.coefficient(d_top)
+    den = {v: (form.pair(v), c) for v, c in denominator._terms.items()}
+    d_top = max(den)
+    l_top, d_top_coeff = den[d_top]
 
     remainder = {v: dict(c) for v, c in numerator._terms.items()}
+    # Negated exponents, so the heap's least entry is the leading term.
+    # Leading terms strictly decrease, so a popped exponent never returns;
+    # exponents cancelled below the top stay in the heap and are skipped.
+    heap = [tuple(map(neg, v)) for v in remainder]
+    heapify(heap)
     quotient: dict[Vector, Coeff] = {}
     while remainder:
-        r_top = max(remainder)
-        e = tuple(r - d for r, d in zip(r_top, d_top))
+        r_top = tuple(map(neg, heappop(heap)))
+        if r_top not in remainder:
+            continue
+        e = tuple(map(sub, r_top, d_top))
         if any(x < l or x > h for x, l, h in zip(e, lo, hi)):
             raise ExactDivisionError(
                 "no exact quotient: elimination left the admissible exponent box"
             )
-        twist = form.eval(e, d_top)
+        twist = _dot(e, l_top)
         c = _coeff_div(
             {s_exp - twist: n for s_exp, n in remainder[r_top].items()},
             d_top_coeff,
@@ -375,17 +414,24 @@ def exact_right_divide(
         # The leading remainder term cancels, so r_top and e strictly
         # decrease and every quotient exponent is new.
         quotient[e] = c
-        step = qmul(QuantumLaurent(numerator.width, {e: c}), denominator, form)
-        for v, coeff in step._terms.items():
-            target = remainder.setdefault(v, {})
-            for s_exp, n in coeff.items():
-                left = target.get(s_exp, 0) - n
-                if left:
-                    target[s_exp] = left
-                else:
-                    target.pop(s_exp, None)
+        # subtract X^e·c times the denominator, term by term, in place
+        for vd, (ld, cd) in den.items():
+            key = tuple(map(add, e, vd))
+            twist = _dot(e, ld)
+            target = remainder.get(key)
+            if target is None:
+                target = remainder[key] = {}
+                heappush(heap, tuple(map(neg, key)))
+            for ec, nc in c.items():
+                for ed, nd in cd.items():
+                    s_exp = ec + ed + twist
+                    left = target.get(s_exp, 0) - nc * nd
+                    if left:
+                        target[s_exp] = left
+                    else:
+                        target.pop(s_exp, None)
             if not target:
-                del remainder[v]
+                del remainder[key]
 
     result = QuantumLaurent(numerator.width, quotient)
     if qmul(result, denominator, form) != numerator:

@@ -154,23 +154,28 @@ class Seed:
 def mutate_B(btilde: Any, k: int) -> Matrix:
     """Matrix mutation in direction k (a mutable column index).
 
-    ``btilde`` is a sequence of integer rows; the result is frozen.
+    ``btilde`` is a sequence of integer rows; the result is frozen.  A row
+    other than k whose entry in column k is 0 is unchanged, so it is reused.
     """
     n = len(btilde[0])
     if not 0 <= k < n:
         raise SeedError(f"mutation direction {k} out of range for {n} columns")
     pivot = btilde[k]
-    return tuple(
-        tuple(
-            -row[j]
-            if i == k or j == k
-            else row[j]
-            + _pos(row[k]) * _pos(pivot[j])
-            - _pos(-row[k]) * _pos(-pivot[j])
-            for j in range(n)
-        )
-        for i, row in enumerate(btilde)
-    )
+    # b_ij gains b_ik [b_kj]_+ when b_ik > 0 and b_ik [-b_kj]_+ when b_ik < 0
+    rising = [_pos(x) for x in pivot]
+    falling = [_pos(-x) for x in pivot]
+    out = []
+    for i, row in enumerate(btilde):
+        c = row[k]
+        if i == k:
+            out.append(tuple(-x for x in row))
+        elif c == 0:
+            out.append(tuple(row))
+        else:
+            new = [x + c * y for x, y in zip(row, rising if c > 0 else falling)]
+            new[k] = -c
+            out.append(tuple(new))
+    return tuple(out)
 
 
 def mutate_Lambda(lam: LambdaForm, btilde: Any, k: int) -> LambdaForm:

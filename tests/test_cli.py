@@ -22,7 +22,9 @@ from conftest import (
     ladder_surface,
     pentagon,
 )
+import snakeq.expansion
 from snakeq import (
+    ExactDivisionError,
     QuantumLaurent,
     Seed,
     SnakeGraph,
@@ -395,6 +397,37 @@ def test_verify_requires_flips(capsys, files):
     assert code == 2
     assert out == ""
     assert err == "error: --flips must name at least one direction\n"
+
+
+def test_failed_division_names_its_flip(capsys, files, monkeypatch):
+    divide = snakeq.expansion.exact_right_divide
+    calls = []
+
+    def fail_second(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise ExactDivisionError("no exact quotient: injected")
+        return divide(*args)
+
+    monkeypatch.setattr(snakeq.expansion, "exact_right_divide", fail_second)
+    code, out, err = run_main(
+        capsys,
+        "verify",
+        "--surface",
+        files["pentagon"],
+        "--arc",
+        files["pentagon_arc"],
+        "--flips",
+        "0,1,0,1,0",
+        "--slot",
+        "0",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: flip 2 of 5 (direction 1): no exact quotient: injected\n"
+    )
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("slot", ["9", "-1"])

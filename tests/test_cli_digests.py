@@ -4,7 +4,10 @@ Each mode runs ``main`` in process on every corpus arc under every
 ``seed_choices`` quantization and hashes, in order, the case name, the exit
 code, stdout and stderr of each call.  The frozen digests pin the output of
 every subcommand that reads an arc, so a change that should not alter the
-output can be checked byte for byte without a second checkout.
+output can be checked byte for byte without a second checkout.  The
+``verify sheared`` mode adds longer flip plans (annulus bridges w = +-7,
++-8 and the ladder d = 10) under :func:`sheared_seed`, whose divisions have
+more terms and negative coefficient exponents.
 """
 
 from __future__ import annotations
@@ -16,7 +19,16 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from conftest import oracle_corpus, seed_choices, valuation_corpus
+from conftest import (
+    annulus,
+    annulus_bridge,
+    ladder_arc,
+    ladder_surface,
+    oracle_corpus,
+    seed_choices,
+    sheared_seed,
+    valuation_corpus,
+)
 from snakeq.cli import main
 
 EXPAND_MODES = {
@@ -69,7 +81,22 @@ DIGESTS = {
         "8d56c0e16c84353afc9772d07c98cdb8"
         "330255929dbb35e7dfaba24fc098a029"
     ),
+    "verify sheared": (
+        "00d80650560d9c0addfe8cb1c3436485"
+        "090f7944a451116f08d0242a6f809e74"
+    ),
 }
+
+
+def wide_oracle_corpus():
+    """Longer oracle plans: (name, surface, arc, plan)."""
+    t = annulus()
+    out = []
+    for w in (7, -7, 8, -8):
+        arc, plan = annulus_bridge(w)
+        out.append((f"annulus bridge {w}", t, arc, plan))
+    out.append(("ladder 10", ladder_surface(10), ladder_arc(10), list(range(10))))
+    return out
 
 
 def _calls(directory):
@@ -109,6 +136,16 @@ def _calls(directory):
                 "--seed", seed, "--flips", flips,
             )
             out.append(("verify", f"{name} seed {i}", argv))
+    offset += len(oracle_corpus())
+    for case, (name, t, arc, plan) in enumerate(wide_oracle_corpus(), start=offset):
+        surface = write(f"surface{case}.json", t.to_dict())
+        seed = write(f"sheared{case}.json", sheared_seed(t).to_dict())
+        arc_path = write(f"arc{case}.json", arc.to_dict())
+        argv = (
+            "verify", "--surface", surface, "--arc", arc_path,
+            "--seed", seed, "--flips", ",".join(map(str, plan)),
+        )
+        out.append(("verify sheared", name, argv))
     return out
 
 
@@ -129,6 +166,6 @@ def digests(tmp_path_factory):
     return mode_digests(tmp_path_factory.mktemp("digests"))
 
 
-@pytest.mark.parametrize("mode", [*EXPAND_MODES, "verify"])
+@pytest.mark.parametrize("mode", [*EXPAND_MODES, "verify", "verify sheared"])
 def test_cli_output_is_unchanged(digests, mode):
     assert digests[mode] == DIGESTS[mode]

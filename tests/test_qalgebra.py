@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+import snakeq.qalgebra
 from snakeq import (
     ExactDivisionError,
     LambdaForm,
@@ -13,6 +14,7 @@ from snakeq import (
     exact_right_divide,
     qmul,
 )
+from snakeq.qalgebra import _coeff_div, _support_box
 
 LAM2 = LambdaForm([[0, 1], [-1, 0]])
 LAM4 = LambdaForm(
@@ -161,6 +163,13 @@ def test_division_by_zero_raises():
         )
 
 
+def test_coefficient_division_stops_below_the_quotient_floor():
+    # 2·s / (1 + s^2) has no Laurent polynomial quotient; the elimination
+    # would otherwise step down forever
+    assert _coeff_div({1: 2}, {0: 1, 2: 1}) is None
+    assert _coeff_div({-1: 1, 1: 2, 3: 1}, {0: 1, 2: 1}) == {1: 1, -1: 1}
+
+
 def test_division_respects_the_twist():
     # (X^(1,1) twisted) / X^(0,1) must reproduce X^(1,0) exactly
     product = qmul(
@@ -215,11 +224,21 @@ def reference_add(a, b):
     return out
 
 
+def reference_eval(form, a, b):
+    """The form entry by entry, as the kernel paired it before L·v."""
+    total = 0
+    for i, ai in enumerate(a):
+        if ai:
+            row = form.rows[i]
+            total += ai * sum(row[j] * bj for j, bj in enumerate(b) if bj)
+    return total
+
+
 def reference_qmul(a, b, form):
     out = {}
     for va, ca in a.items():
         for vb, cb in b.items():
-            twist = form.eval(va, vb)
+            twist = reference_eval(form, va, vb)
             target = tuple(x + y for x, y in zip(va, vb))
             contrib = _ref_coeff_shift(_ref_coeff_mul(ca, cb), twist)
             merged = _ref_coeff_add(out.get(target, {}), contrib)
@@ -288,6 +307,21 @@ def test_no_value_stores_a_zero_coefficient(width, form, data):
     assert all(_stores_no_zero(x) for x in values)
 
 
+def test_constructor_adds_keys_that_collide_after_int():
+    x = QuantumLaurent(
+        2,
+        [
+            ((1, 0), {0: 1}),
+            ((1.0, 0.0), {0: 2, 2: 1}),
+            (("1", "0"), {"0": 4, 0: 1}),
+        ],
+    )
+    assert dict(x.items()) == {(1, 0): {0: 8, 2: 1}}
+    assert all(type(e) is int for v, c in x.items() for e in (*v, *c))
+    first = QuantumLaurent(2, {(0, 1): {"2": 3, 2: -3, 1: 1}})
+    assert dict(first.items()) == {(0, 1): {1: 1}}
+
+
 def test_constructor_merges_repeated_pairs_and_cancels_to_zero():
     x = QuantumLaurent(
         2,
@@ -302,6 +336,168 @@ def test_constructor_merges_repeated_pairs_and_cancels_to_zero():
     gone = QuantumLaurent(2, [((1, 0), {0: 1, 1: -3}), ((1, 0), {0: -1, 1: 3})])
     assert gone.is_zero()
     assert gone == QuantumLaurent.zero(2)
+
+
+# ----------------------------------------------------------------------
+# the sparse kernels against the pairwise ones they replaced
+#
+# The references pair every two terms with the form entry by entry
+# (reference_eval, reference_qmul above), and divide by building each
+# elimination step with a full product and taking the leading term with
+# max(); messages and checks are those of the kernel.
+
+def reference_product(a, b, form):
+    return QuantumLaurent(a.width, reference_qmul(a, b, form))
+
+
+def reference_divide(numerator, denominator, form):
+    if denominator.is_zero():
+        raise ZeroDivisionError("division by zero")
+    if numerator.is_zero():
+        return QuantumLaurent.zero(numerator.width)
+    lo, hi = _support_box(numerator, denominator)
+    d_top = max(denominator.support())
+    d_top_coeff = denominator.coefficient(d_top)
+    remainder = {v: c for v, c in numerator.items()}
+    quotient = {}
+    while remainder:
+        r_top = max(remainder)
+        e = tuple(r - d for r, d in zip(r_top, d_top))
+        if any(x < l or x > h for x, l, h in zip(e, lo, hi)):
+            raise ExactDivisionError(
+                "no exact quotient: elimination left the admissible exponent box"
+            )
+        twist = reference_eval(form, e, d_top)
+        c = _coeff_div(
+            {s_exp - twist: n for s_exp, n in remainder[r_top].items()},
+            d_top_coeff,
+        )
+        if c is None:
+            raise ExactDivisionError(
+                "no exact quotient: coefficient division fails at "
+                f"exponent {r_top}"
+            )
+        quotient[e] = c
+        step = reference_product(
+            QuantumLaurent(numerator.width, {e: c}), denominator, form
+        )
+        for v, coeff in step.items():
+            target = remainder.setdefault(v, {})
+            for s_exp, n in coeff.items():
+                left = target.get(s_exp, 0) - n
+                if left:
+                    target[s_exp] = left
+                else:
+                    target.pop(s_exp, None)
+            if not target:
+                del remainder[v]
+    result = QuantumLaurent(numerator.width, quotient)
+    assert reference_product(result, denominator, form) == numerator
+    return result
+
+
+@st.composite
+def skew_forms(draw, width):
+    """Skew forms of the given width; some rows (and columns) are zero."""
+    zero = draw(st.sets(st.integers(0, width - 1), max_size=width - 1))
+    rows = [[0] * width for _ in range(width)]
+    for i in range(width):
+        for j in range(i + 1, width):
+            if i not in zero and j not in zero:
+                rows[i][j] = draw(st.integers(-2, 2))
+                rows[j][i] = -rows[i][j]
+    return LambdaForm(rows)
+
+
+@st.composite
+def operands(draw):
+    """A width in 2..6, a form of that width and two values of it."""
+    width = draw(st.integers(2, 6))
+    return width, draw(skew_forms(width)), draw(polys(width)), draw(polys(width))
+
+
+def outcome(divide, numerator, denominator, form):
+    try:
+        return divide(numerator, denominator, form)
+    except ExactDivisionError as exc:
+        return f"error: {exc}"
+
+
+@given(operands())
+def test_products_and_quotients_equal_the_pairwise_reference(case):
+    width, form, a, b = case
+    for va, _ in a.items():
+        for vb, _ in b.items():
+            assert form.eval(va, vb) == reference_eval(form, va, vb)
+    product = qmul(a, b, form)
+    assert product == reference_product(a, b, form)
+    if not b.is_zero():
+        assert exact_right_divide(product, b, form) == a
+        assert reference_divide(product, b, form) == a
+
+
+@given(operands())
+def test_division_outcomes_equal_the_pairwise_reference(case):
+    """Arbitrary pairs, mostly not divisible: equal quotients or messages."""
+    width, form, a, b = case
+    if b.is_zero():
+        return
+    assert outcome(exact_right_divide, a, b, form) == outcome(
+        reference_divide, a, b, form
+    )
+
+
+LAM3_ZERO_ROW = LambdaForm([[0, 2, 0], [-2, 0, 0], [0, 0, 0]])
+
+
+@pytest.mark.parametrize(
+    "numerator, denominator, form, message",
+    [
+        (
+            QuantumLaurent.monomial((1, 0)) + QuantumLaurent.one(2),
+            QuantumLaurent.monomial((0, 1)) + QuantumLaurent.one(2),
+            LAM2,
+            "no exact quotient: elimination left the admissible exponent box",
+        ),
+        (
+            QuantumLaurent.monomial((1, 1), coefficient=3),
+            QuantumLaurent.monomial((0, 1), coefficient=2),
+            LAM2,
+            "no exact quotient: coefficient division fails at exponent (1, 1)",
+        ),
+        (
+            # the second step divides 2·s^3 by 1 + s^2
+            QuantumLaurent(3, {(1, 1, 1): {0: 1, 2: 1}, (0, 1, 1): {1: 2}}),
+            QuantumLaurent(3, {(1, 0, 1): {0: 1, 2: 1}}),
+            LAM3_ZERO_ROW,
+            "no exact quotient: coefficient division fails at exponent (0, 1, 1)",
+        ),
+        (
+            # the third step leaves the box
+            QuantumLaurent(3, {(2, 1, 0): {0: 1}, (1, 1, 0): {0: 3}}),
+            QuantumLaurent(3, {(1, 0, 0): {0: 1}, (0, 0, 0): {0: 2}}),
+            LAM3_ZERO_ROW,
+            "no exact quotient: elimination left the admissible exponent box",
+        ),
+    ],
+)
+def test_both_divisions_give_the_same_message(numerator, denominator, form, message):
+    for divide in (exact_right_divide, reference_divide):
+        with pytest.raises(ExactDivisionError) as info:
+            divide(numerator, denominator, form)
+        assert str(info.value) == message
+
+
+def test_division_checks_its_quotient_with_a_full_product(monkeypatch):
+    """A product that disagrees with the elimination is caught at the end."""
+    product = qmul(QuantumLaurent.monomial((1, 0)), QuantumLaurent.one(2), LAM2)
+
+    def off_by_one(a, b, form):
+        return qmul(a, b, form) + QuantumLaurent.one(2)
+
+    monkeypatch.setattr(snakeq.qalgebra, "qmul", off_by_one)
+    with pytest.raises(AssertionError, match="quotient verification failed"):
+        exact_right_divide(product, QuantumLaurent.one(2), LAM2)
 
 
 # ----------------------------------------------------------------------

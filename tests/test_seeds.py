@@ -193,6 +193,32 @@ def test_matrix_mutation_is_an_involution(rows, k):
     assert mutate_B(mutate_B(b, k), k) == b
 
 
+def reference_mutate_B(btilde, k):
+    """Reference: the exchange recurrence, entry by entry."""
+
+    def pos(x):
+        return max(x, 0)
+
+    return tuple(
+        tuple(
+            -row[j]
+            if i == k or j == k
+            else row[j] + pos(row[k]) * pos(btilde[k][j])
+            - pos(-row[k]) * pos(-btilde[k][j])
+            for j in range(len(row))
+        )
+        for i, row in enumerate(btilde)
+    )
+
+
+@given(matrices, st.integers(min_value=0, max_value=1))
+def test_matrix_mutation_equals_the_reference(rows, k):
+    expected = reference_mutate_B(rows, k)
+    assert mutate_B(rows, k) == expected
+    assert mutate_B(tuple(map(tuple, rows)), k) == expected
+    assert all(type(row) is tuple for row in mutate_B(rows, k))
+
+
 def test_mutation_direction_must_be_mutable():
     with pytest.raises(SeedError):
         mutate_B(KRONECKER, 2)
