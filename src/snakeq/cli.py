@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from typing import Sequence
 
 from .expansion import (
@@ -80,7 +81,7 @@ def _parse_flips(text: str) -> list[int]:
 
 
 def _exponent_csv(exponent: Sequence[int]) -> str:
-    return ",".join(str(v) for v in exponent)
+    return ",".join(map(str, exponent))
 
 
 def _coeff_pairs_csv(coeff: Coeff) -> str:
@@ -228,7 +229,13 @@ def cmd_check_seed(args: argparse.Namespace) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then shared.
+
+    It is built lazily rather than at import, so importing the package stays
+    cheap; every later :func:`main` call in the process reuses it.
+    """
     parser = argparse.ArgumentParser(
         prog="snakeq",
         description=(

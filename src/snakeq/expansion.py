@@ -277,7 +277,7 @@ def commutative_expand(
 def commutative_to_string(terms: Iterable[CommTerm], symbol: str = "x") -> str:
     rendered = []
     for term in terms:
-        body = f"{symbol}^({','.join(str(v) for v in term.exponent)})"
+        body = f"{symbol}^({','.join(map(str, term.exponent))})"
         if term.coefficient == 1:
             rendered.append(body)
         else:
@@ -332,12 +332,20 @@ def _ordered_power_product(
     powers: Sequence[int],
     form: LambdaForm,
 ) -> QuantumLaurent:
-    width = variables[0].width
-    out = QuantumLaurent.one(width)
+    """The product of variables[i]^powers[i] in index order.
+
+    It starts from the first factor; an empty product is one.
+    """
+    out: QuantumLaurent | None = None
     for var, power in zip(variables, powers):
         for _ in range(power):
-            out = qmul(out, var, form)
-    return out
+            out = var if out is None else qmul(out, var, form)
+    return QuantumLaurent.one(variables[0].width) if out is None else out
+
+
+def _unit(m: int, i: int) -> Vector:
+    """The i-th standard basis vector of ZZ^m."""
+    return (0,) * i + (1,) + (0,) * (m - i - 1)
 
 
 def oracle_mutate_variables(seed: Seed, flips: Sequence[int]) -> OracleRun:
@@ -351,21 +359,19 @@ def oracle_mutate_variables(seed: Seed, flips: Sequence[int]) -> OracleRun:
     """
     m = seed.m
     form0 = seed.lam
-    variables: list[QuantumLaurent] = [
-        QuantumLaurent.monomial(tuple(1 if i == j else 0 for j in range(m)))
-        for i in range(m)
-    ]
+    variables = [QuantumLaurent.monomial(_unit(m, i)) for i in range(m)]
     current = seed
     for position, k in enumerate(flips, start=1):
         if not 0 <= k < current.n:
             raise SeedError(f"flip direction {k} out of range")
         b = current.btilde
         lam_now = current.lam
-        e_k = tuple(1 if i == k else 0 for i in range(m))
+        e_k = _unit(m, k)
         binomial = QuantumLaurent.zero(m)
         for sign in (1, -1):
-            powers = [max(sign * b[i][k], 0) for i in range(m)]
-            target = tuple(p - (1 if i == k else 0) for i, p in enumerate(powers))
+            powers = [max(sign * row[k], 0) for row in b]
+            target = list(powers)
+            target[k] -= 1
             product = _ordered_power_product(variables, powers, form0)
             s_exp = lam_now.eval(target, e_k) - lam_now.ordered_product_twist(
                 powers

@@ -14,6 +14,12 @@ only place that merges equal exponents and drops zero coefficients of a
 finished value; sums, negation, scaling, products and quotients accumulate
 into plain dicts and hand them to it.
 
+Sparsity lives in :class:`LambdaForm`: next to its dense rows it keeps, per
+row, the tuple of nonzero column indices.  Its skew check,
+:meth:`~LambdaForm.pair` and :meth:`~LambdaForm.ordered_product_twist` walk
+only those, so their cost follows the nonzeros of L, not m^2;
+:mod:`snakeq.seeds` checks and mutates seeds through ``pair``.
+
 The one nontrivial algorithm is :func:`exact_right_divide`, which solves
 Q * D = N for Q by eliminating lexicographically maximal terms.  Because a
 quantum torus over a domain has no zero divisors, the exponents of any exact
@@ -26,8 +32,10 @@ the leading term comes from a heap; one full product checks the quotient.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterable, Mapping, Sequence
 from heapq import heapify, heappop, heappush
+from itertools import compress
 from operator import add, mul, neg, sub
 
 __all__ = [
@@ -117,25 +125,37 @@ def coeff_to_string(c: Coeff) -> str:
 
 
 class LambdaForm:
-    """A skew-symmetric integer bilinear form on ZZ^m."""
+    """A skew-symmetric integer bilinear form on ZZ^m.
 
-    __slots__ = ("rows",)
+    ``rows`` is the dense matrix, the public form.  Each row's nonzero
+    column indices are kept alongside it, and every kernel below walks
+    only those, so its cost follows the nonzeros rather than m^2.
+    """
+
+    __slots__ = ("rows", "_support")
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        mat = tuple(tuple(int(v) for v in row) for row in rows)
+        mat = tuple(tuple(map(int, row)) for row in rows)
         m = len(mat)
         for row in mat:
             if len(row) != m:
                 raise ValueError("the form matrix must be square")
-        for i in range(m):
-            if mat[i][i] != 0:
+        columns = range(m)
+        support = tuple(tuple(compress(columns, row)) for row in mat)
+        # a nonzero diagonal entry, or a zero facing a nonzero, fails too
+        bad = [
+            (i, j) if i <= j else (j, i)
+            for i, cols in enumerate(support)
+            for j in cols
+            if mat[j][i] != -mat[i][j]
+        ]
+        if bad:
+            i, j = min(bad)
+            if i == j:
                 raise ValueError(f"the form matrix has nonzero diagonal entry at {i}")
-            for j in range(i + 1, m):
-                if mat[i][j] != -mat[j][i]:
-                    raise ValueError(
-                        f"the form matrix is not skew-symmetric at ({i}, {j})"
-                    )
+            raise ValueError(f"the form matrix is not skew-symmetric at ({i}, {j})")
         self.rows = mat
+        self._support = support
 
     @property
     def size(self) -> int:
@@ -151,14 +171,18 @@ class LambdaForm:
         return f"LambdaForm({[list(r) for r in self.rows]})"
 
     def pair(self, v: Sequence[int]) -> list[int]:
-        """L·v, accumulated over the nonzero entries of v.
+        """L·v, accumulated over the nonzero entries of v and of L.
 
         Since L is skew, L·v is minus the sum of v_j times row j.
         """
-        out = [0] * len(self.rows)
-        for vj, row in zip(v, self.rows):
-            if vj:
-                out = [o - vj * x for o, x in zip(out, row)]
+        rows = self.rows
+        support = self._support
+        out = [0] * len(rows)
+        for j in compress(range(len(rows)), v):
+            vj = v[j]
+            row = rows[j]
+            for i in support[j]:
+                out[i] -= vj * row[i]
         return out
 
     def eval(self, a: Iterable[int], b: Iterable[int]) -> int:
@@ -171,18 +195,22 @@ class LambdaForm:
     def ordered_product_twist(self, a: Iterable[int]) -> int:
         """s-exponent relating X_1^(a_1)···X_m^(a_m) to the normalized X^a.
 
-        The ordered product equals s^t * X^a with t = sum_{i<j} L_ij a_i a_j.
+        The ordered product equals s^t * X^a with t = sum_{i<j} L_ij a_i a_j,
+        summed over the nonzeros of the rows i with a_i nonzero.
         """
         av = tuple(a)
         if len(av) != self.size:
             raise ValueError("vector length does not match the form")
+        rows = self.rows
+        support = self._support
         total = 0
-        for i in range(len(av)):
-            if av[i] == 0:
-                continue
-            row = self.rows[i]
-            for j in range(i + 1, len(av)):
-                total += row[j] * av[i] * av[j]
+        for i in compress(range(len(av)), av):
+            row = rows[i]
+            cols = support[i]
+            upper = 0
+            for j in cols[bisect_right(cols, i):]:
+                upper += row[j] * av[j]
+            total += av[i] * upper
         return total
 
 
@@ -239,7 +267,7 @@ class QuantumLaurent:
     def monomial(
         cls, exponent: Iterable[int], s_exp: int = 0, coefficient: int = 1
     ) -> QuantumLaurent:
-        vec = tuple(int(x) for x in exponent)
+        vec = tuple(map(int, exponent))
         return cls(len(vec), {vec: {s_exp: coefficient}})
 
     def items(self) -> list[tuple[Vector, Coeff]]:
@@ -309,7 +337,7 @@ class QuantumLaurent:
             return "0"
         rendered = []
         for vec, coeff in self.terms_lex_descending():
-            body = f"{symbol}^({','.join(str(x) for x in vec)})"
+            body = f"{symbol}^({','.join(map(str, vec))})"
             cs = coeff_to_string(coeff)
             if cs == "1":
                 rendered.append(body)

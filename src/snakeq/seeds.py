@@ -9,11 +9,20 @@ the exchange recurrences, with no floating point anywhere.  A :class:`Seed`
 freezes its exchange matrix once, and :class:`~snakeq.qalgebra.LambdaForm`
 converts its rows once; the functions here read matrices as the sequences of
 integer rows they are given.
+
+Lambda is read only through :meth:`~snakeq.qalgebra.LambdaForm.pair`, which
+walks the nonzeros of each row: row j of transpose(B) * Lambda is minus
+Lambda times column j of B, and the mutated column k of Lambda is Lambda
+times -e_k + sum_l [b_lk]_+ e_l.  Checking and mutating a seed thus costs
+Python steps per nonzero of B and Lambda, not per entry; the per-entry
+passes left are the conversions, which run at C speed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import neg
 from typing import Any
 
 from .qalgebra import LambdaForm
@@ -32,20 +41,25 @@ __all__ = [
 
 Matrix = tuple[tuple[int, ...], ...]
 
-
 class SeedError(ValueError):
     """Raised for malformed or incompatible seed data."""
 
 
 def _freeze(rows: Any) -> Matrix:
-    return tuple(tuple(int(v) for v in row) for row in rows)
+    return tuple(tuple(map(int, row)) for row in rows)
 
 
 def _check_json_matrix(rows: Any, key: str) -> None:
+    """Raise unless every entry of every row is a JSON integer.
+
+    Each row's entry types are collected at C speed; only a row holding
+    another type is walked entry by entry, for its first offender.
+    """
     what = f"each {key} entry"
     for row in rows:
-        for v in row:
-            _json_int(v, what)
+        if not set(map(type, row)) <= {int}:
+            for v in row:
+                _json_int(v, what)
 
 
 def _pos(x: int) -> int:
@@ -75,28 +89,36 @@ def check_compatible(btilde: Any, lam: LambdaForm) -> int:
             f"form rank {lam.size} does not match the {m} exchange rows"
         )
     d = 0  # no diagonal entry seen yet; every entry is positive
-    for j in range(n):
-        column = [(btilde[k][j], lam.rows[k]) for k in range(m) if btilde[k][j]]
-        for i in range(m):
-            entry = sum(c * row[i] for c, row in column)
-            if i == j:
-                if entry <= 0:
-                    raise SeedError(
-                        f"compatibility fails: diagonal entry {entry} at "
-                        f"column {j} is not positive"
-                    )
-                if d and entry != d:
-                    raise SeedError(
-                        f"compatibility fails: diagonal entries {d} and "
-                        f"{entry} differ"
-                    )
-                d = entry
-            elif entry != 0:
-                raise SeedError(
-                    f"compatibility fails: off-diagonal entry {entry} at "
-                    f"row {j}, column {i}"
-                )
-    return d
+    indices = range(m)
+    for j, column in enumerate(zip(*btilde)):
+        # row j of transpose(B)·Lambda is minus Lambda times column j
+        entries = lam.pair(column)
+        entry = -entries[j]
+        entries[j] = 0
+        # the first nonzero off the diagonal, or m; one before the diagonal
+        # is reported ahead of the diagonal checks, one after it behind them
+        off = next(compress(indices, entries), m)
+        if off < j:
+            break
+        if entry <= 0:
+            raise SeedError(
+                f"compatibility fails: diagonal entry {entry} at "
+                f"column {j} is not positive"
+            )
+        if d and entry != d:
+            raise SeedError(
+                f"compatibility fails: diagonal entries {d} and "
+                f"{entry} differ"
+            )
+        d = entry
+        if off < m:
+            break
+    else:
+        return d
+    raise SeedError(
+        f"compatibility fails: off-diagonal entry {-entries[off]} at "
+        f"row {j}, column {off}"
+    )
 
 
 @dataclass(frozen=True)
@@ -191,17 +213,18 @@ def mutate_Lambda(lam: LambdaForm, btilde: Any, k: int) -> LambdaForm:
     n = len(btilde[0])
     if not 0 <= k < n:
         raise SeedError(f"mutation direction {k} out of range for {n} columns")
-    target = [-1 if l == k else 0 for l in range(m)]
-    for l in range(m):
-        target[l] += _pos(btilde[l][k])
-    new_rows = [list(row) for row in lam.rows]
-    for i in range(m):
+    target = [row[k] if row[k] > 0 else 0 for row in btilde]
+    target[k] -= 1
+    column = lam.pair(target)
+    column[k] = 0
+    new_rows = []
+    for i, row in enumerate(lam.rows):
         if i == k:
-            continue
-        entry = sum(lam.rows[i][l] * target[l] for l in range(m) if target[l])
-        new_rows[i][k] = entry
-        new_rows[k][i] = -entry
-    new_rows[k][k] = 0
+            new_rows.append(map(neg, column))
+        elif row[k] == column[i]:
+            new_rows.append(row)
+        else:
+            new_rows.append((*row[:k], column[i], *row[k + 1 :]))
     return LambdaForm(new_rows)
 
 

@@ -22,6 +22,7 @@ from conftest import (
     ladder_surface,
     pentagon,
 )
+import snakeq.cli
 import snakeq.expansion
 from snakeq import (
     ExactDivisionError,
@@ -251,6 +252,20 @@ def test_output_is_byte_stable(capsys, files):
     assert first == second
     argv = ("matchings", "--surface", files["annulus"], "--arc", files["golden_arc"])
     assert run_main(capsys, *argv) == run_main(capsys, *argv)
+
+
+def test_main_calls_share_one_parser(capsys, files):
+    inputs = ("--surface", files["annulus"], "--arc", files["golden_arc"])
+    calls = [("expand", "--quantum", "--audit", *inputs), ("expand", *inputs)]
+    fresh = []
+    for argv in calls:
+        snakeq.cli._build_parser.cache_clear()
+        fresh.append(run_main(capsys, *argv))
+    snakeq.cli._build_parser.cache_clear()
+    shared = [run_main(capsys, *argv) for argv in calls]
+    assert snakeq.cli._build_parser.cache_info().misses == 1
+    assert shared == fresh
+    assert fresh[0][1] != fresh[1][1]
 
 
 # ----------------------------------------------------------------------
