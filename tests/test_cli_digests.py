@@ -5,9 +5,10 @@ Each mode runs ``main`` in process on every corpus arc under every
 code, stdout and stderr of each call.  The frozen digests pin the output of
 every subcommand that reads an arc, so a change that should not alter the
 output can be checked byte for byte without a second checkout.  The
-``verify sheared`` mode adds longer flip plans (annulus bridges w = +-7,
-+-8 and the ladder d = 10) under :func:`sheared_seed`, whose divisions have
-more terms and negative coefficient exponents.
+``expand --audit`` modes pin the audit rows followed by the commutative
+expansion.  The ``verify sheared`` mode adds longer flip plans (annulus
+bridges w = +-7, +-8 and the ladder d = 10) under :func:`sheared_seed`,
+whose divisions have more terms and negative coefficient exponents.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ from snakeq.cli import main
 EXPAND_MODES = {
     "expand": ("expand",),
     "expand --machine": ("expand", "--machine"),
+    "expand --audit": ("expand", "--audit"),
+    "expand --audit --machine": ("expand", "--audit", "--machine"),
     "expand --quantum": ("expand", "--quantum"),
     "expand --quantum --machine": ("expand", "--quantum", "--machine"),
     "expand --quantum --audit": ("expand", "--quantum", "--audit"),
@@ -52,6 +55,14 @@ DIGESTS = {
     "expand --machine": (
         "736320cebcca8e38580116864798c4ec"
         "c86743a9e99971ec9e1767aadb5a689b"
+    ),
+    "expand --audit": (
+        "8dfb902dd56f7557471da6b12c7b077d"
+        "bfd8bc567689abc7ed3cff9610f02699"
+    ),
+    "expand --audit --machine": (
+        "4958653a47e4b399a1d35e64fbb7b236"
+        "dc50fa8a2b3e96ed0ac12d11ed438be6"
     ),
     "expand --quantum": (
         "17ba8f4a25ca11f98d6d04540dd5f144"
