@@ -9,14 +9,11 @@ in exact arithmetic.
 """
 
 from .expansion import (
-    CommTerm,
     ExpansionError,
     MatchingRecord,
     OracleRun,
-    QuantumExpansion,
     VerifyReport,
     commutative_expand,
-    commutative_to_string,
     matching_records,
     oracle_mutate_variables,
     quantum_expand,
@@ -56,13 +53,11 @@ from .valuation import ValuationError, compute_valuation, omega
 __all__ = [
     "Arc",
     "ArcTrace",
-    "CommTerm",
     "ExactDivisionError",
     "ExpansionError",
     "LambdaForm",
     "MatchingRecord",
     "OracleRun",
-    "QuantumExpansion",
     "QuantumLaurent",
     "Seed",
     "SeedError",
@@ -77,7 +72,6 @@ __all__ = [
     "check_compatible",
     "coeff_to_string",
     "commutative_expand",
-    "commutative_to_string",
     "compute_valuation",
     "exact_right_divide",
     "flip",

@@ -19,7 +19,6 @@ from .expansion import (
     ExpansionError,
     _check_top_block,
     commutative_expand,
-    commutative_to_string,
     matching_records,
     quantum_expand,
     verify_against_oracle,
@@ -97,7 +96,6 @@ def cmd_expand(args: argparse.Namespace) -> int:
     arc = _load_arc(args.arc)
     seed = _load_seed(args.seed, t)
 
-    value = None
     if args.audit:
         records = matching_records(t, arc, seed)
         for record in records:
@@ -112,28 +110,19 @@ def cmd_expand(args: argparse.Namespace) -> int:
                     f"a=({_exponent_csv(record.exponent)}) "
                     f"v={record.valuation}"
                 )
-        if args.quantum:
-            terms: dict[tuple[int, ...], Coeff] = {}
-            for record in records:
-                coeff = terms.setdefault(record.exponent, {})
-                coeff[record.valuation] = coeff.get(record.valuation, 0) + 1
-            value = QuantumLaurent(seed.m, terms)
+    if args.audit and args.quantum:
+        value = QuantumLaurent(
+            seed.m, [(r.exponent, {r.valuation: 1}) for r in records]
+        )
     elif args.quantum:
-        value = quantum_expand(t, arc, seed).value
-    if value is not None:
-        if args.machine:
-            for exponent, coeff in value.terms_lex_descending():
-                print(f"{_exponent_csv(exponent)}|{_coeff_pairs_csv(coeff)}")
-        else:
-            print(value.to_string("X"))
-        return 0
-
-    terms = commutative_expand(t, arc, seed.btilde)
-    if args.machine:
-        for term in terms:
-            print(f"{_exponent_csv(term.exponent)}|0,{term.coefficient}")
+        value = quantum_expand(t, arc, seed)
     else:
-        print(commutative_to_string(terms, "x"))
+        value = commutative_expand(t, arc, seed.btilde)
+    if args.machine:
+        for exponent, coeff in value.terms_lex_descending():
+            print(f"{_exponent_csv(exponent)}|{_coeff_pairs_csv(coeff)}")
+    else:
+        print(value.to_string("X" if args.quantum else "x"))
     return 0
 
 

@@ -5,10 +5,13 @@ graph.  The cluster part of the exponent is the matched weight minus the
 crossing total, the coefficient part is the bottom rows of the extended
 exchange matrix applied to the height vector and normalized tropically
 (componentwise minimum over all matchings), and in the quantum case each term
-additionally carries q to half the matching's valuation.  The expansions
-compute that sum by a transfer over the tiles whose cost follows the
-distinct (last bit, height) states, not the matchings; only the audit rows of
-:func:`matching_records` enumerate the matchings one by one.
+additionally carries q to half the matching's valuation.  Both expansions
+compute that sum by one transfer over the tiles whose cost follows the
+distinct (last bit, height) states, not the matchings, and both return a
+:class:`~snakeq.qalgebra.QuantumLaurent`: the commutative one is the transfer
+with a zero twist, so every coefficient sits at s^0 and
+:meth:`~snakeq.qalgebra.QuantumLaurent.specialize_q1` reads its values.  Only
+the audit rows of :func:`matching_records` enumerate the matchings one by one.
 
 The oracle takes the same initial seed and computes cluster variables the
 long way around, by mutating seeds and dividing binomials exactly in the
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from operator import sub
 from typing import Iterable, Sequence
 
@@ -39,14 +43,11 @@ from .surface import Arc, Triangulation, flip, signed_adjacency
 from .valuation import compute_valuation, twist_chain
 
 __all__ = [
-    "CommTerm",
     "ExpansionError",
     "MatchingRecord",
     "OracleRun",
-    "QuantumExpansion",
     "VerifyReport",
     "commutative_expand",
-    "commutative_to_string",
     "matching_records",
     "oracle_mutate_variables",
     "quantum_expand",
@@ -59,14 +60,6 @@ class ExpansionError(ValueError):
 
 
 @dataclass(frozen=True)
-class CommTerm:
-    """One commutative Laurent term."""
-
-    exponent: Vector
-    coefficient: int
-
-
-@dataclass(frozen=True)
 class MatchingRecord:
     """Audit row: one perfect matching and its contribution."""
 
@@ -74,12 +67,6 @@ class MatchingRecord:
     matching: Matching
     exponent: Vector
     valuation: int
-
-
-@dataclass(frozen=True)
-class QuantumExpansion:
-    value: QuantumLaurent
-    graph: SnakeGraph
 
 
 def _top_block_matches(t: Triangulation, rows: Sequence[Sequence[int]]) -> bool:
@@ -117,19 +104,22 @@ def _offset(graph: SnakeGraph, m: int) -> list[int]:
 def _exponents(
     g: Sequence[int],
     btilde: Sequence[Sequence[int]],
-    labels: Iterable[int],
+    labels: Sequence[int],
     heights: Iterable[Sequence[int]],
 ) -> list[Vector]:
     """g + Btilde·h for each height h, normalized tropically below.
 
     Each height lists one count per entry of ``labels``.  The bottom entries
-    are shifted by their componentwise minimum over all the heights.
+    are shifted by their componentwise minimum over all the heights.  Each
+    row is read at the labels by index at C speed and only its nonzeros take
+    a Python step, so building the columns follows the nonzeros of Btilde.
     """
     n = len(btilde[0])
-    columns = [
-        [(i, row[label]) for i, row in enumerate(btilde) if row[label]]
-        for label in labels
-    ]
+    columns: list[list[tuple[int, int]]] = [[] for _ in labels]
+    for i, row in enumerate(btilde):
+        picked = tuple(map(row.__getitem__, labels))
+        for k in compress(range(len(picked)), picked):
+            columns[k].append((i, picked[k]))
     vectors = []
     for h in heights:
         vec = list(g)
@@ -263,34 +253,17 @@ def _transfer(
 
 def commutative_expand(
     t: Triangulation, arc: Arc, btilde: Sequence[Sequence[int]]
-) -> list[CommTerm]:
-    """Laurent expansion at q = 1, as terms in lex-descending exponent order."""
+) -> QuantumLaurent:
+    """Laurent expansion at q = 1: every coefficient sits at s^0."""
     _check_top_block(t, btilde)
-    totals: dict[Vector, int] = {}
-    for vec, coeff in _transfer(SnakeGraph(t, arc), btilde, 0):
-        totals[vec] = totals.get(vec, 0) + sum(coeff.values())
-    return [
-        CommTerm(vec, totals[vec]) for vec in sorted(totals, reverse=True)
-    ]
+    return QuantumLaurent(len(btilde), _transfer(SnakeGraph(t, arc), btilde, 0))
 
 
-def commutative_to_string(terms: Iterable[CommTerm], symbol: str = "x") -> str:
-    rendered = []
-    for term in terms:
-        body = f"{symbol}^({','.join(map(str, term.exponent))})"
-        if term.coefficient == 1:
-            rendered.append(body)
-        else:
-            rendered.append(f"{term.coefficient}·{body}")
-    return " + ".join(rendered) if rendered else "0"
-
-
-def quantum_expand(t: Triangulation, arc: Arc, seed: Seed) -> QuantumExpansion:
+def quantum_expand(t: Triangulation, arc: Arc, seed: Seed) -> QuantumLaurent:
     """Quantum Laurent expansion of an arc in the seed's quantum torus."""
     _check_top_block(t, seed.btilde)
-    graph = SnakeGraph(t, arc)
-    return QuantumExpansion(
-        QuantumLaurent(seed.m, _transfer(graph, seed.btilde, seed.d)), graph
+    return QuantumLaurent(
+        seed.m, _transfer(SnakeGraph(t, arc), seed.btilde, seed.d)
     )
 
 
@@ -419,7 +392,7 @@ def verify_against_oracle(
             f"slot {slot} is out of range: the seed has {seed.m} cluster "
             "variables"
         )
-    expansion = quantum_expand(t, arc, seed).value
+    expansion = quantum_expand(t, arc, seed)
 
     surface = t
     matrix = seed.btilde
@@ -435,14 +408,7 @@ def verify_against_oracle(
                 f"flip at {k} disagrees with matrix mutation",
             )
 
-    run = oracle_mutate_variables(seed, flips)
-    actual = run.variables[slot]
-    if actual == expansion:
-        return VerifyReport(True, slot, expansion, actual, "match")
-    return VerifyReport(
-        False,
-        slot,
-        expansion,
-        actual,
-        "expansion and oracle variable differ",
-    )
+    actual = oracle_mutate_variables(seed, flips).variables[slot]
+    ok = actual == expansion
+    detail = "match" if ok else "expansion and oracle variable differ"
+    return VerifyReport(ok, slot, expansion, actual, detail)

@@ -26,7 +26,7 @@ from operator import neg
 from typing import Any
 
 from .qalgebra import LambdaForm
-from .surface import _json_int
+from .surface import _json_int, _json_list
 
 __all__ = [
     "Seed",
@@ -50,14 +50,14 @@ def _freeze(rows: Any) -> Matrix:
 
 
 def _check_json_matrix(rows: Any, key: str) -> None:
-    """Raise unless every entry of every row is a JSON integer.
+    """Raise unless ``rows`` is a list of lists of JSON integers.
 
     Each row's entry types are collected at C speed; only a row holding
     another type is walked entry by entry, for its first offender.
     """
     what = f"each {key} entry"
-    for row in rows:
-        if not set(map(type, row)) <= {int}:
+    for row in _json_list(rows, key):
+        if not set(map(type, _json_list(row, f"each {key} row"))) <= {int}:
             for v in row:
                 _json_int(v, what)
 

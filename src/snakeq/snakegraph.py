@@ -242,15 +242,18 @@ class SnakeGraph:
                 lifted = [m ^ switched for m in (zero + one if rising else one)]
                 zero, one = (zero if rising else zero + one), lifted
             refs = self.edge_refs
-            keys = sorted(format(m, f"0{len(refs)}b")[::-1] for m in zero + one)
             self._matchings = tuple(
                 frozenset(compress(refs, key.encode().translate(_SELECTORS)))
-                for key in keys
+                for key in sorted(map(self._bits, zero + one))
             )
         return self._matchings
 
+    def _bits(self, mask: int) -> str:
+        """An edge mask as a bit string: character i is bit i."""
+        return format(mask, f"0{len(self.edge_refs)}b")[::-1]
+
     def matching_bits(self, matching: Matching) -> str:
-        return "".join("1" if ref in matching else "0" for ref in self.edge_refs)
+        return self._bits(self.mask(matching))
 
     def _extremal_matchings(self) -> tuple[Matching, Matching]:
         """The minimal and maximal matchings, from one walk of the boundary.

@@ -183,7 +183,10 @@ class Triangulation:
             return cls(
                 _json_int(data["n_internal"], "n_internal"),
                 _json_int(data["n_boundary"], "n_boundary"),
-                [[_json_int(s, "each side") for s in t] for t in data["triangles"]],
+                [
+                    [_json_int(s, "each side") for s in _json_list(t, "each triangle")]
+                    for t in _json_list(data["triangles"], "triangles")
+                ],
             )
         except KeyError as missing:
             raise SurfaceError(f"surface description lacks key {missing}") from None
@@ -330,10 +333,19 @@ def _json_int(value: Any, key: str) -> int:
     return value
 
 
-def _arc_crossings(value: Any) -> tuple[int, ...]:
+def _json_list(value: Any, key: str) -> Any:
+    """``value`` if it is a JSON list; raises :class:`TypeError` otherwise.
+
+    A string or an object is rejected rather than iterated as if it were a
+    list.
+    """
     if not isinstance(value, (list, tuple)):
-        raise TypeError(f"crossings must be a list, not {value!r}")
-    return tuple(_json_int(c, "each crossing") for c in value)
+        raise TypeError(f"{key} must be a list, not {value!r}")
+    return value
+
+
+def _arc_crossings(value: Any) -> tuple[int, ...]:
+    return tuple(_json_int(c, "each crossing") for c in _json_list(value, "crossings"))
 
 
 @dataclass(frozen=True)

@@ -139,7 +139,7 @@ def test_expand_quantum_machine_records(capsys, files):
     t = annulus()
     expected = quantum_expand(
         t, golden_arc(), principal_seed(signed_adjacency(t))
-    ).value
+    )
     assert rebuilt == expected
 
 
@@ -158,12 +158,12 @@ def test_expand_commutative_machine_records(capsys, files):
     assert len(lines) == 7
     assert all(MACHINE_RECORD.match(line) for line in lines)
     t = annulus()
-    terms = commutative_expand(
+    value = commutative_expand(
         t, golden_arc(), principal_seed(signed_adjacency(t)).btilde
     )
     expected = [
-        f"{','.join(str(v) for v in x.exponent)}|0,{x.coefficient}"
-        for x in terms
+        f"{','.join(str(v) for v in vec)}|0,{c}"
+        for vec, c in sorted(value.specialize_q1().items(), reverse=True)
     ]
     assert lines == expected
 
@@ -675,6 +675,88 @@ def test_malformed_surfaces_and_seeds_are_input_errors(
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "option, key, value, message",
+    [
+        (
+            "--seed",
+            "Btilde",
+            [1, 2],
+            "malformed seed description: each Btilde row must be a list, not 1",
+        ),
+        (
+            "--seed",
+            "Lambda",
+            [1],
+            "malformed seed description: each Lambda row must be a list, not 1",
+        ),
+        (
+            "--seed",
+            "Btilde",
+            "ab",
+            "malformed seed description: Btilde must be a list, not 'ab'",
+        ),
+        (
+            "--seed",
+            "Lambda",
+            {"a": 1},
+            "malformed seed description: Lambda must be a list, not {'a': 1}",
+        ),
+        (
+            "--seed",
+            "Btilde",
+            ["ab"],
+            "malformed seed description: each Btilde row must be a list, "
+            "not 'ab'",
+        ),
+        (
+            "--surface",
+            "triangles",
+            [1, 2],
+            "malformed surface description: each triangle must be a list, "
+            "not 1",
+        ),
+        (
+            "--surface",
+            "triangles",
+            "ab",
+            "malformed surface description: triangles must be a list, not 'ab'",
+        ),
+    ],
+    ids=[
+        "int-btilde-rows",
+        "int-lambda-row",
+        "string-btilde",
+        "object-lambda",
+        "string-btilde-row",
+        "int-triangles",
+        "string-triangles",
+    ],
+)
+def test_json_shapes_are_rejected_with_exact_messages(
+    capsys, files, option, key, value, message
+):
+    t = annulus()
+    payload = {
+        "--surface": t.to_dict(),
+        "--seed": principal_seed(signed_adjacency(t)).to_dict(),
+    }[option]
+    payload[key] = value
+    inputs = {
+        "--surface": files["annulus"],
+        "--arc": files["golden_arc"],
+        "--seed": files["seed"],
+        option: files["write"]("bad.json", payload),
+    }
+    argv = ["expand"]
+    for name, path in inputs.items():
+        argv += [name, path]
+    assert run_main(capsys, *argv) == (2, "", f"error: {message}\n")
+    if option == "--seed":
+        code, out, err = run_main(capsys, "check-seed", "--seed", inputs["--seed"])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("command", ["matchings", "valuation"])
