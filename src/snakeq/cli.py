@@ -23,7 +23,14 @@ from .expansion import (
     quantum_expand,
     verify_against_oracle,
 )
-from .qalgebra import Coeff, ExactDivisionError, QuantumLaurent, coeff_to_string
+from .qalgebra import (
+    Coeff,
+    ExactDivisionError,
+    QuantumLaurent,
+    _canonical_terms,
+    _value,
+    coeff_to_string,
+)
 from .seeds import Seed, SeedError, principal_seed
 from .snakegraph import Matching, SnakeGraph
 from .surface import Arc, SurfaceError, Triangulation, flip, signed_adjacency
@@ -111,8 +118,10 @@ def cmd_expand(args: argparse.Namespace) -> int:
                     f"v={record.valuation}"
                 )
     if args.audit and args.quantum:
-        value = QuantumLaurent(
-            seed.m, [(r.exponent, {r.valuation: 1}) for r in records]
+        # the rows are the library's own exact ints: summed, not converted
+        value = _value(
+            seed.m,
+            _canonical_terms((r.exponent, {r.valuation: 1}) for r in records),
         )
     elif args.quantum:
         value = quantum_expand(t, arc, seed)

@@ -34,6 +34,8 @@ from .qalgebra import (
     LambdaForm,
     QuantumLaurent,
     Vector,
+    _canonical_terms,
+    _value,
     exact_right_divide,
     qmul,
 )
@@ -134,26 +136,6 @@ def _exponents(
     ]
 
 
-def _merge(
-    left: dict[int, Coeff], right: dict[int, Coeff]
-) -> dict[int, Coeff]:
-    """Union of two transfer layers, adding coefficients of equal heights.
-
-    Neither argument changes: coefficient dicts are shared, never updated.
-    """
-    out = dict(left)
-    for key, coeff in right.items():
-        have = out.get(key)
-        if have is None:
-            out[key] = coeff
-        else:
-            merged = dict(have)
-            for e, c in coeff.items():
-                merged[e] = merged.get(e, 0) + c
-            out[key] = merged
-    return out
-
-
 def _tile_constants(
     graph: SnakeGraph,
     g: Sequence[int],
@@ -203,7 +185,11 @@ def _transfer(
     s-exponent to count, so the cost follows the distinct states and not the
     matchings; :meth:`SnakeGraph.fence` decides which bits may follow which.
     With ``d_scale`` 0 every s-exponent is 0: that is the commutative
-    expansion.  The bottom rows of ``btilde`` are read by index only.
+    expansion.  Layers merge through
+    :func:`~snakeq.qalgebra._canonical_terms`.  A coefficient-free seed can
+    give two heights one exponent, so the pairs returned may repeat one; the
+    callers add them up with the same routine.  The bottom rows of
+    ``btilde`` are read by index only.
     """
     g = _offset(graph, len(btilde))
     crossed = Counter(graph.arc.crossings)
@@ -238,9 +224,11 @@ def _transfer(
                 target = lifted.setdefault(h + unit, {})
                 for e, c in coeff.items():
                     target[e + s] = target.get(e + s, 0) + c
-        zero, one = (zero if rising else _merge(zero, one)), lifted
+        if not rising:
+            zero = _canonical_terms(one.items(), zero)
+        one = lifted
 
-    finals = _merge(zero, one)
+    finals = _canonical_terms(one.items(), zero)
     heights = []
     for h in finals:
         counts = []
@@ -254,17 +242,21 @@ def _transfer(
 def commutative_expand(
     t: Triangulation, arc: Arc, btilde: Sequence[Sequence[int]]
 ) -> QuantumLaurent:
-    """Laurent expansion at q = 1: every coefficient sits at s^0."""
+    """Laurent expansion at q = 1: every coefficient sits at s^0.
+
+    ``btilde`` is read as integer rows, such as a :class:`Seed`'s matrix;
+    the exponents built from it are not converted again.
+    """
     _check_top_block(t, btilde)
-    return QuantumLaurent(len(btilde), _transfer(SnakeGraph(t, arc), btilde, 0))
+    terms = _transfer(SnakeGraph(t, arc), btilde, 0)
+    return _value(len(btilde), _canonical_terms(terms))
 
 
 def quantum_expand(t: Triangulation, arc: Arc, seed: Seed) -> QuantumLaurent:
     """Quantum Laurent expansion of an arc in the seed's quantum torus."""
     _check_top_block(t, seed.btilde)
-    return QuantumLaurent(
-        seed.m, _transfer(SnakeGraph(t, arc), seed.btilde, seed.d)
-    )
+    terms = _transfer(SnakeGraph(t, arc), seed.btilde, seed.d)
+    return _value(seed.m, _canonical_terms(terms))
 
 
 def matching_records(

@@ -9,10 +9,12 @@ where L is a skew-symmetric integer bilinear form.  Setting s = q^(1/2), every
 element is a finite sum of terms c(s) * X^a with c in ZZ[s, s^(-1)].  This
 module represents such elements exactly: coefficients are dicts mapping the
 s-exponent to an integer, exponent vectors are integer tuples, and nothing is
-ever floated or truncated.  The :class:`QuantumLaurent` constructor is the
-only place that merges equal exponents and drops zero coefficients of a
-finished value; sums, negation, scaling, products and quotients accumulate
-into plain dicts and hand them to it.
+ever floated or truncated.  One private routine, :func:`_canonical_terms`,
+merges equal exponents and drops zero counts and empty coefficients.  The
+public :class:`QuantumLaurent` constructor converts and width-checks what it
+is given and hands it to that routine; sums, negation, scaling, products and
+quotients build their terms from values that are already checked, so they
+call the routine directly and nothing is converted twice.
 
 Sparsity lives in :class:`LambdaForm`: next to its dense rows it keeps, per
 row, the tuple of nonzero column indices.  Its skew check,
@@ -27,16 +29,19 @@ quotient are confined to a finite box computed from N and D, which makes the
 elimination loop a decision procedure: it either returns the exact quotient or
 proves there is none.  Each step subtracts its quotient term times D straight
 into the remainder, with every term of D paired with L once per division, and
-the leading term comes from a heap; one full product checks the quotient.
+the leading term comes from a heap.  A one-term denominator needs no heap:
+each step cancels one numerator term and adds none, so the quotient is one pass
+over the numerator.  Either way one full product checks the quotient.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Hashable, Iterable, Mapping, Sequence
 from heapq import heapify, heappop, heappush
 from itertools import compress
-from operator import add, mul, neg, sub
+from operator import add, le, mul, neg, sub
+from typing import TypeVar
 
 __all__ = [
     "Coeff",
@@ -51,6 +56,7 @@ __all__ = [
 
 Vector = tuple[int, ...]
 Coeff = dict[int, int]
+K = TypeVar("K", bound=Hashable)
 
 
 class ExactDivisionError(ArithmeticError):
@@ -60,6 +66,50 @@ class ExactDivisionError(ArithmeticError):
 def _dot(a: Sequence[int], lb: Sequence[int]) -> int:
     """The dot product of a with lb."""
     return sum(map(mul, a, lb))
+
+
+def _canonical_terms(
+    pairs: Iterable[tuple[K, Coeff]], start: Mapping[K, Coeff] | None = None
+) -> dict[K, Coeff]:
+    """``start`` plus ``pairs``, with equal keys merged and zeros dropped.
+
+    Coefficients of equal keys are added, then zero counts and empty
+    coefficients are dropped.  ``start`` must be canonical already: it is
+    copied, not checked.  Keys and counts must be exact ints (or tuples of
+    them) of one width; nothing is converted.  No argument changes:
+    coefficient dicts are shared, and a key met again gets one dict of its
+    own that takes every later sum.
+    """
+    out = dict(start) if start else {}
+    summed: set[K] = set()  # keys holding a dict made here; cleaned last
+    for key, coeff in pairs:
+        have = out.get(key)
+        if have is None:
+            if 0 in coeff.values():
+                coeff = {e: n for e, n in coeff.items() if n}
+            if coeff:
+                out[key] = coeff
+            continue
+        if key not in summed:
+            have = out[key] = dict(have)
+            summed.add(key)
+        for e, n in coeff.items():
+            have[e] = have.get(e, 0) + n
+    for key in summed:
+        coeff = out[key]
+        if 0 in coeff.values():
+            coeff = out[key] = {e: n for e, n in coeff.items() if n}
+        if not coeff:
+            del out[key]
+    return out
+
+
+def _value(width: int, terms: dict[Vector, Coeff]) -> QuantumLaurent:
+    """Wrap canonical terms of width-checked int tuples, with no check."""
+    value = object.__new__(QuantumLaurent)
+    value.width = width
+    value._terms = terms
+    return value
 
 
 def _coeff_div(num: Coeff, den: Coeff) -> Coeff | None:
@@ -129,13 +179,26 @@ class LambdaForm:
 
     ``rows`` is the dense matrix, the public form.  Each row's nonzero
     column indices are kept alongside it, and every kernel below walks
-    only those, so its cost follows the nonzeros rather than m^2.
+    only those, so its cost follows the nonzeros rather than m^2.  The
+    constructor converts every entry with ``int()``; :meth:`_of_int_rows`
+    takes rows that are integers already and skips that, but both check
+    that the matrix is square and skew.
     """
 
     __slots__ = ("rows", "_support")
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        mat = tuple(tuple(map(int, row)) for row in rows)
+        self._set_rows(tuple(tuple(map(int, row)) for row in rows))
+
+    @classmethod
+    def _of_int_rows(cls, rows: Iterable[Sequence[int]]) -> LambdaForm:
+        """The form of integer rows: frozen and checked, not converted."""
+        form = object.__new__(cls)
+        form._set_rows(tuple(map(tuple, rows)))
+        return form
+
+    def _set_rows(self, mat: tuple[Vector, ...]) -> None:
+        """Check that ``mat`` is square and skew, then keep it."""
         m = len(mat)
         for row in mat:
             if len(row) != m:
@@ -218,42 +281,36 @@ class QuantumLaurent:
     """An element of a rank-m quantum torus, stored term by term.
 
     Terms map exponent vectors to coefficients in ZZ[s, s^(-1)]; zero
-    coefficients are never stored.  The constructor is the one place that
-    converts, merges equal exponents and drops zeros: ``terms`` is a mapping
-    or an iterable of ``(vector, coefficient)`` pairs, repeats are summed,
-    and the arithmetic below hands it raw sums.  Addition is ordinary;
-    multiplication requires the skew form and is provided by :func:`qmul`.
+    coefficients are never stored.  The constructor is the public boundary:
+    ``terms`` is a mapping or an iterable of ``(vector, coefficient)`` pairs,
+    every entry is converted with ``int()`` and every vector is checked
+    against ``width``, and repeats are summed by :func:`_canonical_terms`.
+    The arithmetic below builds its terms from checked values and calls that
+    routine itself.  Addition is ordinary; multiplication requires the skew
+    form and is provided by :func:`qmul`.
     """
 
     __slots__ = ("width", "_terms")
 
     def __init__(self, width: int, terms: Mapping[Vector, Mapping[int, int]] = ()):
         self.width = int(width)
-        merged: dict[Vector, Coeff] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
+        pairs = []
         for vec, coeff in items:
             v = tuple(map(int, vec))
             if len(v) != self.width:
                 raise ValueError(
                     f"exponent vector {v} does not have width {self.width}"
                 )
-            target = merged.get(v)
-            if target is None:
-                target = dict(zip(map(int, coeff), map(int, coeff.values())))
-                merged[v] = target
-                if len(target) == len(coeff):
-                    continue
-                # s-exponents that collide after int() are added below
-                target.clear()
-            for e, n in coeff.items():
-                e = int(e)
-                target[e] = target.get(e, 0) + int(n)
-        self._terms = {}
-        for v, c in merged.items():
-            if 0 in c.values():
-                c = {e: n for e, n in c.items() if n}
-            if c:
-                self._terms[v] = c
+            c = {int(e): int(n) for e, n in coeff.items()}
+            if len(c) != len(coeff):
+                # s-exponents that collide after int() are added
+                c = {}
+                for e, n in coeff.items():
+                    e = int(e)
+                    c[e] = c.get(e, 0) + int(n)
+            pairs.append((v, c))
+        self._terms = _canonical_terms(pairs)
 
     @classmethod
     def zero(cls, width: int) -> QuantumLaurent:
@@ -294,14 +351,16 @@ class QuantumLaurent:
 
     def __add__(self, other: QuantumLaurent) -> QuantumLaurent:
         self._check_width(other)
-        return QuantumLaurent(
-            self.width, [*self._terms.items(), *other._terms.items()]
+        return _value(
+            self.width, _canonical_terms(other._terms.items(), self._terms)
         )
 
     def __neg__(self) -> QuantumLaurent:
-        return QuantumLaurent(
+        return _value(
             self.width,
-            {v: {e: -n for e, n in c.items()} for v, c in self._terms.items()},
+            _canonical_terms(
+                (v, {e: -n for e, n in c.items()}) for v, c in self._terms.items()
+            ),
         )
 
     def __sub__(self, other: QuantumLaurent) -> QuantumLaurent:
@@ -315,10 +374,13 @@ class QuantumLaurent:
 
     def scaled(self, s_exp: int = 0, coefficient: int = 1) -> QuantumLaurent:
         """Multiply every term by coefficient * s^(s_exp)."""
-        out = {}
-        for v, c in self._terms.items():
-            out[v] = {e + s_exp: n * coefficient for e, n in c.items()}
-        return QuantumLaurent(self.width, out)
+        return _value(
+            self.width,
+            _canonical_terms(
+                (v, {e + s_exp: n * coefficient for e, n in c.items()})
+                for v, c in self._terms.items()
+            ),
+        )
 
     def specialize_q1(self) -> dict[Vector, int]:
         """Evaluate at q = 1, collapsing each coefficient to an integer."""
@@ -370,75 +432,65 @@ def qmul(a: QuantumLaurent, b: QuantumLaurent, form: LambdaForm) -> QuantumLaure
                 for eb, nb in cb.items():
                     e = ea + eb + twist
                     target[e] = target.get(e, 0) + na * nb
-    return QuantumLaurent(a.width, out)
+    return _value(a.width, _canonical_terms(out.items()))
 
 
 def _support_box(
     num: QuantumLaurent, den: QuantumLaurent
 ) -> tuple[Vector, Vector]:
-    n_sup = list(num.support())
-    d_sup = list(den.support())
-    width = num.width
-    lo = tuple(
-        min(v[i] for v in n_sup) - max(v[i] for v in d_sup) for i in range(width)
-    )
-    hi = tuple(
-        max(v[i] for v in n_sup) - min(v[i] for v in d_sup) for i in range(width)
-    )
+    """The box, column by column, holding every exponent of an exact quotient."""
+    n_cols = list(zip(*num._terms))
+    d_cols = list(zip(*den._terms))
+    lo = tuple(map(sub, map(min, n_cols), map(max, d_cols)))
+    hi = tuple(map(sub, map(max, n_cols), map(min, d_cols)))
     return lo, hi
 
 
-def exact_right_divide(
-    numerator: QuantumLaurent, denominator: QuantumLaurent, form: LambdaForm
-) -> QuantumLaurent:
-    """Return the unique Q with qmul(Q, denominator, form) == numerator.
+def _term_quotient(
+    coeff: Coeff, twist: int, den_coeff: Coeff, at: Vector
+) -> Coeff:
+    """The coefficient c with s^twist·c·den_coeff = coeff, for exponent ``at``.
 
-    Raises :class:`ExactDivisionError` when no such Q exists.  The quotient is
-    found by repeatedly cancelling the lexicographically greatest remainder
-    term against the lexicographically greatest denominator term; since the
-    quantum torus has no zero divisors, every exponent of a genuine quotient
-    lies in a finite coordinate box determined by the two supports, so an
-    elimination step leaving that box disproves divisibility.
+    Raises :class:`ExactDivisionError` naming ``at`` when there is none.
     """
-    numerator._check_width(denominator)
-    if form.size != numerator.width:
-        raise ValueError("form rank does not match the operands")
-    if denominator.is_zero():
-        raise ZeroDivisionError("division by zero")
-    if numerator.is_zero():
-        return QuantumLaurent.zero(numerator.width)
+    c = _coeff_div({s_exp - twist: n for s_exp, n in coeff.items()}, den_coeff)
+    if c is None:
+        raise ExactDivisionError(
+            f"no exact quotient: coefficient division fails at exponent {at}"
+        )
+    return c
 
-    lo, hi = _support_box(numerator, denominator)
-    den = {v: (form.pair(v), c) for v, c in denominator._terms.items()}
+
+def _eliminate(
+    terms: Mapping[Vector, Coeff],
+    den: dict[Vector, tuple[list[int], Coeff]],
+    box: tuple[Vector, Vector],
+) -> dict[Vector, Coeff]:
+    """The quotient's terms, by eliminating the leading remainder term.
+
+    ``den`` maps each denominator exponent to its pairing with L and its
+    coefficient; ``box`` is :func:`_support_box` of the two operands.
+    """
+    lo, hi = box
+    quotient: dict[Vector, Coeff] = {}
     d_top = max(den)
     l_top, d_top_coeff = den[d_top]
-
-    remainder = {v: dict(c) for v, c in numerator._terms.items()}
+    remainder = {v: dict(c) for v, c in terms.items()}
     # Negated exponents, so the heap's least entry is the leading term.
     # Leading terms strictly decrease, so a popped exponent never returns;
     # exponents cancelled below the top stay in the heap and are skipped.
     heap = [tuple(map(neg, v)) for v in remainder]
     heapify(heap)
-    quotient: dict[Vector, Coeff] = {}
     while remainder:
         r_top = tuple(map(neg, heappop(heap)))
         if r_top not in remainder:
             continue
         e = tuple(map(sub, r_top, d_top))
-        if any(x < l or x > h for x, l, h in zip(e, lo, hi)):
+        if not (all(map(le, lo, e)) and all(map(le, e, hi))):
             raise ExactDivisionError(
                 "no exact quotient: elimination left the admissible exponent box"
             )
-        twist = _dot(e, l_top)
-        c = _coeff_div(
-            {s_exp - twist: n for s_exp, n in remainder[r_top].items()},
-            d_top_coeff,
-        )
-        if c is None:
-            raise ExactDivisionError(
-                "no exact quotient: coefficient division fails at "
-                f"exponent {r_top}"
-            )
+        c = _term_quotient(remainder[r_top], _dot(e, l_top), d_top_coeff, r_top)
         # The leading remainder term cancels, so r_top and e strictly
         # decrease and every quotient exponent is new.
         quotient[e] = c
@@ -460,8 +512,47 @@ def exact_right_divide(
                         target.pop(s_exp, None)
             if not target:
                 del remainder[key]
+    return quotient
 
-    result = QuantumLaurent(numerator.width, quotient)
+
+def exact_right_divide(
+    numerator: QuantumLaurent, denominator: QuantumLaurent, form: LambdaForm
+) -> QuantumLaurent:
+    """Return the unique Q with qmul(Q, denominator, form) == numerator.
+
+    Raises :class:`ExactDivisionError` when no such Q exists.  The quotient is
+    found by repeatedly cancelling the lexicographically greatest remainder
+    term against the lexicographically greatest denominator term; since the
+    quantum torus has no zero divisors, every exponent of a genuine quotient
+    lies in a finite coordinate box determined by the two supports, so an
+    elimination step leaving that box disproves divisibility.
+
+    When the denominator is one term c·X^d, each step cancels exactly one
+    numerator term and adds none, and every r - d lies in the box.  The
+    quotient is then one pass over the numerator's terms in lex-descending
+    order, the order in which the elimination meets them, so a failure names
+    the same exponent.
+    """
+    numerator._check_width(denominator)
+    if form.size != numerator.width:
+        raise ValueError("form rank does not match the operands")
+    if denominator.is_zero():
+        raise ZeroDivisionError("division by zero")
+    if numerator.is_zero():
+        return QuantumLaurent.zero(numerator.width)
+
+    terms = numerator._terms
+    den = {v: (form.pair(v), c) for v, c in denominator._terms.items()}
+    if len(den) == 1:
+        ((d, (ld, cd)),) = den.items()
+        quotient = {}
+        for r in sorted(terms, reverse=True):
+            e = tuple(map(sub, r, d))
+            quotient[e] = _term_quotient(terms[r], _dot(e, ld), cd, r)
+    else:
+        quotient = _eliminate(terms, den, _support_box(numerator, denominator))
+
+    result = _value(numerator.width, _canonical_terms(quotient.items()))
     if qmul(result, denominator, form) != numerator:
         raise AssertionError("internal error: quotient verification failed")
     return result

@@ -5,17 +5,21 @@ columns for the n mutable ones) with a skew-symmetric m x m form Lambda.  The
 pair is compatible when transpose(B) * Lambda = (d*I | 0) for a single
 positive integer d; that scalar also calibrates the valuation on snake-graph
 matchings.  Matrix mutation and form mutation are implemented directly from
-the exchange recurrences, with no floating point anywhere.  A :class:`Seed`
-freezes its exchange matrix once, and :class:`~snakeq.qalgebra.LambdaForm`
-converts its rows once; the functions here read matrices as the sequences of
-integer rows they are given.
+the exchange recurrences, with no floating point anywhere.  The public
+:class:`Seed` and :class:`~snakeq.qalgebra.LambdaForm` constructors convert
+every entry with ``int()`` once.  A seed read by :meth:`Seed.from_dict`, whose
+entries are proved JSON integers first, or made by :func:`mutate_seed` is
+built from integer rows that are frozen and checked but not converted again;
+the functions here read matrices as the sequences of integer rows they are
+given.
 
 Lambda is read only through :meth:`~snakeq.qalgebra.LambdaForm.pair`, which
 walks the nonzeros of each row: row j of transpose(B) * Lambda is minus
 Lambda times column j of B, and the mutated column k of Lambda is Lambda
 times -e_k + sum_l [b_lk]_+ e_l.  Checking and mutating a seed thus costs
 Python steps per nonzero of B and Lambda, not per entry; the per-entry
-passes left are the conversions, which run at C speed.
+passes left are the public conversions and the freezing of rows into tuples,
+which run at C speed.
 """
 
 from __future__ import annotations
@@ -46,7 +50,8 @@ class SeedError(ValueError):
 
 
 def _freeze(rows: Any) -> Matrix:
-    return tuple(tuple(map(int, row)) for row in rows)
+    """``rows`` as a tuple of tuples; a row that is a tuple already is kept."""
+    return tuple(map(tuple, rows))
 
 
 def _check_json_matrix(rows: Any, key: str) -> None:
@@ -128,7 +133,9 @@ class Seed:
     ``btilde`` is frozen to a tuple of integer tuples once, here, and the
     form converts its own rows once; code that receives a ``Seed`` reads
     both as they are.  ``d`` is the compatibility scalar, computed once by
-    that validation.
+    that validation.  :meth:`from_dict` and :func:`mutate_seed` hand over
+    rows that are integers already, so they skip the conversion but not the
+    checks.
     """
 
     btilde: Matrix
@@ -136,8 +143,19 @@ class Seed:
     d: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "btilde", _freeze(self.btilde))
-        object.__setattr__(self, "d", check_compatible(self.btilde, self.lam))
+        self._set_matrix(_freeze(tuple(map(int, row)) for row in self.btilde))
+
+    @classmethod
+    def _of_int_rows(cls, btilde: Any, lam: LambdaForm) -> Seed:
+        """The seed of integer rows: frozen and checked, not converted."""
+        seed = object.__new__(cls)
+        object.__setattr__(seed, "lam", lam)
+        seed._set_matrix(_freeze(btilde))
+        return seed
+
+    def _set_matrix(self, btilde: Matrix) -> None:
+        object.__setattr__(self, "btilde", btilde)
+        object.__setattr__(self, "d", check_compatible(btilde, self.lam))
 
     @property
     def m(self) -> int:
@@ -160,11 +178,12 @@ class Seed:
             raise SeedError(f"seed description lacks key {missing}") from None
         except (TypeError, ValueError) as bad:
             raise SeedError(f"malformed seed description: {bad}") from None
+        # every entry is a JSON int now, so the rows are frozen, not converted
         try:
-            lam = LambdaForm(lam_rows)
+            lam = LambdaForm._of_int_rows(lam_rows)
         except ValueError as bad:
             raise SeedError(str(bad)) from None
-        return cls(btilde, lam)
+        return cls._of_int_rows(btilde, lam)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -220,19 +239,19 @@ def mutate_Lambda(lam: LambdaForm, btilde: Any, k: int) -> LambdaForm:
     new_rows = []
     for i, row in enumerate(lam.rows):
         if i == k:
-            new_rows.append(map(neg, column))
+            new_rows.append(tuple(map(neg, column)))
         elif row[k] == column[i]:
             new_rows.append(row)
         else:
             new_rows.append((*row[:k], column[i], *row[k + 1 :]))
-    return LambdaForm(new_rows)
+    return LambdaForm._of_int_rows(new_rows)
 
 
 def mutate_seed(seed: Seed, k: int) -> Seed:
     """Mutate the compatible pair; compatibility is revalidated on return."""
     new_lam = mutate_Lambda(seed.lam, seed.btilde, k)
     new_b = mutate_B(seed.btilde, k)
-    return Seed(new_b, new_lam)
+    return Seed._of_int_rows(new_b, new_lam)
 
 
 def principal_lambda(b_matrix: Any) -> LambdaForm:

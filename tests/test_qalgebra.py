@@ -2,17 +2,24 @@
 
 from __future__ import annotations
 
+from functools import cache
+
 import pytest
 from hypothesis import given, strategies as st
 
 import snakeq.qalgebra
+from conftest import ladder_arc, ladder_surface
 from snakeq import (
     ExactDivisionError,
     LambdaForm,
     QuantumLaurent,
+    Seed,
     coeff_to_string,
+    commutative_expand,
     exact_right_divide,
     qmul,
+    quantum_expand,
+    signed_adjacency,
 )
 from snakeq.qalgebra import _coeff_div, _support_box
 
@@ -91,6 +98,35 @@ def test_qmul_identity_and_zero():
     assert qmul(x, QuantumLaurent.one(2), LAM2) == x
     assert qmul(QuantumLaurent.one(2), x, LAM2) == x
     assert qmul(x, QuantumLaurent.zero(2), LAM2).is_zero()
+
+
+# ----------------------------------------------------------------------
+# the public boundary: the checks the private canonical routine relies on
+
+def test_constructor_checks_the_width_of_every_exponent():
+    with pytest.raises(ValueError) as info:
+        QuantumLaurent(2, [((1, 0), {0: 1}), ((1, 0, 0), {0: 1})])
+    assert str(info.value) == "exponent vector (1, 0, 0) does not have width 2"
+
+
+def test_sum_and_product_reject_a_rank_mismatch():
+    two, three = QuantumLaurent.one(2), QuantumLaurent.one(3)
+    for combine in (
+        lambda a, b: a + b,
+        lambda a, b: a - b,
+        lambda a, b: qmul(a, b, LAM2),
+    ):
+        with pytest.raises(ValueError) as info:
+            combine(two, three)
+        assert str(info.value) == "rank mismatch: 2 versus 3"
+
+
+def test_product_and_quotient_reject_a_form_of_another_rank():
+    four = QuantumLaurent.one(4)
+    for operation in (qmul, exact_right_divide):
+        with pytest.raises(ValueError) as info:
+            operation(four, four, LAM2)
+        assert str(info.value) == "form rank does not match the operands"
 
 
 small_ints = st.integers(min_value=-3, max_value=3)
@@ -181,11 +217,13 @@ def test_division_respects_the_twist():
 
 
 # ----------------------------------------------------------------------
-# canonical form: the constructor is the only merge and zero-drop
+# canonical form: one private routine merges and drops zeros
 #
-# The reference sum and product below clean every coefficient as they go,
-# with helpers of their own, and return plain dicts, so they do not rely on
-# the constructor to merge exponents or drop zeros.
+# The public constructor converts and width-checks its input and hands it to
+# that routine; sums, negation, scaling, products, quotients and both
+# expansions call it directly.  The reference sum and product below clean
+# every coefficient as they go, with helpers of their own, and return plain
+# dicts, so they do not rely on that routine to merge exponents or drop zeros.
 
 def _ref_coeff_clean(c):
     return {e: n for e, n in c.items() if n != 0}
@@ -277,6 +315,30 @@ def _stores_no_zero(x):
     return all(c and 0 not in c.values() for _, c in x.items())
 
 
+# Lambda = -B^(-1) for the even ladders, whose B is unimodular
+LADDER_LAMBDA = {
+    2: [[0, -1], [1, 0]],
+    4: [[0, -1, 0, 1], [1, 0, 0, 0], [0, 0, 0, -1], [-1, 0, 1, 0]],
+}
+
+
+@cache
+def coefficient_free_expansions(d):
+    """Ladder d's expansions with Btilde = B, and ladder d + 1's.
+
+    An odd ladder's B is singular, so its commutative expansion adds
+    matchings of equal exponent; the even ladder's is also quantized.
+    """
+    values = []
+    for size in (d, d + 1):
+        t = ladder_surface(size)
+        values.append(commutative_expand(t, ladder_arc(size), signed_adjacency(t)))
+    t = ladder_surface(d)
+    seed = Seed(signed_adjacency(t), LambdaForm(LADDER_LAMBDA[d]))
+    values.append(quantum_expand(t, ladder_arc(d), seed))
+    return values
+
+
 @FORMS
 @given(data=st.data())
 def test_no_value_stores_a_zero_coefficient(width, form, data):
@@ -304,7 +366,10 @@ def test_no_value_stores_a_zero_coefficient(width, form, data):
     ]
     if not b.is_zero():
         values.append(exact_right_divide(qmul(a, b, form), b, form))
-    assert all(_stores_no_zero(x) for x in values)
+    values.extend(coefficient_free_expansions(width))
+    for x in values:
+        assert _stores_no_zero(x)
+        assert QuantumLaurent(x.width, x.items()) == x
 
 
 def test_constructor_adds_keys_that_collide_after_int():
@@ -447,6 +512,35 @@ def test_division_outcomes_equal_the_pairwise_reference(case):
     )
 
 
+@st.composite
+def one_term_operands(draw):
+    """A width, a form, a value and a one-term value with 1-3 s-entries."""
+    width = draw(st.integers(2, 6))
+    vector = draw(st.tuples(*[tiny] * width))
+    coeff = draw(
+        st.dictionaries(
+            st.integers(-2, 2),
+            st.integers(-4, 4).filter(lambda v: v != 0),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    term = QuantumLaurent(width, {vector: coeff})
+    return width, draw(skew_forms(width)), draw(polys(width)), term
+
+
+@given(one_term_operands())
+def test_one_term_denominators_equal_the_pairwise_reference(case):
+    """Division by one term is a shift: equal quotients or equal messages."""
+    width, form, a, term = case
+    assert outcome(exact_right_divide, a, term, form) == outcome(
+        reference_divide, a, term, form
+    )
+    product = qmul(a, term, form)
+    assert exact_right_divide(product, term, form) == a
+    assert reference_divide(product, term, form) == a
+
+
 LAM3_ZERO_ROW = LambdaForm([[0, 2, 0], [-2, 0, 0], [0, 0, 0]])
 
 
@@ -489,15 +583,24 @@ def test_both_divisions_give_the_same_message(numerator, denominator, form, mess
 
 
 def test_division_checks_its_quotient_with_a_full_product(monkeypatch):
-    """A product that disagrees with the elimination is caught at the end."""
-    product = qmul(QuantumLaurent.monomial((1, 0)), QuantumLaurent.one(2), LAM2)
+    """A product that disagrees with the elimination is caught at the end.
+
+    A one-term denominator takes the shift and a two-term one the heap.
+    """
+    denominators = (
+        QuantumLaurent.one(2),
+        QuantumLaurent.monomial((0, 1)) + QuantumLaurent.one(2),
+    )
+    x = QuantumLaurent.monomial((1, 0))
+    products = [qmul(x, den, LAM2) for den in denominators]
 
     def off_by_one(a, b, form):
         return qmul(a, b, form) + QuantumLaurent.one(2)
 
     monkeypatch.setattr(snakeq.qalgebra, "qmul", off_by_one)
-    with pytest.raises(AssertionError, match="quotient verification failed"):
-        exact_right_divide(product, QuantumLaurent.one(2), LAM2)
+    for product, den in zip(products, denominators):
+        with pytest.raises(AssertionError, match="quotient verification failed"):
+            exact_right_divide(product, den, LAM2)
 
 
 # ----------------------------------------------------------------------
