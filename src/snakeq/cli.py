@@ -185,11 +185,15 @@ def _valued_graph(
 
 def cmd_matchings(args: argparse.Namespace) -> int:
     graph, _, values = _valued_graph(args)
-    for matching in graph.matchings():
+    heights = [0] * graph.triangulation.n_internal  # uncrossed labels stay 0
+    for (bits, _, height), matching in zip(graph._listed(), graph.matchings()):
         labels = sorted(graph.edge_label(ref) for ref in matching)
-        heights = graph.height_vector(matching)
+        for label, count in zip(
+            graph.crossed_labels, graph._unpack_height(height)
+        ):
+            heights[label] = count
         print(
-            f"{graph.matching_bits(matching)} "
+            f"{bits} "
             f"labels={_exponent_csv(labels)} "
             f"h={_exponent_csv(heights)} "
             f"v={values[matching]}"
@@ -200,14 +204,11 @@ def cmd_matchings(args: argparse.Namespace) -> int:
 def cmd_valuation(args: argparse.Namespace) -> int:
     graph, d, values = _valued_graph(args)
     table = TwistTable(graph)
-    for matching in graph.matchings():
+    for (bits, mask, _), matching in zip(graph._listed(), graph.matchings()):
         twists = ",".join(
-            f"{p}:{step:+d}" for p, _, step in table.twists(graph.mask(matching), d)
+            f"{p}:{step:+d}" for p, _, step in table.twists(mask, d)
         )
-        print(
-            f"{graph.matching_bits(matching)} v={values[matching]} "
-            f"twists=[{twists}]"
-        )
+        print(f"{bits} v={values[matching]} twists=[{twists}]")
     return 0
 
 

@@ -22,7 +22,6 @@ point below.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
 from operator import sub
@@ -115,13 +114,21 @@ def _exponents(
     are shifted by their componentwise minimum over all the heights.  Each
     row is read at the labels by index at C speed and only its nonzeros take
     a Python step, so building the columns follows the nonzeros of Btilde.
+    Every nonzero read must be an ``int`` (not a float, not a bool), or
+    :class:`ExpansionError` names its row and column.
     """
     n = len(btilde[0])
     columns: list[list[tuple[int, int]]] = [[] for _ in labels]
     for i, row in enumerate(btilde):
         picked = tuple(map(row.__getitem__, labels))
         for k in compress(range(len(picked)), picked):
-            columns[k].append((i, picked[k]))
+            b = picked[k]
+            if type(b) is not int:
+                raise ExpansionError(
+                    f"extended matrix entry ({i}, {labels[k]}) is {b!r}, "
+                    "not an integer"
+                )
+            columns[k].append((i, b))
     vectors = []
     for h in heights:
         vec = list(g)
@@ -192,11 +199,10 @@ def _transfer(
     ``btilde`` are read by index only.
     """
     g = _offset(graph, len(btilde))
-    crossed = Counter(graph.arc.crossings)
-    labels = sorted(crossed)
+    labels = graph.crossed_labels
     slot = {label: k for k, label in enumerate(labels)}
-    # a height is packed into one int, ``bits`` bits per crossed label
-    bits = max(crossed.values(), default=0).bit_length()
+    # a height is packed as in the graph's listing (see SnakeGraph.matchings)
+    bits = graph._height_bits
     low = (1 << bits) - 1
     # d·B[i][tau] for crossed labels i, per crossed label tau
     pairing = [
@@ -229,13 +235,7 @@ def _transfer(
         one = lifted
 
     finals = _canonical_terms(one.items(), zero)
-    heights = []
-    for h in finals:
-        counts = []
-        for _ in labels:
-            counts.append(h & low)
-            h >>= bits
-        heights.append(counts)
+    heights = map(graph._unpack_height, finals)
     return list(zip(_exponents(g, btilde, labels, heights), finals.values()))
 
 
@@ -244,8 +244,9 @@ def commutative_expand(
 ) -> QuantumLaurent:
     """Laurent expansion at q = 1: every coefficient sits at s^0.
 
-    ``btilde`` is read as integer rows, such as a :class:`Seed`'s matrix;
-    the exponents built from it are not converted again.
+    ``btilde`` is read as integer rows, such as a :class:`Seed`'s matrix:
+    a nonzero entry the expansion reads that is not an ``int`` raises
+    :class:`ExpansionError`, and nothing is converted.
     """
     _check_top_block(t, btilde)
     terms = _transfer(SnakeGraph(t, arc), btilde, 0)
@@ -265,22 +266,29 @@ def matching_records(
     """One audit row per perfect matching, in bit-string order.
 
     This enumerates the matchings and runs the exhaustive valuation
-    (:func:`compute_valuation`); the sum of ``X^exponent`` times
-    ``s^valuation`` over the rows is :func:`quantum_expand`'s value.
+    (:func:`compute_valuation`), which checks every twist from both ends;
+    the sum of ``X^exponent`` times ``s^valuation`` over the rows is
+    :func:`quantum_expand`'s value.  Bit strings and heights are the rows of
+    the graph's listing (:meth:`SnakeGraph.matchings`), and the exponent of
+    each distinct height is computed once, over the crossed labels only.
     """
     _check_top_block(t, seed.btilde)
     graph = SnakeGraph(t, arc)
     matchings = graph.matchings()
+    listing = graph._listed()
+    # matchings of one height share an exponent, computed once
+    heights = dict.fromkeys(h for _, _, h in listing)
     exponents = _exponents(
         _offset(graph, seed.m),
         seed.btilde,
-        range(seed.n),
-        map(graph.height_vector, matchings),
+        graph.crossed_labels,
+        map(graph._unpack_height, heights),
     )
+    by_height = dict(zip(heights, exponents))
     values = compute_valuation(graph, seed.d)
     return tuple(
-        MatchingRecord(graph.matching_bits(p), p, a, values[p])
-        for p, a in zip(matchings, exponents)
+        MatchingRecord(bits, p, by_height[h], values[p])
+        for (bits, _, h), p in zip(listing, matchings)
     )
 
 

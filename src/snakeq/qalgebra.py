@@ -11,10 +11,10 @@ module represents such elements exactly: coefficients are dicts mapping the
 s-exponent to an integer, exponent vectors are integer tuples, and nothing is
 ever floated or truncated.  One private routine, :func:`_canonical_terms`,
 merges equal exponents and drops zero counts and empty coefficients.  The
-public :class:`QuantumLaurent` constructor converts and width-checks what it
-is given and hands it to that routine; sums, negation, scaling, products and
-quotients build their terms from values that are already checked, so they
-call the routine directly and nothing is converted twice.
+public :class:`QuantumLaurent` constructor converts, width-checks and merges
+what it is given in one loop of its own; sums, negation, scaling, products
+and quotients build their terms from values that are already checked, so
+they call the routine directly and nothing is converted twice.
 
 Sparsity lives in :class:`LambdaForm`: next to its dense rows it keeps, per
 row, the tuple of nonzero column indices.  Its skew check,
@@ -284,33 +284,41 @@ class QuantumLaurent:
     coefficients are never stored.  The constructor is the public boundary:
     ``terms`` is a mapping or an iterable of ``(vector, coefficient)`` pairs,
     every entry is converted with ``int()`` and every vector is checked
-    against ``width``, and repeats are summed by :func:`_canonical_terms`.
-    The arithmetic below builds its terms from checked values and calls that
-    routine itself.  Addition is ordinary; multiplication requires the skew
-    form and is provided by :func:`qmul`.
+    against ``width``, and repeats are summed in the same pass, into dicts
+    made here, so a caller's dict is never shared.  The arithmetic below
+    builds its terms from checked values and merges them with
+    :func:`_canonical_terms`.  Addition is ordinary; multiplication requires
+    the skew form and is provided by :func:`qmul`.
     """
 
     __slots__ = ("width", "_terms")
 
     def __init__(self, width: int, terms: Mapping[Vector, Mapping[int, int]] = ()):
-        self.width = int(width)
+        self.width = width = int(width)
         items = terms.items() if isinstance(terms, Mapping) else terms
-        pairs = []
+        # every dict in ``merged`` is made here, so sums go in place
+        merged: dict[Vector, Coeff] = {}
         for vec, coeff in items:
             v = tuple(map(int, vec))
-            if len(v) != self.width:
-                raise ValueError(
-                    f"exponent vector {v} does not have width {self.width}"
-                )
-            c = {int(e): int(n) for e, n in coeff.items()}
-            if len(c) != len(coeff):
-                # s-exponents that collide after int() are added
-                c = {}
-                for e, n in coeff.items():
-                    e = int(e)
-                    c[e] = c.get(e, 0) + int(n)
-            pairs.append((v, c))
-        self._terms = _canonical_terms(pairs)
+            if len(v) != width:
+                raise ValueError(f"exponent vector {v} does not have width {width}")
+            have = merged.get(v)
+            if have is None:
+                c = dict(zip(map(int, coeff), map(int, coeff.values())))
+                if len(c) == len(coeff):
+                    merged[v] = c
+                    continue
+                # s-exponents that collide after int() are added below
+                have = merged[v] = {}
+            for e, n in coeff.items():
+                e = int(e)
+                have[e] = have.get(e, 0) + int(n)
+        out = self._terms = {}
+        for v, c in merged.items():
+            if 0 in c.values():
+                c = {e: n for e, n in c.items() if n}
+            if c:
+                out[v] = c
 
     @classmethod
     def zero(cls, width: int) -> QuantumLaurent:

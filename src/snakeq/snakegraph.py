@@ -16,7 +16,12 @@ the boundary, with the four sides of every tile whose bit is 1 switched, and
 the fence relations between neighbouring bits say which bit patterns occur.
 This module lists the matchings that way and computes heights, weights,
 twists and the label-equivalence classes used to compare expansions across a
-flip.
+flip.  The walk keeps one row per matching, its bit string, its edge mask and
+its height packed into one int, as the graph's listing: the audit rows, the
+matching and valuation listings and the exhaustive valuation read those rows,
+while :meth:`SnakeGraph.height_vector`, :meth:`SnakeGraph.mask` and
+:meth:`SnakeGraph.matching_bits` recompute one matching's entries from its
+edges.
 
 Tiles are indexed from 1; an edge is addressed as (tile, position) with
 positions "S", "W", "E", "N", and a shared edge belongs to the earlier tile.
@@ -27,6 +32,7 @@ single edge reference (0, "G").  In an edge mask, bit i stands for
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
 
@@ -45,6 +51,8 @@ POSITION_ORDER = ("S", "W", "E", "N")
 
 EdgeRef = tuple[int, str]
 Matching = frozenset[EdgeRef]
+# a matching's bit string, edge mask and packed height
+ListedMatching = tuple[str, int, int]
 
 DEGENERATE_EDGE: EdgeRef = (0, "G")
 
@@ -183,8 +191,15 @@ class SnakeGraph:
             tuple(map(self.bit.__getitem__, self.tile_edge_refs(p)))
             for p in range(1, self.d + 1)
         )
+        # a height is packed into one int, ``_height_bits`` bits per entry of
+        # ``crossed_labels``, the lowest for the first
+        crossed = Counter(self.arc.crossings)
+        self.crossed_labels: tuple[int, ...] = tuple(sorted(crossed))
+        self._height_bits = max(crossed.values(), default=0).bit_length()
         self._matchings: tuple[Matching, ...] | None = None
+        self._listing: tuple[ListedMatching, ...] | None = None
         self._extremal: tuple[Matching, Matching] | None = None
+        self._extremal_edge_masks: tuple[int, int] | None = None
 
     @staticmethod
     def _side_vertices(tile: Tile, pos: str) -> frozenset[tuple[int, int]]:
@@ -233,20 +248,56 @@ class SnakeGraph:
 
         The bit patterns the fence allows are walked tile by tile as edge
         masks, split by their last bit: each starts as the minimal
-        matching's mask, and a tile whose bit is 1 switches its four sides.
+        matching's mask, and a tile whose bit is 1 switches its four sides
+        and adds one to its label's packed height.  The walk's rows, each a
+        matching's bit string, edge mask and packed height, are kept as the
+        graph's listing (:meth:`_listed`) in the same order.
         """
         if self._matchings is None:
-            zero, one = [self.mask(self.minimal_matching())], []
-            for sides, rising in zip(self.tile_sides, (True, *self.fence())):
-                switched = sum(sides)
-                lifted = [m ^ switched for m in (zero + one if rising else one)]
-                zero, one = (zero if rising else zero + one), lifted
+            self._listing = self._fence_walk()
             refs = self.edge_refs
             self._matchings = tuple(
                 frozenset(compress(refs, key.encode().translate(_SELECTORS)))
-                for key in sorted(map(self._bits, zero + one))
+                for key, _, _ in self._listing
             )
         return self._matchings
+
+    def _fence_walk(self) -> tuple[ListedMatching, ...]:
+        """``(bits, mask, packed height)`` of every matching, by bit string."""
+        slot = {label: k for k, label in enumerate(self.crossed_labels)}
+        zero, one = [self._extremal_masks()[0]], []
+        zero_h, one_h = [0], []
+        for tile, sides, rising in zip(
+            self.tiles, self.tile_sides, (True, *self.fence())
+        ):
+            switched = sum(sides)
+            unit = 1 << (self._height_bits * slot[tile.diagonal])
+            if rising:
+                lifted = [m ^ switched for m in zero + one]
+                lifted_h = [h + unit for h in zero_h + one_h]
+            else:
+                lifted = [m ^ switched for m in one]
+                lifted_h = [h + unit for h in one_h]
+                zero, zero_h = zero + one, zero_h + one_h
+            one, one_h = lifted, lifted_h
+        masks = zero + one
+        # distinct matchings have distinct bit strings, so only they compare
+        return tuple(sorted(zip(map(self._bits, masks), masks, zero_h + one_h)))
+
+    def _listed(self) -> tuple[ListedMatching, ...]:
+        """The listing of :meth:`matchings`, row i for matching i."""
+        self.matchings()
+        return self._listing
+
+    def _unpack_height(self, height: int) -> list[int]:
+        """A packed height as one count per entry of ``crossed_labels``."""
+        bits = self._height_bits
+        low = (1 << bits) - 1
+        counts = []
+        for _ in self.crossed_labels:
+            counts.append(height & low)
+            height >>= bits
+        return counts
 
     def _bits(self, mask: int) -> str:
         """An edge mask as a bit string: character i is bit i."""
@@ -294,6 +345,15 @@ class SnakeGraph:
                 )
             self._extremal = (frozenset(walk[0::2]), frozenset(walk[1::2]))
         return self._extremal
+
+    def _extremal_masks(self) -> tuple[int, int]:
+        """The edge masks of the minimal and the maximal matching."""
+        if self._extremal_edge_masks is None:
+            # mask() stays the per-matching reference; no listing path calls it
+            bit = self.bit.__getitem__
+            low, high = self._extremal_matchings()
+            self._extremal_edge_masks = (sum(map(bit, low)), sum(map(bit, high)))
+        return self._extremal_edge_masks
 
     def minimal_matching(self) -> Matching:
         """The all-boundary matching through the west side of the first tile."""

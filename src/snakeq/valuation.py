@@ -1,6 +1,7 @@
 """The twist-defined valuation on perfect matchings.
 
-A matching is held as its edge mask (:meth:`SnakeGraph.mask`), whose bits
+A matching is held as its edge mask (:meth:`SnakeGraph.mask`, or the mask in
+the graph's listing of :meth:`SnakeGraph.matchings`), whose bits
 follow the snake's edge order, by owning tile and then south, west, east,
 north, so the matched edges before or after a tile are the set bits below or
 above its sides.  Each twist of a matching at a tile carries an integer
@@ -130,15 +131,17 @@ def compute_valuation(graph: SnakeGraph, d_scale: int = 1) -> dict[Matching, int
     A breadth-first search over matching bit masks, from the maximal
     matching at value 0, along twists: one :class:`TwistTable` per graph,
     and :meth:`TwistTable.twists` gives each matching's twisted masks and
-    increments.  Every matching it reaches has all of its twists checked, so
+    increments.  The masks are the ones in the graph's listing of
+    :meth:`SnakeGraph.matchings`, so no matching is converted to a mask
+    here, and the result follows the listing's order.  Every matching it reaches has all of its twists checked, so
     each twist move is checked from both of its ends.  Raises
     :class:`ValuationError` if a twist cycle is inconsistent, if the twists
     do not connect all matchings, or if the minimal matching does not land
     on 0.
     """
     table = TwistTable(graph)
-    matchings = {graph.mask(m): m for m in graph.matchings()}
-    maximal = graph.mask(graph.maximal_matching())
+    matchings = graph.matchings()
+    minimal, maximal = graph._extremal_masks()
     values = {maximal: 0}
     queue = deque([maximal])
     while queue:
@@ -159,13 +162,12 @@ def compute_valuation(graph: SnakeGraph, d_scale: int = 1) -> dict[Matching, int
         raise ValuationError(
             "valuation ill-defined: twists do not connect all matchings"
         )
-    minimal = values[graph.mask(graph.minimal_matching())]
-    if minimal != 0:
+    if values[minimal] != 0:
         raise ValuationError(
             "valuation ill-defined: the minimal matching has value "
-            f"{minimal}, expected 0"
+            f"{values[minimal]}, expected 0"
         )
-    return {matchings[mask]: value for mask, value in values.items()}
+    return {m: values[mask] for (_, mask, _), m in zip(graph._listed(), matchings)}
 
 
 def twist_chain(graph: SnakeGraph, d_scale: int = 1) -> list[tuple[int, int]]:
@@ -187,7 +189,7 @@ def twist_chain(graph: SnakeGraph, d_scale: int = 1) -> list[tuple[int, int]]:
         waiting[p if rising else p + 1] += 1
     ready = [p for p in range(1, d + 1) if not waiting[p]]
     table = TwistTable(graph)
-    mask = graph.mask(graph.minimal_matching())
+    mask, maximal = graph._extremal_masks()
     value = 0
     steps = []
     while ready:
@@ -206,7 +208,7 @@ def twist_chain(graph: SnakeGraph, d_scale: int = 1) -> list[tuple[int, int]]:
             waiting[p + 1] -= 1
             if not waiting[p + 1]:
                 ready.append(p + 1)
-    if mask != graph.mask(graph.maximal_matching()) or value != 0:
+    if mask != maximal or value != 0:
         raise ValuationError(
             "valuation ill-defined: the twist chain from the minimal matching "
             f"ends at value {value}, not on the maximal matching at 0"

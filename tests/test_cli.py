@@ -338,6 +338,69 @@ def test_valuation_listing_increments_are_value_differences(
     assert checked == len(g.twist_graph()[1]) * 2
 
 
+LISTING_COMMANDS = {
+    "audit": ["expand", "--quantum", "--audit"],
+    "commutative-audit": ["expand", "--audit"],
+    "matchings": ["matchings"],
+    "valuation": ["valuation"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(LISTING_COMMANDS))
+def test_listings_read_the_rows_of_one_fence_walk(
+    capsys, files, monkeypatch, command
+):
+    # bits, masks and heights come from the graph's listing: no per-matching
+    # reference method runs, and the walk runs once for the one graph
+    calls = {"height_vector": 0, "mask": 0, "matching_bits": 0, "_fence_walk": 0}
+    for method in calls:
+        original = getattr(SnakeGraph, method)
+
+        def counted(graph, *args, _method=method, _original=original):
+            calls[_method] += 1
+            return _original(graph, *args)
+
+        monkeypatch.setattr(SnakeGraph, method, counted)
+    arc = files["write"]("arc.json", annulus_bridge(6)[0].to_dict())
+    argv = LISTING_COMMANDS[command] + ["--surface", files["annulus"], "--arc", arc]
+    code, out, _ = run_main(capsys, *argv)
+    assert code == 0
+    assert len(out.splitlines()) >= 89
+    assert calls == {
+        "height_vector": 0, "mask": 0, "matching_bits": 0, "_fence_walk": 1
+    }
+
+
+@pytest.mark.parametrize(
+    "command", [LISTING_COMMANDS[c] for c in ("audit", "matchings", "valuation")],
+    ids=["audit", "matchings", "valuation"],
+)
+def test_listings_keep_the_exhaustive_twist_cycle_check(
+    capsys, files, monkeypatch, command
+):
+    # one wrong increment, as in test_valuation.py: only a search that checks
+    # each twist from both ends sees the broken cycle
+    g = SnakeGraph(annulus(), golden_arc())
+    target = g.mask(g.minimal_matching())
+    twists = TwistTable.twists
+
+    def shifted(table, mask, d_scale):
+        return [
+            (p, twisted, step + int(mask == target and p == 2))
+            for p, twisted, step in twists(table, mask, d_scale)
+        ]
+
+    monkeypatch.setattr(TwistTable, "twists", shifted)
+    argv = command + ["--surface", files["annulus"], "--arc", files["golden_arc"]]
+    code, out, err = run_main(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(
+        "error: valuation ill-defined: twist cycle assigns both "
+    )
+    assert err.count("\n") == 1
+
+
 # ----------------------------------------------------------------------
 # verify
 

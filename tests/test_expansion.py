@@ -298,6 +298,24 @@ def test_wrong_top_block_is_rejected():
         commutative_expand(pentagon(), polygon_chords(2)[0][1], [[0, -1]])
 
 
+@pytest.mark.parametrize(
+    "row, column, entry",
+    [(2, 0, 1.0), (3, 1, 1.5), (2, 0, True), (0, 1, -2.0)],
+    ids=["integral-float-below", "float-below", "bool-below", "float-on-top"],
+)
+def test_non_integer_matrix_entries_are_named(row, column, entry):
+    # -2.0 on top equals the signed adjacency, so only the exponent routine,
+    # which reads every nonzero entry at a crossed column, can reject it
+    t = annulus()
+    rows = [list(r) for r in principal_btilde(t)]
+    rows[row][column] = entry
+    with pytest.raises(
+        ExpansionError,
+        match=rf"entry \({row}, {column}\) is {entry!r}, not an integer",
+    ):
+        commutative_expand(t, golden_arc(), rows)
+
+
 # ----------------------------------------------------------------------
 # mutation oracle
 

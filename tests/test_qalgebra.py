@@ -219,9 +219,9 @@ def test_division_respects_the_twist():
 # ----------------------------------------------------------------------
 # canonical form: one private routine merges and drops zeros
 #
-# The public constructor converts and width-checks its input and hands it to
-# that routine; sums, negation, scaling, products, quotients and both
-# expansions call it directly.  The reference sum and product below clean
+# The public constructor converts, width-checks and merges its input in one
+# loop of its own; sums, negation, scaling, products, quotients and both
+# expansions call the routine directly.  The reference sum and product below clean
 # every coefficient as they go, with helpers of their own, and return plain
 # dicts, so they do not rely on that routine to merge exponents or drop zeros.
 
@@ -401,6 +401,17 @@ def test_constructor_merges_repeated_pairs_and_cancels_to_zero():
     gone = QuantumLaurent(2, [((1, 0), {0: 1, 1: -3}), ((1, 0), {0: -1, 1: 3})])
     assert gone.is_zero()
     assert gone == QuantumLaurent.zero(2)
+
+
+def test_constructor_never_shares_or_changes_a_callers_dict():
+    first, second = {0: 1, 2: 5}, {0: 2}
+    x = QuantumLaurent(2, [((1, 0), first), ((1, 0), second), ((0, 1), second)])
+    assert first == {0: 1, 2: 5} and second == {0: 2}
+    stored = x._terms
+    assert stored == {(1, 0): {0: 3, 2: 5}, (0, 1): {0: 2}}
+    assert all(c is not first and c is not second for c in stored.values())
+    first[0] = second[0] = 7
+    assert dict(x.items()) == {(1, 0): {0: 3, 2: 5}, (0, 1): {0: 2}}
 
 
 # ----------------------------------------------------------------------

@@ -209,6 +209,29 @@ def test_matchings_equal_the_vertex_search_in_bit_order():
         assert g.matchings() == reference_matchings(g)
 
 
+def listed_rows(g: SnakeGraph) -> list:
+    """The graph's listing, each packed height spread over every label."""
+    rows = []
+    for bits, mask, packed in g._listed():
+        heights = [0] * g.triangulation.n_internal
+        for label, count in zip(g.crossed_labels, g._unpack_height(packed)):
+            heights[label] = count
+        rows.append((bits, mask, tuple(heights)))
+    return rows
+
+
+def test_listing_rows_are_the_bits_mask_and_height_of_each_matching():
+    # the fence walk's rows against the public per-matching references
+    degenerate = SnakeGraph(annulus(), initial_arc(0))
+    for g in [degenerate] + corpus_graphs() + transfer_graphs(12):
+        assert listed_rows(g) == [
+            (g.matching_bits(p), g.mask(p), g.height_vector(p))
+            for p in g.matchings()
+        ]
+        minimal, maximal = g.minimal_matching(), g.maximal_matching()
+        assert g._extremal_masks() == (g.mask(minimal), g.mask(maximal))
+
+
 def test_fence_allows_exactly_the_tile_patterns_of_the_matchings():
     for g in transfer_graphs(12):
         fence = g.fence()
