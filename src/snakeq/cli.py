@@ -32,9 +32,9 @@ from .qalgebra import (
     coeff_to_string,
 )
 from .seeds import Seed, SeedError, principal_seed
-from .snakegraph import Matching, SnakeGraph
+from .snakegraph import SnakeGraph
 from .surface import Arc, SurfaceError, Triangulation, flip, signed_adjacency
-from .valuation import TwistTable, ValuationError, compute_valuation
+from .valuation import ValuationError, _valued_masks, compute_valuation
 
 __all__ = ["main"]
 
@@ -171,20 +171,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1
 
 
-def _valued_graph(
-    args: argparse.Namespace,
-) -> tuple[SnakeGraph, int, dict[Matching, int]]:
-    """The arc's snake graph, the seed's scalar d and every matching's value."""
+def _load_graph(args: argparse.Namespace) -> tuple[SnakeGraph, int]:
+    """The arc's snake graph and the seed's scalar d."""
     t = _load_surface(args.surface)
     arc = _load_arc(args.arc)
     seed = _load_seed(args.seed, t)
     _check_top_block(t, seed.btilde)
-    graph = SnakeGraph(t, arc)
-    return graph, seed.d, compute_valuation(graph, seed.d)
+    return SnakeGraph(t, arc), seed.d
 
 
 def cmd_matchings(args: argparse.Namespace) -> int:
-    graph, _, values = _valued_graph(args)
+    graph, d = _load_graph(args)
+    values = compute_valuation(graph, d)
     heights = [0] * graph.triangulation.n_internal  # uncrossed labels stay 0
     for (bits, _, height), matching in zip(graph._listed(), graph.matchings()):
         labels = sorted(graph.edge_label(ref) for ref in matching)
@@ -202,13 +200,13 @@ def cmd_matchings(args: argparse.Namespace) -> int:
 
 
 def cmd_valuation(args: argparse.Namespace) -> int:
-    graph, d, values = _valued_graph(args)
-    table = TwistTable(graph)
-    for (bits, mask, _), matching in zip(graph._listed(), graph.matchings()):
-        twists = ",".join(
-            f"{p}:{step:+d}" for p, _, step in table.twists(mask, d)
-        )
-        print(f"{bits} v={values[matching]} twists=[{twists}]")
+    graph, d = _load_graph(args)
+    # the search's own twist lists, so no mask is twisted twice
+    twists: dict[int, list[tuple[int, int, int]]] = {}
+    values = _valued_masks(graph, d, twists)
+    for bits, mask, _ in graph._listed():
+        steps = ",".join(f"{p}:{step:+d}" for p, _, step in twists[mask])
+        print(f"{bits} v={values[mask]} twists=[{steps}]")
     return 0
 
 

@@ -15,9 +15,13 @@ the audit rows of :func:`matching_records` enumerate the matchings one by one.
 
 The oracle takes the same initial seed and computes cluster variables the
 long way around, by mutating seeds and dividing binomials exactly in the
-initial quantum torus.  Agreement between the two paths is the strongest
-correctness check in the package and is exercised by the verification entry
-point below.
+initial quantum torus; each power in a binomial is taken by squaring.
+Agreement between the two paths is the strongest correctness check in the
+package and is exercised by the verification entry point below.  It runs the
+oracle up to the last flip and then checks the compared exchange with one
+product: the torus has no zero divisors, so expansion·x_k equals the exchange
+binomial exactly when the last division would return the expansion.  Only
+when that fails, or when another slot is compared, does it divide.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .qalgebra import (
     QuantumLaurent,
     Vector,
     _canonical_terms,
+    _qsquare,
     _value,
     exact_right_divide,
     qmul,
@@ -307,18 +312,60 @@ def _ordered_power_product(
 ) -> QuantumLaurent:
     """The product of variables[i]^powers[i] in index order.
 
-    It starts from the first factor; an empty product is one.
+    Each power is taken by squaring (:func:`~snakeq.qalgebra._qsquare`),
+    and the powers are multiplied in index order; an empty product is one.
     """
     out: QuantumLaurent | None = None
     for var, power in zip(variables, powers):
-        for _ in range(power):
-            out = var if out is None else qmul(out, var, form)
+        factor = None
+        while power:
+            if power & 1:
+                factor = var if factor is None else qmul(factor, var, form)
+            power >>= 1
+            if power:
+                var = _qsquare(var, form)
+        if factor is not None:
+            out = factor if out is None else qmul(out, factor, form)
     return QuantumLaurent.one(variables[0].width) if out is None else out
 
 
 def _unit(m: int, i: int) -> Vector:
     """The i-th standard basis vector of ZZ^m."""
     return (0,) * i + (1,) + (0,) * (m - i - 1)
+
+
+def _exchange_binomial(
+    variables: Sequence[QuantumLaurent], current: Seed, k: int, form0: LambdaForm
+) -> QuantumLaurent:
+    """The exchange binomial of direction k in the initial quantum torus.
+
+    Its two ordered power products, each normalized with the current skew
+    form, are merged in one pass.
+    """
+    if not 0 <= k < current.n:
+        raise SeedError(f"flip direction {k} out of range")
+    lam_now = current.lam
+    e_k = _unit(current.m, k)
+    pairs: list[tuple[Vector, Coeff]] = []
+    for sign in (1, -1):
+        powers = [max(sign * row[k], 0) for row in current.btilde]
+        target = list(powers)
+        target[k] -= 1
+        product = _ordered_power_product(variables, powers, form0)
+        s_exp = lam_now.eval(target, e_k) - lam_now.ordered_product_twist(powers)
+        pairs += [
+            (v, {e + s_exp: n for e, n in c.items()})
+            for v, c in product._terms.items()
+        ]
+    return _value(current.m, _canonical_terms(pairs))
+
+
+class _FlipError(ExactDivisionError):
+    """A failed exchange division, named by its flip among ``total``."""
+
+    def __init__(self, position: int, total: int, k: int, cause: Exception):
+        super().__init__(f"flip {position} of {total} (direction {k}): {cause}")
+        self.flip = (position, k, cause)
 
 
 def oracle_mutate_variables(seed: Seed, flips: Sequence[int]) -> OracleRun:
@@ -332,30 +379,14 @@ def oracle_mutate_variables(seed: Seed, flips: Sequence[int]) -> OracleRun:
     """
     m = seed.m
     form0 = seed.lam
-    variables = [QuantumLaurent.monomial(_unit(m, i)) for i in range(m)]
+    variables = [_value(m, {_unit(m, i): {0: 1}}) for i in range(m)]
     current = seed
     for position, k in enumerate(flips, start=1):
-        if not 0 <= k < current.n:
-            raise SeedError(f"flip direction {k} out of range")
-        b = current.btilde
-        lam_now = current.lam
-        e_k = _unit(m, k)
-        binomial = QuantumLaurent.zero(m)
-        for sign in (1, -1):
-            powers = [max(sign * row[k], 0) for row in b]
-            target = list(powers)
-            target[k] -= 1
-            product = _ordered_power_product(variables, powers, form0)
-            s_exp = lam_now.eval(target, e_k) - lam_now.ordered_product_twist(
-                powers
-            )
-            binomial = binomial + product.scaled(s_exp=s_exp)
+        binomial = _exchange_binomial(variables, current, k, form0)
         try:
             variables[k] = exact_right_divide(binomial, variables[k], form0)
         except ExactDivisionError as exc:
-            raise ExactDivisionError(
-                f"flip {position} of {len(flips)} (direction {k}): {exc}"
-            ) from exc
+            raise _FlipError(position, len(flips), k, exc) from exc
         current = mutate_seed(current, k)
     return OracleRun(tuple(variables), current)
 
@@ -381,7 +412,10 @@ def verify_against_oracle(
     The flip sequence is applied both to the triangulation and to the seed;
     the report compares the expansion of ``arc`` against the oracle variable
     in ``slot`` (by default the last flipped direction) and also insists that
-    the flipped surface and the mutated matrix still agree.
+    the flipped surface and the mutated matrix still agree.  When ``slot`` is
+    the last flip's direction, the expansion times the outgoing variable is
+    compared with the last exchange binomial; the last division runs only if
+    they differ, so a mismatch reports the oracle's own variable.
     """
     if slot is None:
         if not flips:
@@ -408,7 +442,30 @@ def verify_against_oracle(
                 f"flip at {k} disagrees with matrix mutation",
             )
 
-    actual = oracle_mutate_variables(seed, flips).variables[slot]
+    if not flips:
+        actual = oracle_mutate_variables(seed, flips).variables[slot]
+    else:
+        total = len(flips)
+        k = flips[-1]
+        try:
+            run = oracle_mutate_variables(seed, flips[:-1])
+        except _FlipError as exc:
+            position, direction, cause = exc.flip
+            raise _FlipError(position, total, direction, cause) from cause
+        form0 = seed.lam
+        variables = list(run.variables)
+        binomial = _exchange_binomial(variables, run.seed, k, form0)
+        # no zero divisors: expansion·x_k == binomial exactly when the
+        # expansion is the quotient, so the division is only run otherwise
+        if slot == k and qmul(expansion, variables[k], form0) == binomial:
+            variables[k] = expansion
+        else:
+            try:
+                variables[k] = exact_right_divide(binomial, variables[k], form0)
+            except ExactDivisionError as exc:
+                raise _FlipError(total, total, k, exc) from exc
+        mutate_seed(run.seed, k)
+        actual = variables[slot]
     ok = actual == expansion
     detail = "match" if ok else "expansion and oracle variable differ"
     return VerifyReport(ok, slot, expansion, actual, detail)

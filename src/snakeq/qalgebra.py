@@ -31,7 +31,11 @@ proves there is none.  Each step subtracts its quotient term times D straight
 into the remainder, with every term of D paired with L once per division, and
 the leading term comes from a heap.  A one-term denominator needs no heap:
 each step cancels one numerator term and adds none, so the quotient is one pass
-over the numerator.  Either way one full product checks the quotient.
+over the numerator.  Either way one full product checks the quotient.  A
+coefficient divided by a one-entry coefficient is one shift and one exact
+integer division per count, with no elimination.  :func:`_qsquare` squares a
+value with one coefficient product per unordered pair of terms, added at the
+pair's two opposite twists.
 """
 
 from __future__ import annotations
@@ -120,6 +124,16 @@ def _coeff_div(num: Coeff, den: Coeff) -> Coeff | None:
     """
     if not den:
         raise ZeroDivisionError("division by the zero coefficient")
+    if len(den) == 1:
+        # a one-entry denominator divides each count and shifts its exponent
+        ((top, lead),) = den.items()
+        quot = {}
+        for e, n in num.items():
+            q, extra = divmod(n, lead)
+            if extra:
+                return None
+            quot[e - top] = q
+        return quot
     rem = dict(num)
     den_top = max(den)
     den_lead = den[den_top]
@@ -440,6 +454,31 @@ def qmul(a: QuantumLaurent, b: QuantumLaurent, form: LambdaForm) -> QuantumLaure
                 for eb, nb in cb.items():
                     e = ea + eb + twist
                     target[e] = target.get(e, 0) + na * nb
+    return _value(a.width, _canonical_terms(out.items()))
+
+
+def _qsquare(a: QuantumLaurent, form: LambdaForm) -> QuantumLaurent:
+    """``qmul(a, a, form)``, taking each unordered pair of terms once.
+
+    X^u·X^v = s^L(u,v)·X^(u+v) and X^v·X^u = s^-L(u,v)·X^(u+v), so one
+    coefficient product is added at both shifts; a term squared has twist 0.
+    """
+    terms = [(v, form.pair(v), c) for v, c in a._terms.items()]
+    out: dict[Vector, Coeff] = {}
+    for i, (va, _, ca) in enumerate(terms):
+        target = out.setdefault(tuple(map(add, va, va)), {})
+        for ea, na in ca.items():
+            for eb, nb in ca.items():
+                target[ea + eb] = target.get(ea + eb, 0) + na * nb
+        for vb, lb, cb in terms[i + 1:]:
+            twist = _dot(va, lb)
+            target = out.setdefault(tuple(map(add, va, vb)), {})
+            for ea, na in ca.items():
+                for eb, nb in cb.items():
+                    n = na * nb
+                    e = ea + eb
+                    target[e + twist] = target.get(e + twist, 0) + n
+                    target[e - twist] = target.get(e - twist, 0) + n
     return _value(a.width, _canonical_terms(out.items()))
 
 

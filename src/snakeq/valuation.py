@@ -125,19 +125,15 @@ def omega(graph: SnakeGraph, matching: Matching, p: int, d_scale: int = 1) -> in
     raise ValueError(f"matching has no twist at tile {p}")
 
 
-def compute_valuation(graph: SnakeGraph, d_scale: int = 1) -> dict[Matching, int]:
-    """Valuation of every perfect matching, anchored at the extremal ones.
+def _valued_masks(
+    graph: SnakeGraph,
+    d_scale: int,
+    twists: dict[int, list[tuple[int, int, int]]] | None = None,
+) -> dict[int, int]:
+    """Each listed mask's value, for :func:`compute_valuation`.
 
-    A breadth-first search over matching bit masks, from the maximal
-    matching at value 0, along twists: one :class:`TwistTable` per graph,
-    and :meth:`TwistTable.twists` gives each matching's twisted masks and
-    increments.  The masks are the ones in the graph's listing of
-    :meth:`SnakeGraph.matchings`, so no matching is converted to a mask
-    here, and the result follows the listing's order.  Every matching it reaches has all of its twists checked, so
-    each twist move is checked from both of its ends.  Raises
-    :class:`ValuationError` if a twist cycle is inconsistent, if the twists
-    do not connect all matchings, or if the minimal matching does not land
-    on 0.
+    Each mask's :meth:`TwistTable.twists` list is computed once; a
+    ``twists`` dict, when given, keeps them by mask.
     """
     table = TwistTable(graph)
     matchings = graph.matchings()
@@ -147,7 +143,10 @@ def compute_valuation(graph: SnakeGraph, d_scale: int = 1) -> dict[Matching, int
     while queue:
         current = queue.popleft()
         base = values[current]
-        for _, neighbor, step in table.twists(current, d_scale):
+        found = table.twists(current, d_scale)
+        if twists is not None:
+            twists[current] = found
+        for _, neighbor, step in found:
             value = base - step
             known = values.get(neighbor)
             if known is None:
@@ -167,7 +166,29 @@ def compute_valuation(graph: SnakeGraph, d_scale: int = 1) -> dict[Matching, int
             "valuation ill-defined: the minimal matching has value "
             f"{values[minimal]}, expected 0"
         )
-    return {m: values[mask] for (_, mask, _), m in zip(graph._listed(), matchings)}
+    return values
+
+
+def compute_valuation(graph: SnakeGraph, d_scale: int = 1) -> dict[Matching, int]:
+    """Valuation of every perfect matching, anchored at the extremal ones.
+
+    A breadth-first search over matching bit masks, from the maximal
+    matching at value 0, along twists: one :class:`TwistTable` per graph,
+    and :meth:`TwistTable.twists` gives each matching's twisted masks and
+    increments.  The masks are the ones in the graph's listing of
+    :meth:`SnakeGraph.matchings`, so no matching is converted to a mask
+    here, and the result follows the listing's order.  Every matching it
+    reaches has all of its twists checked, so each twist move is checked
+    from both of its ends.  Raises
+    :class:`ValuationError` if a twist cycle is inconsistent, if the twists
+    do not connect all matchings, or if the minimal matching does not land
+    on 0.
+    """
+    values = _valued_masks(graph, d_scale)
+    return {
+        m: values[mask]
+        for (_, mask, _), m in zip(graph._listed(), graph.matchings())
+    }
 
 
 def twist_chain(graph: SnakeGraph, d_scale: int = 1) -> list[tuple[int, int]]:

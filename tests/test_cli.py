@@ -508,6 +508,41 @@ def test_failed_division_names_its_flip(capsys, files, monkeypatch):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("slot", ["0", "1"])
+def test_a_failed_last_division_names_the_last_flip(
+    capsys, files, monkeypatch, slot
+):
+    # slot 1 is not the last flip's direction, so the last exchange is
+    # divided; with slot 0 the arc's expansion fails the product check
+    divide = snakeq.expansion.exact_right_divide
+    calls = []
+
+    def fail_fifth(*args):
+        calls.append(args)
+        if len(calls) == 5:
+            raise ExactDivisionError("no exact quotient: injected")
+        return divide(*args)
+
+    monkeypatch.setattr(snakeq.expansion, "exact_right_divide", fail_fifth)
+    code, out, err = run_main(
+        capsys,
+        "verify",
+        "--surface",
+        files["pentagon"],
+        "--arc",
+        files["pentagon_arc"],
+        "--flips",
+        "0,1,0,1,0",
+        "--slot",
+        slot,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: flip 5 of 5 (direction 0): no exact quotient: injected\n"
+    )
+
+
 @pytest.mark.parametrize("slot", ["9", "-1"])
 def test_verify_rejects_out_of_range_slots(capsys, files, slot):
     code, out, err = run_main(
@@ -884,6 +919,30 @@ def test_check_seed_and_expand_reject_a_seed_alike(capsys, files, surface):
         assert err.startswith("error: ") and err.count("\n") == 1
         errors.append(err)
     assert errors[0] == errors[1]
+
+
+def test_valuation_twists_each_matching_once(capsys, files, monkeypatch):
+    twists = TwistTable.twists
+    calls = []
+
+    def counted(table, mask, d_scale, rows=None):
+        calls.append(mask)
+        return twists(table, mask, d_scale, rows)
+
+    monkeypatch.setattr(TwistTable, "twists", counted)
+    code, out, _ = run_main(
+        capsys,
+        "valuation",
+        "--surface",
+        files["annulus"],
+        "--arc",
+        files["golden_arc"],
+    )
+    assert code == 0
+    graph = SnakeGraph(annulus(), golden_arc())
+    masks = [mask for _, mask, _ in graph._listed()]
+    assert sorted(calls) == sorted(masks)
+    assert len(out.splitlines()) == len(masks)
 
 
 def test_ill_defined_valuation_is_an_input_error(capsys, files, monkeypatch):

@@ -31,6 +31,7 @@ from conftest import (
     transfer_corpus,
     valuation_corpus,
 )
+import snakeq.expansion
 from snakeq import (
     Arc,
     ExpansionError,
@@ -46,6 +47,8 @@ from snakeq import (
     signed_adjacency,
     verify_against_oracle,
 )
+from snakeq.expansion import _ordered_power_product
+from snakeq.qalgebra import qmul
 
 
 def principal_btilde(t):
@@ -326,6 +329,65 @@ def test_oracle_with_no_flips_returns_the_initial_torus():
     for i, var in enumerate(run.variables):
         unit = tuple(1 if j == i else 0 for j in range(seed.m))
         assert var == QuantumLaurent.monomial(unit)
+
+
+def test_oracle_initial_variables_are_the_public_monomials():
+    seed = principal_seed(signed_adjacency(annulus()))
+    run = oracle_mutate_variables(seed, [])
+    assert run.variables == tuple(
+        QuantumLaurent.monomial([int(i == j) for j in range(seed.m)])
+        for i in range(seed.m)
+    )
+
+
+def test_ordered_power_products_equal_the_left_to_right_product():
+    t = annulus()
+    seed = seed_choices(t)[2]
+    arc, plan = annulus_bridge(3)
+    variables = oracle_mutate_variables(seed, plan).variables
+    for powers in ((0, 0, 0, 0), (1, 0, 2, 0), (2, 3, 0, 1), (3, 1, 1, 3)):
+        expected = QuantumLaurent.one(seed.m)
+        for var, power in zip(variables, powers):
+            for _ in range(power):
+                expected = qmul(expected, var, seed.lam)
+        assert _ordered_power_product(variables, powers, seed.lam) == expected
+
+
+def counting(monkeypatch, name):
+    """Count the calls of one of the oracle's module-global helpers."""
+    calls = []
+    original = getattr(snakeq.expansion, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(snakeq.expansion, name, counted)
+    return calls
+
+
+def test_a_passing_verify_checks_its_last_exchange_by_one_product(monkeypatch):
+    divisions = counting(monkeypatch, "exact_right_divide")
+    mutations = counting(monkeypatch, "mutate_seed")
+    for name, t, arc, plan in oracle_corpus():
+        divisions.clear()
+        mutations.clear()
+        seed = principal_seed(signed_adjacency(t))
+        assert verify_against_oracle(t, seed, plan, arc).ok, name
+        assert len(divisions) == len(plan) - 1, name
+        assert len(mutations) == len(plan), name
+
+
+def test_a_mismatch_reports_the_oracles_own_variable():
+    t = pentagon()
+    seed = principal_seed(signed_adjacency(t))
+    (_, other, _), (_, arc, plan) = polygon_chords(2)[:2]
+    # two flips; the wrong arcs fail the product check, slot 0 is not final
+    for wrong_arc, slot in ((other, None), (initial_arc(1), 1), (arc, 0)):
+        report = verify_against_oracle(t, seed, plan, wrong_arc, slot)
+        assert not report.ok
+        run = oracle_mutate_variables(seed, plan)
+        assert report.actual == run.variables[report.slot]
 
 
 def test_oracle_rejects_out_of_range_directions():

@@ -21,7 +21,7 @@ from snakeq import (
     quantum_expand,
     signed_adjacency,
 )
-from snakeq.qalgebra import _coeff_div, _support_box
+from snakeq.qalgebra import _coeff_div, _qsquare, _support_box
 
 LAM2 = LambdaForm([[0, 1], [-1, 0]])
 LAM4 = LambdaForm(
@@ -550,6 +550,61 @@ def test_one_term_denominators_equal_the_pairwise_reference(case):
     product = qmul(a, term, form)
     assert exact_right_divide(product, term, form) == a
     assert reference_divide(product, term, form) == a
+
+
+@given(operands())
+def test_the_square_kernel_equals_the_product_with_itself(case):
+    """Widths 2-6, negative counts, and sums whose twisted terms cancel."""
+    width, form, a, b = case
+    for x in (a, -a, a + b, a - b, b - a.scaled(s_exp=1)):
+        assert _qsquare(x, form) == qmul(x, x, form)
+        assert _qsquare(x, form) == reference_product(x, x, form)
+
+
+def loop_coeff_div(num, den):
+    """The elimination loop that divides by any denominator (the reference)."""
+    rem = dict(num)
+    den_top = max(den)
+    den_lead = den[den_top]
+    floor = min(num, default=0) - min(den)
+    quot = {}
+    while rem:
+        rem_top = max(rem)
+        lead, extra = divmod(rem[rem_top], den_lead)
+        if extra != 0:
+            return None
+        shift = rem_top - den_top
+        if shift < floor:
+            return None
+        quot[shift] = lead
+        for e, n in den.items():
+            tgt = e + shift
+            rem[tgt] = rem.get(tgt, 0) - lead * n
+            if rem[tgt] == 0:
+                del rem[tgt]
+        if rem and max(rem) >= rem_top:
+            return None
+    return quot
+
+
+one_entry = st.dictionaries(
+    st.integers(-3, 3), st.integers(-4, 4).filter(bool), min_size=1, max_size=1
+)
+
+
+@given(coeffs, one_entry, one_entry)
+def test_one_entry_coefficient_division_equals_the_loop(quotient, den, other):
+    """Divisible pairs (a product) and mostly non-divisible ones (any pair)."""
+    ((top, lead),) = den.items()
+    product = {e + top: n * lead for e, n in quotient.items()}
+    assert _coeff_div(product, den) == loop_coeff_div(product, den) == quotient
+    for num in (quotient, other):
+        assert _coeff_div(num, den) == loop_coeff_div(num, den)
+
+
+def test_one_entry_coefficient_division_refuses_a_remainder():
+    assert _coeff_div({0: 4, 2: 3}, {1: 2}) is None
+    assert _coeff_div({0: 4, 2: -6}, {1: -2}) == {-1: -2, 1: 3}
 
 
 LAM3_ZERO_ROW = LambdaForm([[0, 2, 0], [-2, 0, 0], [0, 0, 0]])
