@@ -461,6 +461,50 @@ def test_verify_mismatch_exits_one(capsys, files):
     assert any(line.startswith("at X^(") for line in lines)
 
 
+def test_verify_reports_a_flip_that_disagrees_with_matrix_mutation(
+    capsys, files, monkeypatch
+):
+    # a surface that ignores its flips no longer matches the mutated matrix
+    monkeypatch.setattr(snakeq.expansion, "flip", lambda surface, k: surface)
+    code, out, err = run_main(
+        capsys,
+        "verify",
+        "--surface",
+        files["pentagon"],
+        "--arc",
+        files["pentagon_arc"],
+        "--flips",
+        "0,1,0,1,0",
+        "--slot",
+        "0",
+    )
+    assert code == 1
+    assert err == ""
+    assert out == (
+        "mismatch in slot 0: flip at 0 disagrees with matrix mutation\n"
+        "expansion: X^(-1,1,1,0) + X^(-1,0,0,0)\n"
+        "oracle:    0\n"
+        "at X^(-1,1,1,0): expansion has 1, oracle has 0\n"
+    )
+
+
+@pytest.mark.parametrize("flips", ["5", "0,5"])
+def test_verify_names_a_flip_the_surface_refuses(capsys, files, flips):
+    code, out, err = run_main(
+        capsys,
+        "verify",
+        "--surface",
+        files["annulus"],
+        "--arc",
+        files["golden_arc"],
+        "--flips",
+        flips,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: arc 5 is not internal, it bounds no quadrilateral\n"
+
+
 def test_verify_requires_flips(capsys, files):
     code, out, err = run_main(
         capsys,

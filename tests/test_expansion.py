@@ -34,6 +34,7 @@ from conftest import (
 import snakeq.expansion
 from snakeq import (
     Arc,
+    ExactDivisionError,
     ExpansionError,
     QuantumLaurent,
     SeedError,
@@ -405,7 +406,9 @@ def test_verify_requires_a_slot_when_nothing_is_flipped():
         verify_against_oracle(t, seed, [], initial_arc(0))
 
 
-def test_verify_initial_arcs_with_zero_flips():
+def test_verify_initial_arcs_with_zero_flips(monkeypatch):
+    divisions = counting(monkeypatch, "exact_right_divide")
+    mutations = counting(monkeypatch, "mutate_seed")
     t = pentagon()
     seed = principal_seed(signed_adjacency(t))
     for i in range(t.n_internal):
@@ -413,6 +416,40 @@ def test_verify_initial_arcs_with_zero_flips():
         assert report.ok
         assert report.slot == i
         assert report.expected == report.actual
+    assert divisions == []
+    assert mutations == []
+
+
+def test_a_flip_that_disagrees_with_matrix_mutation_is_reported(monkeypatch):
+    # a surface that ignores its flips no longer matches the mutated matrix
+    monkeypatch.setattr(snakeq.expansion, "flip", lambda surface, k: surface)
+    t = pentagon()
+    seed = principal_seed(signed_adjacency(t))
+    (_, arc, plan) = polygon_chords(2)[0]
+    report = verify_against_oracle(t, seed, plan, arc)
+    assert not report.ok
+    assert report.detail == f"flip at {plan[0]} disagrees with matrix mutation"
+    assert report.expected == quantum_expand(t, arc, seed)
+    assert report.actual == QuantumLaurent.zero(seed.m)
+
+
+def test_a_failed_oracle_division_names_its_flip(monkeypatch):
+    divide = snakeq.expansion.exact_right_divide
+    calls = []
+
+    def fail_second(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise ExactDivisionError("no exact quotient: injected")
+        return divide(*args)
+
+    monkeypatch.setattr(snakeq.expansion, "exact_right_divide", fail_second)
+    seed = principal_seed(signed_adjacency(pentagon()))
+    with pytest.raises(ExactDivisionError) as caught:
+        oracle_mutate_variables(seed, [0, 1, 0, 1, 0])
+    assert str(caught.value) == (
+        "flip 2 of 5 (direction 1): no exact quotient: injected"
+    )
 
 
 def test_verify_reports_a_wrong_slot_as_a_mismatch():
