@@ -17,11 +17,12 @@ The oracle takes the same initial seed and computes cluster variables the
 long way around, by mutating seeds and dividing binomials exactly in the
 initial quantum torus; each power in a binomial is taken by squaring.
 Agreement between the two paths is the strongest correctness check in the
-package and is exercised by the verification entry point below.  It runs the
-oracle up to the last flip and then checks the compared exchange with one
-product: the torus has no zero divisors, so expansion·x_k equals the exchange
-binomial exactly when the last division would return the expansion.  Only
-when that fails, or when another slot is compared, does it divide.
+package and is exercised by the verification entry point below.  It walks
+the flip plan once, and each step flips the surface and takes the oracle's
+own exchange step.  The compared exchange is checked with one product: the
+torus has no zero divisors, so expansion·x_k equals the exchange binomial
+exactly when the last division would return the expansion.  Only when that
+fails, or when another slot is compared, does the last step divide.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .qalgebra import (
     exact_right_divide,
     qmul,
 )
-from .seeds import Seed, SeedError, mutate_B, mutate_seed
+from .seeds import Seed, SeedError, mutate_seed
 from .snakegraph import Matching, SnakeGraph
 from .surface import Arc, Triangulation, flip, signed_adjacency
 from .valuation import compute_valuation, twist_chain
@@ -329,43 +330,58 @@ def _ordered_power_product(
     return QuantumLaurent.one(variables[0].width) if out is None else out
 
 
-def _unit(m: int, i: int) -> Vector:
-    """The i-th standard basis vector of ZZ^m."""
-    return (0,) * i + (1,) + (0,) * (m - i - 1)
+def _initial_variables(m: int) -> list[QuantumLaurent]:
+    """The initial cluster X_1, ..., X_m as elements of its quantum torus."""
+    return [
+        _value(m, {(0,) * i + (1,) + (0,) * (m - i - 1): {0: 1}})
+        for i in range(m)
+    ]
 
 
-def _exchange_binomial(
-    variables: Sequence[QuantumLaurent], current: Seed, k: int, form0: LambdaForm
-) -> QuantumLaurent:
-    """The exchange binomial of direction k in the initial quantum torus.
+def _exchange(
+    variables: list[QuantumLaurent],
+    current: Seed,
+    k: int,
+    form0: LambdaForm,
+    position: int,
+    total: int,
+    quotient: QuantumLaurent | None = None,
+) -> Seed:
+    """Exchange ``variables[k]`` in place; return the seed mutated at k.
 
-    Its two ordered power products, each normalized with the current skew
-    form, are merged in one pass.
+    The exchange binomial is built in the initial quantum torus: its two
+    ordered power products, each normalized with the current skew form, are
+    merged in one pass.  A given ``quotient`` is taken without dividing when
+    quotient·x_k is the binomial: the torus has no zero divisors, so that
+    holds exactly when the division would return it.  Otherwise the binomial
+    is divided on the right by x_k, and a failed division names flip
+    ``position`` of ``total``.
     """
     if not 0 <= k < current.n:
         raise SeedError(f"flip direction {k} out of range")
-    lam_now = current.lam
-    e_k = _unit(current.m, k)
+    lam = current.lam
     pairs: list[tuple[Vector, Coeff]] = []
     for sign in (1, -1):
         powers = [max(sign * row[k], 0) for row in current.btilde]
         target = list(powers)
         target[k] -= 1
         product = _ordered_power_product(variables, powers, form0)
-        s_exp = lam_now.eval(target, e_k) - lam_now.ordered_product_twist(powers)
+        # Λ is skew, so -(Λ·target)_k is Λ(target, e_k)
+        s_exp = -lam.pair(target)[k] - lam.ordered_product_twist(powers)
         pairs += [
             (v, {e + s_exp: n for e, n in c.items()})
             for v, c in product._terms.items()
         ]
-    return _value(current.m, _canonical_terms(pairs))
-
-
-class _FlipError(ExactDivisionError):
-    """A failed exchange division, named by its flip among ``total``."""
-
-    def __init__(self, position: int, total: int, k: int, cause: Exception):
-        super().__init__(f"flip {position} of {total} (direction {k}): {cause}")
-        self.flip = (position, k, cause)
+    binomial = _value(current.m, _canonical_terms(pairs))
+    if quotient is None or qmul(quotient, variables[k], form0) != binomial:
+        try:
+            quotient = exact_right_divide(binomial, variables[k], form0)
+        except ExactDivisionError as exc:
+            raise ExactDivisionError(
+                f"flip {position} of {total} (direction {k}): {exc}"
+            ) from exc
+    variables[k] = quotient
+    return mutate_seed(current, k)
 
 
 def oracle_mutate_variables(seed: Seed, flips: Sequence[int]) -> OracleRun:
@@ -377,17 +393,11 @@ def oracle_mutate_variables(seed: Seed, flips: Sequence[int]) -> OracleRun:
     variable; exactness of that division is part of the Laurent phenomenon
     and any failure raises immediately, naming the flip that failed.
     """
-    m = seed.m
     form0 = seed.lam
-    variables = [_value(m, {_unit(m, i): {0: 1}}) for i in range(m)]
+    variables = _initial_variables(seed.m)
     current = seed
     for position, k in enumerate(flips, start=1):
-        binomial = _exchange_binomial(variables, current, k, form0)
-        try:
-            variables[k] = exact_right_divide(binomial, variables[k], form0)
-        except ExactDivisionError as exc:
-            raise _FlipError(position, len(flips), k, exc) from exc
-        current = mutate_seed(current, k)
+        current = _exchange(variables, current, k, form0, position, len(flips))
     return OracleRun(tuple(variables), current)
 
 
@@ -409,13 +419,15 @@ def verify_against_oracle(
 ) -> VerifyReport:
     """Compare the snake-graph expansion of an arc with the mutation oracle.
 
-    The flip sequence is applied both to the triangulation and to the seed;
-    the report compares the expansion of ``arc`` against the oracle variable
-    in ``slot`` (by default the last flipped direction) and also insists that
-    the flipped surface and the mutated matrix still agree.  When ``slot`` is
-    the last flip's direction, the expansion times the outgoing variable is
-    compared with the last exchange binomial; the last division runs only if
-    they differ, so a mismatch reports the oracle's own variable.
+    The flip plan is walked once.  Each step flips the surface, exchanges
+    one oracle variable by the oracle's own step and insists that the
+    flipped surface still has the mutated matrix on top.  The report
+    compares the expansion of ``arc`` against the oracle variable in
+    ``slot`` (by default the last flipped direction).  When ``slot`` is the
+    last flip's direction, that exchange is checked with one product, the
+    expansion times the outgoing variable against the exchange binomial; it
+    divides only if they differ, so a mismatch reports the oracle's own
+    variable.
     """
     if slot is None:
         if not flips:
@@ -428,12 +440,17 @@ def verify_against_oracle(
         )
     expansion = quantum_expand(t, arc, seed)
 
+    variables = _initial_variables(seed.m)
     surface = t
-    matrix = seed.btilde
-    for k in flips:
+    current = seed
+    total = len(flips)
+    for position, k in enumerate(flips, start=1):
         surface = flip(surface, k)
-        matrix = mutate_B(matrix, k)
-        if not _top_block_matches(surface, matrix):
+        compared = expansion if position == total and k == slot else None
+        current = _exchange(
+            variables, current, k, seed.lam, position, total, compared
+        )
+        if not _top_block_matches(surface, current.btilde):
             return VerifyReport(
                 False,
                 slot,
@@ -441,31 +458,7 @@ def verify_against_oracle(
                 QuantumLaurent.zero(seed.m),
                 f"flip at {k} disagrees with matrix mutation",
             )
-
-    if not flips:
-        actual = oracle_mutate_variables(seed, flips).variables[slot]
-    else:
-        total = len(flips)
-        k = flips[-1]
-        try:
-            run = oracle_mutate_variables(seed, flips[:-1])
-        except _FlipError as exc:
-            position, direction, cause = exc.flip
-            raise _FlipError(position, total, direction, cause) from cause
-        form0 = seed.lam
-        variables = list(run.variables)
-        binomial = _exchange_binomial(variables, run.seed, k, form0)
-        # no zero divisors: expansion·x_k == binomial exactly when the
-        # expansion is the quotient, so the division is only run otherwise
-        if slot == k and qmul(expansion, variables[k], form0) == binomial:
-            variables[k] = expansion
-        else:
-            try:
-                variables[k] = exact_right_divide(binomial, variables[k], form0)
-            except ExactDivisionError as exc:
-                raise _FlipError(total, total, k, exc) from exc
-        mutate_seed(run.seed, k)
-        actual = variables[slot]
+    actual = variables[slot]
     ok = actual == expansion
     detail = "match" if ok else "expansion and oracle variable differ"
     return VerifyReport(ok, slot, expansion, actual, detail)
