@@ -59,7 +59,9 @@ def _load_json(path: str) -> object:
             return json.load(handle)
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # a syntax error, bytes that are not UTF-8, an integer past the
+        # interpreter's digit limit, or nesting past its recursion limit
         raise CliInputError(f"{path} is not valid JSON: {exc}") from exc
 
 

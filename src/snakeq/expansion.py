@@ -23,14 +23,15 @@ own exchange step.  The compared exchange is checked with one product: the
 torus has no zero divisors, so expansion·x_k equals the exchange binomial
 exactly when the last division would return the expansion.  Only when that
 fails, or when another slot is compared, does the last step divide.
+The audit rows, oracle runs and verification reports are ``NamedTuple``
+records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from operator import sub
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .qalgebra import (
     Coeff,
@@ -66,8 +67,7 @@ class ExpansionError(ValueError):
     """Raised when expansion inputs do not fit together."""
 
 
-@dataclass(frozen=True)
-class MatchingRecord:
+class MatchingRecord(NamedTuple):
     """Audit row: one perfect matching and its contribution."""
 
     bits: str
@@ -298,8 +298,7 @@ def matching_records(
     )
 
 
-@dataclass(frozen=True)
-class OracleRun:
+class OracleRun(NamedTuple):
     """Cluster variables after a flip sequence, plus the final seed."""
 
     variables: tuple[QuantumLaurent, ...]
@@ -401,8 +400,9 @@ def oracle_mutate_variables(seed: Seed, flips: Sequence[int]) -> OracleRun:
     return OracleRun(tuple(variables), current)
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
+    """The outcome of :func:`verify_against_oracle`: both values and a verdict."""
+
     ok: bool
     slot: int
     expected: QuantumLaurent

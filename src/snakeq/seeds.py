@@ -20,17 +20,20 @@ times -e_k + sum_l [b_lk]_+ e_l.  Checking and mutating a seed thus costs
 Python steps per nonzero of B and Lambda, not per entry; the per-entry
 passes left are the public conversions and the freezing of rows into tuples,
 which run at C speed.
+
+:class:`Seed` is a small slotted class rather than a generated record: it
+checks compatibility when built, on the public path and on the integer-row
+path alike, compares by ``btilde`` and ``lam``, and refuses assignment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import compress
 from operator import neg
 from typing import Any
 
 from .qalgebra import LambdaForm
-from .surface import _json_int, _json_list
+from .surface import _Frozen, _json_int, _json_list
 
 __all__ = [
     "Seed",
@@ -126,24 +129,26 @@ def check_compatible(btilde: Any, lam: LambdaForm) -> int:
     )
 
 
-@dataclass(frozen=True)
-class Seed:
+class Seed(_Frozen):
     """A compatible pair, validated on construction.
 
     ``btilde`` is frozen to a tuple of integer tuples once, here, and the
     form converts its own rows once; code that receives a ``Seed`` reads
     both as they are.  ``d`` is the compatibility scalar, computed once by
-    that validation.  :meth:`from_dict` and :func:`mutate_seed` hand over
-    rows that are integers already, so they skip the conversion but not the
-    checks.
+    that validation; seeds compare and hash by ``btilde`` and ``lam``
+    alone.  :meth:`from_dict` and :func:`mutate_seed` hand over rows that
+    are integers already, so they skip the conversion but not the checks.
     """
+
+    __slots__ = ("btilde", "lam", "d")
 
     btilde: Matrix
     lam: LambdaForm
-    d: int = field(init=False, compare=False)
+    d: int
 
-    def __post_init__(self) -> None:
-        self._set_matrix(_freeze(tuple(map(int, row)) for row in self.btilde))
+    def __init__(self, btilde: Any, lam: LambdaForm) -> None:
+        object.__setattr__(self, "lam", lam)
+        self._set_matrix(_freeze(tuple(map(int, row)) for row in btilde))
 
     @classmethod
     def _of_int_rows(cls, btilde: Any, lam: LambdaForm) -> Seed:
@@ -156,6 +161,23 @@ class Seed:
     def _set_matrix(self, btilde: Matrix) -> None:
         object.__setattr__(self, "btilde", btilde)
         object.__setattr__(self, "d", check_compatible(btilde, self.lam))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.btilde == other.btilde and self.lam == other.lam
+
+    def __hash__(self) -> int:
+        return hash((self.btilde, self.lam))
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(btilde={self.btilde!r}, "
+            f"lam={self.lam!r}, d={self.d!r})"
+        )
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        return type(self), (self.btilde, self.lam)
 
     @property
     def m(self) -> int:

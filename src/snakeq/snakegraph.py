@@ -28,13 +28,14 @@ positions "S", "W", "E", "N", and a shared edge belongs to the earlier tile.
 An arc already in the triangulation has a degenerate one-edge graph with the
 single edge reference (0, "G").  In an edge mask, bit i stands for
 ``edge_refs[i]``: by owning tile, then south, west, east, north.
+:class:`Tile` and :class:`TauClass` are ``NamedTuple`` records.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import compress
+from typing import NamedTuple
 
 from .surface import Arc, ArcTrace, Triangulation, trace_arc
 
@@ -60,8 +61,7 @@ DEGENERATE_EDGE: EdgeRef = (0, "G")
 _SELECTORS = bytes.maketrans(b"01", b"\0\1")
 
 
-@dataclass(frozen=True)
-class Tile:
+class Tile(NamedTuple):
     """One square tile: its diagonal label, four side labels, and placement."""
 
     index: int
@@ -85,8 +85,7 @@ class Tile:
         raise ValueError(f"unknown position {position!r}")
 
 
-@dataclass(frozen=True)
-class TauClass:
+class TauClass(NamedTuple):
     """An equivalence class of same-labeled edges, with its anchor tile.
 
     Kinds: "I" and "II" are the two-edge classes attached to a tile whose

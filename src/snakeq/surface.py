@@ -12,12 +12,17 @@ Arcs not in the triangulation are described by their crossing sequence: the
 ordered list of internal arcs they cross, plus the triangles where they start
 and end.  :func:`trace_arc` checks such a description against the
 triangulation and recovers the full sequence of visited triangles.
+
+:class:`Triangle` checks its sides when built and is a small slotted class
+that refuses assignment; :class:`Quadrilateral`, :class:`Arc` and
+:class:`ArcTrace` are plain ``NamedTuple`` records.  Neither kind goes
+through ``dataclasses``, whose generated methods every call of the command
+would compile again at import.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 __all__ = [
     "Arc",
@@ -37,15 +42,47 @@ class SurfaceError(ValueError):
     """Raised for invalid triangulations, arcs, or impossible flips."""
 
 
-@dataclass(frozen=True)
-class Triangle:
-    """Three sides in cyclic order."""
+class _Frozen:
+    """A base for slotted records whose fields are set once, in ``__init__``.
+
+    The constructor sets each slot with ``object.__setattr__``; afterwards
+    assigning or deleting a field raises :class:`AttributeError`.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Triangle(_Frozen):
+    """Three sides in cyclic order, checked to be three on construction."""
+
+    __slots__ = ("sides",)
 
     sides: tuple[int, int, int]
 
-    def __post_init__(self) -> None:
-        if len(self.sides) != 3:
-            raise SurfaceError(f"triangle {self.sides} does not have three sides")
+    def __init__(self, sides: tuple[int, int, int]) -> None:
+        if len(sides) != 3:
+            raise SurfaceError(f"triangle {sides} does not have three sides")
+        object.__setattr__(self, "sides", sides)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.sides == other.sides
+
+    def __hash__(self) -> int:
+        return hash((self.sides,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(sides={self.sides!r})"
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        return type(self), (self.sides,)
 
     def __contains__(self, arc: int) -> bool:
         return arc in self.sides
@@ -215,8 +252,7 @@ def signed_adjacency(t: Triangulation) -> list[list[int]]:
     return mat
 
 
-@dataclass(frozen=True)
-class Quadrilateral:
+class Quadrilateral(NamedTuple):
     """The four sides around an internal arc, plus the flanking triangles.
 
     ``a1`` and ``a4`` follow and precede ``tau`` in the first triangle,
@@ -277,8 +313,7 @@ def flip(t: Triangulation, tau: int) -> Triangulation:
     return Triangulation(t.n_internal, t.n_boundary, new_triangles)
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     """An arc described relative to a triangulation.
 
     Either a crossing sequence with the start and end triangles, or, for an
@@ -348,8 +383,7 @@ def _arc_crossings(value: Any) -> tuple[int, ...]:
     return tuple(_json_int(c, "each crossing") for c in _json_list(value, "crossings"))
 
 
-@dataclass(frozen=True)
-class ArcTrace:
+class ArcTrace(NamedTuple):
     """Result of walking an arc through its triangulation.
 
     ``triangle_path`` lists the d+1 visited triangle indices and

@@ -712,6 +712,39 @@ def test_unreadable_and_malformed_files(capsys, files, tmp_path):
     assert "not valid JSON" in err
 
 
+def _int_digit_limit() -> int:
+    """The interpreter's limit on integer digits, 0 where there is none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        pytest.param(b"[" * 100_000, id="nested-past-the-recursion-limit"),
+        pytest.param(b"\xff\xfe{", id="not-utf-8"),
+        pytest.param(
+            b'{"n_internal": ' + b"1" * (_int_digit_limit() + 1) + b"}",
+            id="integer-past-the-digit-limit",
+            marks=pytest.mark.skipif(
+                _int_digit_limit() == 0,
+                reason="this interpreter has no integer digit limit",
+            ),
+        ),
+    ],
+)
+def test_malformed_json_is_one_error_line(capsys, files, tmp_path, content):
+    path = tmp_path / "malformed.json"
+    path.write_bytes(content)
+    code, out, err = run_main(
+        capsys, "expand", "--surface", str(path), "--arc", files["golden_arc"]
+    )
+    assert code == 2
+    assert out == ""
+    assert re.fullmatch(
+        f"error: {re.escape(str(path))} is not valid JSON: [^\n]+\n", err
+    )
+
+
 @pytest.mark.parametrize(
     "arc, message",
     [
@@ -1031,6 +1064,22 @@ def test_module_entry_point(files):
     )
     assert proc.returncode == 0
     assert proc.stdout == GOLDEN_COMMUTATIVE + "\n"
+
+
+def test_import_loads_no_code_generating_modules():
+    # every call is a new process, so the import is paid on each; the
+    # records are built without dataclasses, and nothing pulls in inspect
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import snakeq.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & (sys.modules.keys() - before)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_unknown_subcommand_is_a_usage_error(files):

@@ -211,6 +211,8 @@ def test_assigning_to_a_field_raises(name, key):
     before = repr(record)
     with pytest.raises(AttributeError):
         setattr(record, key, None)
+    with pytest.raises(AttributeError):
+        delattr(record, key)
     assert repr(record) == before
 
 
