@@ -140,17 +140,18 @@ def cmd_expand(args: argparse.Namespace) -> int:
 def _first_difference(
     expected: QuantumLaurent, actual: QuantumLaurent
 ) -> str:
-    exponents = sorted(expected.support() | actual.support(), reverse=True)
-    for exponent in exponents:
-        left = expected.coefficient(exponent)
-        right = actual.coefficient(exponent)
-        if left != right:
-            return (
-                f"at X^({_exponent_csv(exponent)}): expansion has "
-                f"{coeff_to_string(left) if left else '0'}, oracle has "
-                f"{coeff_to_string(right) if right else '0'}"
-            )
-    return "no differing exponent found"
+    exponent = max(
+        e
+        for e in expected.support() | actual.support()
+        if expected.coefficient(e) != actual.coefficient(e)
+    )
+    left = expected.coefficient(exponent)
+    right = actual.coefficient(exponent)
+    return (
+        f"at X^({_exponent_csv(exponent)}): expansion has "
+        f"{coeff_to_string(left) if left else '0'}, oracle has "
+        f"{coeff_to_string(right) if right else '0'}"
+    )
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -165,11 +166,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"ok: slot {report.slot} matches")
         print(report.expected.to_string("X"))
         return 0
+    # a mismatch means the two values differ, so some exponent tells them apart
     print(f"mismatch in slot {report.slot}: {report.detail}")
-    if not report.actual.is_zero() or not report.expected.is_zero():
-        print(f"expansion: {report.expected.to_string('X')}")
-        print(f"oracle:    {report.actual.to_string('X')}")
-        print(_first_difference(report.expected, report.actual))
+    print(f"expansion: {report.expected.to_string('X')}")
+    print(f"oracle:    {report.actual.to_string('X')}")
+    print(_first_difference(report.expected, report.actual))
     return 1
 
 

@@ -11,17 +11,17 @@ on the east or the north side of the earlier tile and decides whether the
 chain grows rightward or upward.
 
 Perfect matchings of the resulting plane graph are the combinatorial support
-of Laurent expansions.  Each is the minimal matching, found by one walk of
-the boundary, with the four sides of every tile whose bit is 1 switched, and
-the fence relations between neighbouring bits say which bit patterns occur.
-This module lists the matchings that way and computes heights, weights,
-twists and the label-equivalence classes used to compare expansions across a
-flip.  The walk keeps one row per matching, its bit string, its edge mask and
-its height packed into one int, as the graph's listing: the audit rows, the
-matching and valuation listings and the exhaustive valuation read those rows,
-while :meth:`SnakeGraph.height_vector`, :meth:`SnakeGraph.mask` and
-:meth:`SnakeGraph.matching_bits` recompute one matching's entries from its
-edges.
+of Laurent expansions.  Each is the minimal matching, every other edge of the
+boundary read off the tiles' sides, with the four sides of every tile whose
+bit is 1 switched, and the fence relations between neighbouring bits say
+which bit patterns occur.  This module lists the matchings that way and
+computes heights, weights, twists and the label-equivalence classes used to
+compare expansions across a flip.  The fence walk keeps one row per matching,
+its bit string, its edge mask and its height packed into one int, as the
+graph's listing: the audit rows, the matching and valuation listings and the
+exhaustive valuation read those rows, while :meth:`SnakeGraph.height_vector`,
+:meth:`SnakeGraph.mask` and :meth:`SnakeGraph.matching_bits` recompute one
+matching's entries from its edges.
 
 Tiles are indexed from 1; an edge is addressed as (tile, position) with
 positions "S", "W", "E", "N", and a shared edge belongs to the earlier tile.
@@ -165,11 +165,9 @@ class SnakeGraph:
     def _index_edges(self) -> None:
         refs: list[EdgeRef] = []
         labels: dict[EdgeRef, int] = {}
-        verts: dict[EdgeRef, frozenset[tuple[int, int]]] = {}
         if self.degenerate_label is not None:
             refs.append(DEGENERATE_EDGE)
             labels[DEGENERATE_EDGE] = self.degenerate_label
-            verts[DEGENERATE_EDGE] = frozenset(((0, 0), (1, 0)))
         for tile in self.tiles:
             owned = set(POSITION_ORDER)
             if tile.index >= 2:
@@ -180,10 +178,8 @@ class SnakeGraph:
                 ref = (tile.index, pos)
                 refs.append(ref)
                 labels[ref] = tile.label(pos)
-                verts[ref] = self._side_vertices(tile, pos)
         self.edge_refs: tuple[EdgeRef, ...] = tuple(refs)
         self._labels = labels
-        self._vertices = verts
         self.bit = {ref: 1 << i for i, ref in enumerate(refs)}
         # row p - 1: the bits of tile p's south, west, east and north sides
         self.tile_sides: tuple[tuple[int, ...], ...] = tuple(
@@ -197,7 +193,6 @@ class SnakeGraph:
         self._height_bits = max(crossed.values(), default=0).bit_length()
         self._matchings: tuple[Matching, ...] | None = None
         self._listing: tuple[ListedMatching, ...] | None = None
-        self._extremal: tuple[Matching, Matching] | None = None
         self._extremal_edge_masks: tuple[int, int] | None = None
 
     @staticmethod
@@ -219,7 +214,12 @@ class SnakeGraph:
         return sum(map(self.bit.__getitem__, matching))
 
     def edge_vertices(self, ref: EdgeRef) -> frozenset[tuple[int, int]]:
-        return self._vertices[ref]
+        """The plane coordinates of the edge's two ends."""
+        if ref not in self._labels:
+            raise KeyError(ref)
+        if ref == DEGENERATE_EDGE:
+            return frozenset(((0, 0), (1, 0)))
+        return self._side_vertices(self.tiles[ref[0] - 1], ref[1])
 
     def glue_edges(self) -> tuple[EdgeRef, ...]:
         return tuple(
@@ -254,10 +254,8 @@ class SnakeGraph:
         """
         if self._matchings is None:
             self._listing = self._fence_walk()
-            refs = self.edge_refs
             self._matchings = tuple(
-                frozenset(compress(refs, key.encode().translate(_SELECTORS)))
-                for key, _, _ in self._listing
+                self._matching(key) for key, _, _ in self._listing
             )
         return self._matchings
 
@@ -305,61 +303,60 @@ class SnakeGraph:
     def matching_bits(self, matching: Matching) -> str:
         return self._bits(self.mask(matching))
 
-    def _extremal_matchings(self) -> tuple[Matching, Matching]:
-        """The minimal and maximal matchings, from one walk of the boundary.
+    def _matching(self, bits: str) -> Matching:
+        """The matching whose edge ``edge_refs[i]`` is in when bit i is 1."""
+        return frozenset(compress(self.edge_refs, bits.encode().translate(_SELECTORS)))
 
-        Every edge but the glue edges lies on the boundary, and the boundary
-        is one even cycle through every vertex.  Walking it from the west
-        side of tile 1, the alternate edges are the minimal matching and the
-        others the maximal one, so nothing is enumerated.
+    def _boundary_chains(self) -> tuple[list[int], list[int]]:
+        """The edge bits of the southeast and the northwest boundary chains.
+
+        Both run from the south-west corner of tile 1 to the north-east
+        corner of tile d, and close the boundary, the one cycle of every edge
+        but the glue edges; a degenerate graph's one edge is both chains.
         """
-        if self._extremal is None and self.degenerate_label is not None:
-            only = frozenset((DEGENERATE_EDGE,))
-            self._extremal = (only, only)
-        if self._extremal is None:
-            glue = set(self.glue_edges())
-            ends: dict[tuple[int, int], list[EdgeRef]] = {}
-            for ref in self.edge_refs:
-                if ref not in glue:
-                    for v in self._vertices[ref]:
-                        ends.setdefault(v, []).append(ref)
-            if any(len(refs) != 2 for refs in ends.values()):
-                raise AssertionError(
-                    "expected every vertex to meet exactly two boundary edges"
-                )
-            start: EdgeRef = (1, "W")
-            walk = [start]
-            vertex = min(self._vertices[start])
-            while True:
-                first, second = ends[vertex]
-                ref = second if first == walk[-1] else first
-                if ref == start:
-                    break
-                walk.append(ref)
-                (vertex,) = self._vertices[ref] - {vertex}
-            if len(walk) % 2 or len(walk) != len(ends):
-                raise AssertionError(
-                    "expected the boundary to be one even cycle through "
-                    "every vertex"
-                )
-            self._extremal = (frozenset(walk[0::2]), frozenset(walk[1::2]))
-        return self._extremal
+        if self.degenerate_label is not None:
+            return [self.bit[DEGENERATE_EDGE]], [self.bit[DEGENERATE_EDGE]]
+        southeast: list[int] = []
+        northwest: list[int] = []
+        for (south, west, east, north), entered, leaving in zip(
+            self.tile_sides, ("", *self.glue), (*self.glue, "")
+        ):
+            if entered != "U":
+                southeast.append(south)
+            if leaving != "R":
+                southeast.append(east)
+            if entered != "R":
+                northwest.append(west)
+            if leaving != "U":
+                northwest.append(north)
+        return southeast, northwest
 
     def _extremal_masks(self) -> tuple[int, int]:
-        """The edge masks of the minimal and the maximal matching."""
+        """The edge masks of the minimal and the maximal matching.
+
+        Each takes every other edge of the boundary cycle, so nothing is
+        enumerated: the minimal one takes the first edge of the northwest
+        chain, the west side of tile 1, and the maximal one the first edge of
+        the southeast chain.
+        """
         if self._extremal_edge_masks is None:
-            # mask() stays the per-matching reference; no listing path calls it
-            bit = self.bit.__getitem__
-            low, high = self._extremal_matchings()
-            self._extremal_edge_masks = (sum(map(bit, low)), sum(map(bit, high)))
+            southeast, northwest = self._boundary_chains()
+            self._extremal_edge_masks = (
+                sum(northwest[0::2]) + sum(southeast[1::2]),
+                sum(northwest[1::2]) + sum(southeast[0::2]),
+            )
         return self._extremal_edge_masks
 
     def minimal_matching(self) -> Matching:
-        """The all-boundary matching through the west side of the first tile."""
-        return self._extremal_matchings()[0]
+        """The all-boundary matching through the west side of the first tile.
+
+        It and :meth:`maximal_matching` are the masks of
+        :meth:`_extremal_masks`, read off the boundary chains, as edge sets.
+        """
+        return self._matching(self._bits(self._extremal_masks()[0]))
 
     def maximal_matching(self) -> Matching:
-        return self._extremal_matchings()[1]
+        return self._matching(self._bits(self._extremal_masks()[1]))
 
     def fence(self) -> tuple[bool, ...]:
         """The order between consecutive tile bits of every matching.
@@ -428,7 +425,7 @@ class SnakeGraph:
         side when tile p + 1 sits to its east, otherwise its east side.
         """
         heights = [0] * self.triangulation.n_internal
-        switched = self.mask(matching ^ self.minimal_matching())
+        switched = self.mask(matching) ^ self._extremal_masks()[0]
         for tile, (_, _, east, north), glue in zip(
             self.tiles, self.tile_sides, (*self.glue, "U")
         ):
@@ -489,10 +486,8 @@ class SnakeGraph:
             if not members:
                 continue
             if len(members) == 2:
-                touching = bool(
-                    self._vertices[members[0]] & self._vertices[members[1]]
-                )
-                kind = "II" if touching else "I"
+                # the two edges meet when the glue turns at tile p
+                kind = "II" if self.glue[p - 2] != self.glue[p - 1] else "I"
             else:
                 kind = "III"
             assigned.update(members)

@@ -750,15 +750,29 @@ def test_malformed_json_is_one_error_line(capsys, files, tmp_path, content):
     [
         (
             {"crossings": ["a"], "start_triangle": 0, "end_triangle": 1},
-            "each crossing must be an integer, not 'a'",
+            "arc description: each crossing must be an integer, not 'a'",
         ),
         (
             {"crossings": [0], "start_triangle": None, "end_triangle": 1},
-            "start_triangle must be an integer, not None",
+            "arc description: start_triangle must be an integer, not None",
         ),
-        ({"arc": "x"}, "arc must be an integer, not 'x'"),
+        ({"arc": "x"}, "arc description: arc must be an integer, not 'x'"),
+        (
+            {"crossings": [0, 1, 0, 1, 0], "start_triangle": 9, "end_triangle": 1},
+            "unknown start triangle 9",
+        ),
+        (
+            {"crossings": [0, 1, 0, 1, 0], "start_triangle": 0, "end_triangle": -1},
+            "unknown end triangle -1",
+        ),
     ],
-    ids=["string-crossing", "null-start-triangle", "string-index"],
+    ids=[
+        "string-crossing",
+        "null-start-triangle",
+        "string-index",
+        "unknown-start-triangle",
+        "negative-end-triangle",
+    ],
 )
 def test_malformed_arc_fields_are_input_errors(capsys, files, arc, message):
     bad = files["write"]("bad_arc.json", arc)
@@ -767,47 +781,81 @@ def test_malformed_arc_fields_are_input_errors(capsys, files, arc, message):
     )
     assert code == 2
     assert out == ""
-    assert err == f"error: arc description: {message}\n"
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(
-    "option, path, value, message",
+    "command, option, path, value, message",
     [
         (
+            "expand",
             "--seed",
             (),
             {"Btilde": [[]], "Lambda": [[0]]},
             "the exchange matrix has no mutable columns",
         ),
         (
+            "expand",
             "--seed",
             ("Btilde", 1, 0),
             2.9,
             "each Btilde entry must be an integer, not 2.9",
         ),
         (
+            "expand",
             "--seed",
             ("Btilde", 2, 0),
             True,
             "each Btilde entry must be an integer, not True",
         ),
         (
+            "expand",
             "--surface",
             ("n_boundary",),
             2.5,
             "n_boundary must be an integer, not 2.5",
         ),
         (
+            "expand",
             "--surface",
             ("triangles", 0, 2),
             2.2,
             "each side must be an integer, not 2.2",
         ),
         (
+            "expand",
             "--surface",
             ("n_boundary",),
             10**12,
             "boundary arcs need 1000000000004",
+        ),
+        (
+            "expand",
+            "--surface",
+            ("n_boundary",),
+            -1,
+            "arc counts must be non-negative",
+        ),
+        (
+            "check-seed",
+            "--seed",
+            (),
+            {"Btilde": [[0, 0, 0]], "Lambda": [[0]]},
+            "more mutable columns (3) than rows (1)",
+        ),
+        (
+            "check-seed",
+            "--seed",
+            (),
+            {"Btilde": [[0, 1], [-1, 0]], "Lambda": [[0] * 3] * 3},
+            "form rank 3 does not match the 2 exchange rows",
+        ),
+        (
+            "expand",
+            "--seed",
+            (),
+            {"Btilde": [[0, 1], [-1, 0]], "Lambda": [[0] * 3] * 3},
+            "form rank 3 does not match the 2 exchange rows",
         ),
     ],
     ids=[
@@ -817,10 +865,14 @@ def test_malformed_arc_fields_are_input_errors(capsys, files, arc, message):
         "float-boundary-count",
         "float-side",
         "huge-boundary-count",
+        "negative-boundary-count",
+        "more-columns-than-rows",
+        "form-rank-off-the-rows-check-seed",
+        "form-rank-off-the-rows",
     ],
 )
 def test_malformed_surfaces_and_seeds_are_input_errors(
-    capsys, files, option, path, value, message
+    capsys, files, command, option, path, value, message
 ):
     t = annulus()
     payload = {
@@ -841,9 +893,12 @@ def test_malformed_surfaces_and_seeds_are_input_errors(
         "--seed": files["seed"],
         option: files["write"]("bad.json", payload),
     }
-    argv = ["expand", "--quantum"]
-    for key, name in inputs.items():
-        argv += [key, name]
+    if command == "check-seed":
+        argv = [command, "--seed", inputs["--seed"]]
+    else:
+        argv = [command, "--quantum"]
+        for key, name in inputs.items():
+            argv += [key, name]
     code, out, err = run_main(capsys, *argv)
     assert code == 2
     assert out == ""

@@ -185,9 +185,16 @@ def transfer_graphs(max_d: int) -> list[SnakeGraph]:
     ]
 
 
+def fan60_chords() -> list[SnakeGraph]:
+    """The 60-fan's chords with d = 3, 30 and 60 crossings."""
+    t = polygon_fan(60)
+    chords = {pair: arc for pair, arc, _ in polygon_chords(60)}
+    return [SnakeGraph(t, chords[1, d + 2]) for d in (3, 30, 60)]
+
+
 def test_exactly_two_all_boundary_matchings():
-    # the boundary walk against the boundary scan
-    for g in corpus_graphs() + transfer_graphs(15):
+    # the boundary chains against the boundary scan
+    for g in corpus_graphs() + transfer_graphs(15) + fan60_chords():
         if g.degenerate_label is not None:
             continue
         boundary = boundary_matchings(g)
@@ -201,6 +208,8 @@ def test_exactly_two_all_boundary_matchings():
         assert (1, "W") not in high
         if g.d == 1 or g.glue[0] == "R":
             assert {(1, "S"), (1, "N")} <= high
+        full = [m for m in g.matchings() if tile_bits(g, m) == (1,) * g.d]
+        assert full == [high]
 
 
 def test_matchings_equal_the_vertex_search_in_bit_order():
@@ -270,37 +279,37 @@ def test_first_tile_corner_dichotomy():
 
 
 def test_boundary_scan_runs_once_per_graph(monkeypatch):
-    # the extremal matchings come from one walk of the boundary (one
-    # glue_edges call) per graph and never from enumerating the matchings
+    # the extremal matchings come from one read of the boundary chains per
+    # graph and never from enumerating the matchings
     enumerated = []
-    walks = []
+    scans = []
     matchings = SnakeGraph.matchings
-    glue_edges = SnakeGraph.glue_edges
+    boundary_chains = SnakeGraph._boundary_chains
 
     def counted_matchings(graph):
         if graph._matchings is None:
             enumerated.append(graph)
         return matchings(graph)
 
-    def counted_glue_edges(graph):
-        walks.append(graph)
-        return glue_edges(graph)
+    def counted_boundary_chains(graph):
+        scans.append(graph)
+        return boundary_chains(graph)
 
     monkeypatch.setattr(SnakeGraph, "matchings", counted_matchings)
-    monkeypatch.setattr(SnakeGraph, "glue_edges", counted_glue_edges)
+    monkeypatch.setattr(SnakeGraph, "_boundary_chains", counted_boundary_chains)
     for g in corpus_graphs():
         enumerated.clear()
-        walks.clear()
+        scans.clear()
         g.minimal_matching()
         g.maximal_matching()
         assert enumerated == []
-        assert walks == [g]
+        assert scans == [g]
         for m in g.matchings():
             g.height_vector(m)
         g.minimal_matching()
         compute_valuation(g)
         assert enumerated == [g]
-        assert walks == [g]
+        assert scans == [g]
 
 
 def test_glue_edges_touch_no_boundary_matching():
@@ -423,6 +432,19 @@ def test_tau_classes_partition_the_tau_edges():
                 ref for ref in g.edge_refs if g.edge_label(ref) == tau
             }
             assert union == tau_edges
+
+
+def test_two_edge_tau_classes_are_kind_ii_where_their_edges_meet():
+    # the glue rule for kinds I and II against the plane coordinates
+    seen = set()
+    for g in corpus_graphs() + transfer_graphs(15):
+        for tau in set(g.arc.crossings):
+            for c in g.tau_classes(tau):
+                if len(c.edges) == 2:
+                    first, second = map(g.edge_vertices, c.edges)
+                    assert c.kind == ("II" if first & second else "I")
+                    seen.add(c.kind)
+    assert seen == {"I", "II"}
 
 
 def test_nu_values_stay_in_their_documented_ranges():
