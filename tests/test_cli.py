@@ -351,8 +351,15 @@ def test_listings_read_the_rows_of_one_fence_walk(
     capsys, files, monkeypatch, command
 ):
     # bits, masks and heights come from the graph's listing: no per-matching
-    # reference method runs, and the walk runs once for the one graph
-    calls = {"height_vector": 0, "mask": 0, "matching_bits": 0, "_fence_walk": 0}
+    # reference method runs, and the walk runs once for the one graph; only
+    # the matchings listing, which prints edge labels, builds edge sets
+    calls = {
+        "height_vector": 0,
+        "mask": 0,
+        "matching_bits": 0,
+        "_fence_walk": 0,
+        "_matching": 0,
+    }
     for method in calls:
         original = getattr(SnakeGraph, method)
 
@@ -366,9 +373,12 @@ def test_listings_read_the_rows_of_one_fence_walk(
     code, out, _ = run_main(capsys, *argv)
     assert code == 0
     assert len(out.splitlines()) >= 89
+    built = calls.pop("_matching")
     assert calls == {
         "height_vector": 0, "mask": 0, "matching_bits": 0, "_fence_walk": 1
     }
+    if command != "matchings":
+        assert built == 0
 
 
 @pytest.mark.parametrize(

@@ -32,7 +32,7 @@ from snakeq import (
     signed_adjacency,
 )
 from snakeq.snakegraph import POSITION_ORDER
-from snakeq.valuation import TwistTable, twist_chain
+from snakeq.valuation import TwistTable, _valued_masks, twist_chain
 
 
 def golden_graph() -> SnakeGraph:
@@ -213,6 +213,22 @@ def test_valuation_builds_one_table_and_no_twisted_frozensets(monkeypatch):
     assert counts["twist"] == counts["can_twist"] == 0
 
 
+def test_valued_masks_build_no_edge_set(monkeypatch):
+    # the search runs on the listing's masks alone
+    g = SnakeGraph(annulus(), annulus_bridge(6)[0])
+    built = []
+    original = SnakeGraph._matching
+
+    def counted(graph, bits):
+        built.append(bits)
+        return original(graph, bits)
+
+    monkeypatch.setattr(SnakeGraph, "_matching", counted)
+    values = _valued_masks(g, 2)
+    assert len(values) == 89
+    assert built == []
+
+
 def test_valuation_scales_with_the_compatibility_scalar():
     g = golden_graph()
     single = compute_valuation(g, 1)
@@ -291,6 +307,34 @@ def test_twists_must_reach_every_matching(monkeypatch):
     monkeypatch.setattr(TwistTable, "twists", lambda table, mask, d_scale: [])
     with pytest.raises(ValuationError, match="do not connect all matchings"):
         compute_valuation(g)
+
+
+def twist_error(g, refs, p):
+    """The error :meth:`TwistTable.twists` raises at tile p on ``refs``."""
+    table = TwistTable(g)
+    mask = sum(g.bit[ref] for ref in refs)
+    with pytest.raises(AssertionError) as info:
+        table.twists(mask, 1, (table.tiles[p - 1],))
+    return str(info.value)
+
+
+def test_a_twist_on_adjacent_sides_is_refused():
+    g = golden_graph()
+    assert twist_error(g, [(1, "S"), (1, "W")], 1) == (
+        "twistable tile 1 is matched on adjacent sides"
+    )
+
+
+def test_a_twist_across_a_matched_edge_is_refused():
+    # tile 2 is entered by an R glue, so its west side is (1, "E"), and the
+    # matched (1, "N") lies between its west and east sides
+    g = golden_graph()
+    assert g.glue[0] == "R"
+    message = "matched sides of tile 2 are not adjacent in the ordered edge list"
+    assert twist_error(g, [(1, "E"), (2, "E"), (1, "N")], 2) == message
+    # on the adjacent west and north sides the adjacency check still comes
+    # first
+    assert twist_error(g, [(1, "E"), (2, "N"), (1, "N")], 2) == message
 
 
 # ----------------------------------------------------------------------
