@@ -17,9 +17,9 @@ from typing import Sequence
 
 from .expansion import (
     ExpansionError,
+    _audit_rows,
     _check_top_block,
     commutative_expand,
-    matching_records,
     quantum_expand,
     verify_against_oracle,
 )
@@ -106,24 +106,21 @@ def cmd_expand(args: argparse.Namespace) -> int:
     seed = _load_seed(args.seed, t)
 
     if args.audit:
-        records = matching_records(t, arc, seed)
-        for record in records:
+        _check_top_block(t, seed.btilde)
+        rows = _audit_rows(SnakeGraph(t, arc), seed)
+        for bits, exponent, valuation in rows:
             if args.machine:
-                print(
-                    f"{record.bits}|{_exponent_csv(record.exponent)}|"
-                    f"{record.valuation}"
-                )
+                print(f"{bits}|{_exponent_csv(exponent)}|{valuation}")
             else:
                 print(
-                    f"# matching {record.bits} "
-                    f"a=({_exponent_csv(record.exponent)}) "
-                    f"v={record.valuation}"
+                    f"# matching {bits} a=({_exponent_csv(exponent)}) "
+                    f"v={valuation}"
                 )
     if args.audit and args.quantum:
         # the rows are the library's own exact ints: summed, not converted
         value = _value(
             seed.m,
-            _canonical_terms((r.exponent, {r.valuation: 1}) for r in records),
+            _canonical_terms((a, {v: 1}) for _, a, v in rows),
         )
     elif args.quantum:
         value = quantum_expand(t, arc, seed)

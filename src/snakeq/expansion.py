@@ -11,7 +11,10 @@ distinct (last bit, height) states, not the matchings, and both return a
 :class:`~snakeq.qalgebra.QuantumLaurent`: the commutative one is the transfer
 with a zero twist, so every coefficient sits at s^0 and
 :meth:`~snakeq.qalgebra.QuantumLaurent.specialize_q1` reads its values.  Only
-the audit rows of :func:`matching_records` enumerate the matchings one by one.
+the audit rows enumerate the matchings one by one: :func:`_audit_rows` gives
+each matching's bit string, exponent and valuation from the graph's listing,
+valued by edge mask, and :func:`matching_records` adds each matching's edge
+set to its row.
 
 The oracle takes the same initial seed and computes cluster variables the
 long way around, by mutating seeds and dividing binomials exactly in the
@@ -23,7 +26,7 @@ own exchange step.  The compared exchange is checked with one product: the
 torus has no zero divisors, so expansion·x_k equals the exchange binomial
 exactly when the last division would return the expansion.  Only when that
 fails, or when another slot is compared, does the last step divide.
-The audit rows, oracle runs and verification reports are ``NamedTuple``
+The audit records, oracle runs and verification reports are ``NamedTuple``
 records.
 """
 
@@ -48,7 +51,9 @@ from .qalgebra import (
 from .seeds import Seed, SeedError, mutate_seed
 from .snakegraph import Matching, SnakeGraph
 from .surface import Arc, Triangulation, flip, signed_adjacency
-from .valuation import compute_valuation, twist_chain
+# compute_valuation is the public form of the search _audit_rows runs; it
+# stays a name of this module, where perfbench/tracing.py looks it up
+from .valuation import _valued_masks, compute_valuation, twist_chain
 
 __all__ = [
     "ExpansionError",
@@ -102,8 +107,12 @@ def _check_top_block(t: Triangulation, btilde: Sequence[Sequence[int]]) -> None:
 
 
 def _offset(graph: SnakeGraph, m: int) -> list[int]:
-    """g: the minimal matching's weight minus the crossings on top, 0 below."""
-    weight = graph.weight_vector(graph.minimal_matching())
+    """g: the minimal matching's weight minus the crossings on top, 0 below.
+
+    The weight is read off the minimal matching's mask, with no edge set.
+    """
+    minimal = graph._bits(graph._extremal_masks()[0])
+    weight = graph.weight_vector(graph._refs(minimal))
     crossing = graph.crossing_vector()
     return list(map(sub, weight, crossing)) + [0] * (m - len(weight))
 
@@ -266,21 +275,15 @@ def quantum_expand(t: Triangulation, arc: Arc, seed: Seed) -> QuantumLaurent:
     return _value(seed.m, _canonical_terms(terms))
 
 
-def matching_records(
-    t: Triangulation, arc: Arc, seed: Seed
-) -> tuple[MatchingRecord, ...]:
-    """One audit row per perfect matching, in bit-string order.
+def _audit_rows(graph: SnakeGraph, seed: Seed) -> list[tuple[str, Vector, int]]:
+    """Bit string, exponent and valuation of every matching, in bit order.
 
-    This enumerates the matchings and runs the exhaustive valuation
-    (:func:`compute_valuation`), which checks every twist from both ends;
-    the sum of ``X^exponent`` times ``s^valuation`` over the rows is
-    :func:`quantum_expand`'s value.  Bit strings and heights are the rows of
-    the graph's listing (:meth:`SnakeGraph.matchings`), and the exponent of
-    each distinct height is computed once, over the crossed labels only.
+    The rows follow the graph's listing (:meth:`SnakeGraph._listed`), and
+    no edge set is built.  The exponent of each distinct height is computed
+    once, over the crossed labels only.  The valuation is looked up by mask
+    from the exhaustive search (:func:`~snakeq.valuation._valued_masks`),
+    which checks every twist from both ends.
     """
-    _check_top_block(t, seed.btilde)
-    graph = SnakeGraph(t, arc)
-    matchings = graph.matchings()
     listing = graph._listed()
     # matchings of one height share an exponent, computed once
     heights = dict.fromkeys(h for _, _, h in listing)
@@ -291,10 +294,28 @@ def matching_records(
         map(graph._unpack_height, heights),
     )
     by_height = dict(zip(heights, exponents))
-    values = compute_valuation(graph, seed.d)
+    values = _valued_masks(graph, seed.d)
+    return [(bits, by_height[h], values[mask]) for bits, mask, h in listing]
+
+
+def matching_records(
+    t: Triangulation, arc: Arc, seed: Seed
+) -> tuple[MatchingRecord, ...]:
+    """One audit row per perfect matching, in bit-string order.
+
+    The rows of :func:`_audit_rows`, each with its matching's edge set from
+    :meth:`SnakeGraph.matchings`; the valuation is the exhaustive one of
+    :func:`compute_valuation`, which checks every twist from both ends.  The
+    sum of ``X^exponent`` times ``s^valuation`` over the rows is
+    :func:`quantum_expand`'s value.
+    """
+    _check_top_block(t, seed.btilde)
+    graph = SnakeGraph(t, arc)
     return tuple(
-        MatchingRecord(bits, p, by_height[h], values[p])
-        for (bits, _, h), p in zip(listing, matchings)
+        MatchingRecord(bits, matching, exponent, value)
+        for (bits, exponent, value), matching in zip(
+            _audit_rows(graph, seed), graph.matchings()
+        )
     )
 
 

@@ -16,12 +16,17 @@ boundary read off the tiles' sides, with the four sides of every tile whose
 bit is 1 switched, and the fence relations between neighbouring bits say
 which bit patterns occur.  This module lists the matchings that way and
 computes heights, weights, twists and the label-equivalence classes used to
-compare expansions across a flip.  The fence walk keeps one row per matching,
-its bit string, its edge mask and its height packed into one int, as the
-graph's listing: the audit rows, the matching and valuation listings and the
-exhaustive valuation read those rows, while :meth:`SnakeGraph.height_vector`,
-:meth:`SnakeGraph.mask` and :meth:`SnakeGraph.matching_bits` recompute one
-matching's entries from its edges.
+compare expansions across a flip.
+
+The graph's listing (:meth:`SnakeGraph._listed`) is primary: the fence walk
+keeps one row per matching, its bit string, its edge mask and its height
+packed into one int.  The audit rows, the valuation listing and the
+exhaustive valuation read those rows and build no edge set.  Only
+:meth:`SnakeGraph.matchings`, on its first call, turns the rows into
+frozensets of edges, for the public results keyed by edge set;
+:meth:`SnakeGraph.height_vector`, :meth:`SnakeGraph.mask` and
+:meth:`SnakeGraph.matching_bits` recompute one matching's entries from its
+edges.
 
 Tiles are indexed from 1; an edge is addressed as (tile, position) with
 positions "S", "W", "E", "N", and a shared edge belongs to the earlier tile.
@@ -34,6 +39,7 @@ single edge reference (0, "G").  In an edge mask, bit i stands for
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from itertools import compress
 from typing import NamedTuple
 
@@ -195,36 +201,12 @@ class SnakeGraph:
         self._listing: tuple[ListedMatching, ...] | None = None
         self._extremal_edge_masks: tuple[int, int] | None = None
 
-    @staticmethod
-    def _side_vertices(tile: Tile, pos: str) -> frozenset[tuple[int, int]]:
-        x, y = tile.x, tile.y
-        if pos == "S":
-            return frozenset(((x, y), (x + 1, y)))
-        if pos == "W":
-            return frozenset(((x, y), (x, y + 1)))
-        if pos == "E":
-            return frozenset(((x + 1, y), (x + 1, y + 1)))
-        return frozenset(((x, y + 1), (x + 1, y + 1)))
-
     def edge_label(self, ref: EdgeRef) -> int:
         return self._labels[ref]
 
     def mask(self, matching: Matching) -> int:
         """The matching as an edge mask: bit i set when ``edge_refs[i]`` is in it."""
         return sum(map(self.bit.__getitem__, matching))
-
-    def edge_vertices(self, ref: EdgeRef) -> frozenset[tuple[int, int]]:
-        """The plane coordinates of the edge's two ends."""
-        if ref not in self._labels:
-            raise KeyError(ref)
-        if ref == DEGENERATE_EDGE:
-            return frozenset(((0, 0), (1, 0)))
-        return self._side_vertices(self.tiles[ref[0] - 1], ref[1])
-
-    def glue_edges(self) -> tuple[EdgeRef, ...]:
-        return tuple(
-            (j, "E" if g == "R" else "N") for j, g in enumerate(self.glue, start=1)
-        )
 
     def tile_edge_refs(self, p: int) -> tuple[EdgeRef, EdgeRef, EdgeRef, EdgeRef]:
         """Canonical references of tile p's south, west, east, north sides."""
@@ -243,24 +225,33 @@ class SnakeGraph:
     # perfect matchings
 
     def matchings(self) -> tuple[Matching, ...]:
-        """All perfect matchings, ordered by their bit strings.
+        """All perfect matchings as edge sets, in the order of :meth:`_listed`.
+
+        They are built from the listing's bit strings on the first call.
+        """
+        if self._matchings is None:
+            self._matchings = tuple(
+                self._matching(bits) for bits, _, _ in self._listed()
+            )
+        return self._matchings
+
+    def _listed(self) -> tuple[ListedMatching, ...]:
+        """Every matching's bit string, edge mask and packed height, by bits.
+
+        The fence walk runs on the first call, and its rows are kept.
+        """
+        if self._listing is None:
+            self._listing = self._fence_walk()
+        return self._listing
+
+    def _fence_walk(self) -> tuple[ListedMatching, ...]:
+        """The rows of :meth:`_listed`.
 
         The bit patterns the fence allows are walked tile by tile as edge
         masks, split by their last bit: each starts as the minimal
         matching's mask, and a tile whose bit is 1 switches its four sides
-        and adds one to its label's packed height.  The walk's rows, each a
-        matching's bit string, edge mask and packed height, are kept as the
-        graph's listing (:meth:`_listed`) in the same order.
+        and adds one to its label's packed height.
         """
-        if self._matchings is None:
-            self._listing = self._fence_walk()
-            self._matchings = tuple(
-                self._matching(key) for key, _, _ in self._listing
-            )
-        return self._matchings
-
-    def _fence_walk(self) -> tuple[ListedMatching, ...]:
-        """``(bits, mask, packed height)`` of every matching, by bit string."""
         slot = {label: k for k, label in enumerate(self.crossed_labels)}
         zero, one = [self._extremal_masks()[0]], []
         zero_h, one_h = [0], []
@@ -281,11 +272,6 @@ class SnakeGraph:
         # distinct matchings have distinct bit strings, so only they compare
         return tuple(sorted(zip(map(self._bits, masks), masks, zero_h + one_h)))
 
-    def _listed(self) -> tuple[ListedMatching, ...]:
-        """The listing of :meth:`matchings`, row i for matching i."""
-        self.matchings()
-        return self._listing
-
     def _unpack_height(self, height: int) -> list[int]:
         """A packed height as one count per entry of ``crossed_labels``."""
         bits = self._height_bits
@@ -303,9 +289,13 @@ class SnakeGraph:
     def matching_bits(self, matching: Matching) -> str:
         return self._bits(self.mask(matching))
 
+    def _refs(self, bits: str) -> Iterator[EdgeRef]:
+        """The edges ``edge_refs[i]`` whose bit i is 1, in edge order."""
+        return compress(self.edge_refs, bits.encode().translate(_SELECTORS))
+
     def _matching(self, bits: str) -> Matching:
         """The matching whose edge ``edge_refs[i]`` is in when bit i is 1."""
-        return frozenset(compress(self.edge_refs, bits.encode().translate(_SELECTORS)))
+        return frozenset(self._refs(bits))
 
     def _boundary_chains(self) -> tuple[list[int], list[int]]:
         """The edge bits of the southeast and the northwest boundary chains.
@@ -433,7 +423,7 @@ class SnakeGraph:
                 heights[tile.diagonal] += 1
         return tuple(heights)
 
-    def weight_vector(self, matching: Matching) -> tuple[int, ...]:
+    def weight_vector(self, matching: Iterable[EdgeRef]) -> tuple[int, ...]:
         """Sum of basis vectors of the internal labels of the matched edges."""
         n = self.triangulation.n_internal
         weights = [0] * n

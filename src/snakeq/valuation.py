@@ -1,20 +1,25 @@
 """The twist-defined valuation on perfect matchings.
 
-A matching is held as its edge mask (:meth:`SnakeGraph.mask`, or the mask in
-the graph's listing of :meth:`SnakeGraph.matchings`), whose bits
-follow the snake's edge order, by owning tile and then south, west, east,
-north, so the matched edges before or after a tile are the set bits below or
-above its sides.  Each twist of a matching at a tile carries an integer
-increment, a difference of popcounts of the matched edges labeled like the
-tile's diagonal, and the valuation v is the unique integer potential with
-v = 0 on the two extremal matchings whose twist-differences realize those
-increments.  Well-definedness is a theorem, not an assumption:
-:func:`compute_valuation`, which values every matching for the per-matching
-listings, checks every twist move from both of its ends, so any twist cycle
-that fails to sum to zero raises, and it raises too if the twists leave a
-matching unreached or the other extremal matching off 0.  The expansions
-need only :func:`twist_chain`, d twists from one extremal matching to the
-other, which raises unless it ends at 0.
+A matching is held as its edge mask (the mask in the graph's listing,
+:meth:`SnakeGraph._listed`, or :meth:`SnakeGraph.mask` of an edge set), whose
+bits follow the snake's edge order, by owning tile and then south, west,
+east, north, so the matched edges before or after a tile are the set bits
+below or above its sides.  Each twist of a matching at a tile carries an
+integer increment, a difference of popcounts of the matched edges labeled
+like the tile's diagonal, and the valuation v is the unique integer potential
+with v = 0 on the two extremal matchings whose twist-differences realize
+those increments.  :class:`TwistTable` keeps, per tile and per pair of sides
+that can twist, the masks that difference reads, so a twist costs two
+popcounts.
+
+Well-definedness is a theorem, not an assumption: the exhaustive search
+(:func:`_valued_masks`, which values every listed mask for the per-matching
+listings, and :func:`compute_valuation`, which keys its values by edge set)
+checks every twist move from both of its ends, so any twist cycle that fails
+to sum to zero raises, and it raises too if the twists leave a matching
+unreached or the other extremal matching off 0.  The expansions need only
+:func:`twist_chain`, d twists from one extremal matching to the other, which
+raises unless it ends at 0.
 """
 
 from __future__ import annotations
@@ -40,32 +45,48 @@ class ValuationError(ValueError):
 class TwistTable:
     """Per-tile masks of one snake graph, built in O(d) from its edge bits.
 
-    Row p - 1 of ``tiles`` is ``(p, sides, south_north, west_east, label,
-    balance)``: the masks of tile p's four sides, of its south-north and
-    west-east pairs and of the edges labeled like its diagonal, and how many
-    crossings of that label come before tile p minus how many come after it.
+    Row p - 1 of ``tiles`` is ``(p, sides, pairs)``: the mask of tile p's
+    four sides, and a dict from the mask of each pair of sides that can
+    twist, south-north and west-east, to ``(between, before, after,
+    offset)``.  ``between`` holds the edges strictly between the pair in
+    edge order, and ``before`` and ``after`` the edges labeled like the
+    diagonal below and above the pair.  ``offset`` is how many crossings of
+    that label come before tile p minus how many come after it.  Where the
+    twist counts negatively, by the pair and the parity of p, ``before``
+    and ``after`` are swapped and ``offset`` is negated, so every increment
+    is the same difference of two popcounts.
     """
 
     def __init__(self, graph: SnakeGraph):
         by_label: dict[int, int] = {}
-        for ref, bit in graph.bit.items():
-            label = graph.edge_label(ref)
-            by_label[label] = by_label.get(label, 0) | bit
-        before: Counter[int] = Counter()
-        after = Counter(graph.arc.crossings)
+        for ref, label in graph._labels.items():
+            by_label[label] = by_label.get(label, 0) | graph.bit[ref]
+        total = Counter(graph.arc.crossings)
+        seen: dict[int, int] = {}
         rows = []
         for tile, (south, west, east, north) in zip(graph.tiles, graph.tile_sides):
             tau = tile.diagonal
-            after[tau] -= 1
-            rows.append((
-                tile.index,
-                south | west | east | north,
-                south | north,
-                west | east,
-                by_label.get(tau, 0),
-                before[tau] - after[tau],
-            ))
-            before[tau] += 1
+            # k crossings of tau before tile p, total - k - 1 after it
+            k = seen.get(tau, 0)
+            seen[tau] = k + 1
+            balance = 2 * k + 1 - total[tau]
+            labeled = by_label.get(tau, 0)
+            # high - 2 * low has exactly the bits strictly between low and
+            # high, and -2 * high every bit above high
+            between_sn = north - (south << 1)
+            between_we = east - (west << 1)
+            below_s, above_n = labeled & (south - 1), labeled & -(north << 1)
+            below_w, above_e = labeled & (west - 1), labeled & -(east << 1)
+            # the south-north pair counts positively on odd tiles, the
+            # west-east pair on even ones
+            if tile.index % 2:
+                sn = (between_sn, below_s, above_n, balance)
+                we = (between_we, above_e, below_w, -balance)
+            else:
+                sn = (between_sn, above_n, below_s, -balance)
+                we = (between_we, below_w, above_e, balance)
+            pairs = {south | north: sn, west | east: we}
+            rows.append((tile.index, south | west | east | north, pairs))
         self.tiles = tuple(rows)
 
     def twists(
@@ -73,38 +94,33 @@ class TwistTable:
     ) -> list[tuple[int, int, int]]:
         """``(p, twisted mask, increment)`` at each twistable tile p.
 
-        Tile p twists when exactly two of its sides are matched; the
-        increment is :func:`omega`.  ``rows`` restricts the scan to those
+        Tile p twists when exactly two of its sides are matched, and they
+        must be a pair of opposite sides with no matched edge between them;
+        the increment is :func:`omega`.  ``rows`` restricts the scan to those
         rows of :attr:`tiles` (by default every tile).
         """
         out = []
-        for p, sides, south_north, west_east, label, balance in (
-            self.tiles if rows is None else rows
-        ):
+        for p, sides, pairs in self.tiles if rows is None else rows:
             matched = mask & sides
             if matched.bit_count() != 2:
                 continue
-            low = matched & -matched
-            high = matched ^ low
-            # high - 2 * low has exactly the bits strictly between the two
-            if mask & (high - (low << 1)):
+            pair = pairs.get(matched)
+            if pair is None:
+                low = matched & -matched
+                between = (matched ^ low) - (low << 1)
+            else:
+                between, before, after, offset = pair
+            if mask & between:
                 raise AssertionError(
                     f"matched sides of tile {p} are not adjacent in the "
                     "ordered edge list"
                 )
-            if matched == south_north:
-                positive = p % 2 == 1
-            elif matched == west_east:
-                positive = p % 2 == 0
-            else:
+            if pair is None:
                 raise AssertionError(
                     f"twistable tile {p} is matched on adjacent sides"
                 )
-            labeled = mask & label
-            n_before = (labeled & (low - 1)).bit_count()
-            n_after = (labeled >> high.bit_length()).bit_count()
-            magnitude = (n_after - n_before + balance) * d_scale
-            out.append((p, mask ^ sides, magnitude if positive else -magnitude))
+            step = (mask & after).bit_count() - (mask & before).bit_count()
+            out.append((p, mask ^ sides, (step + offset) * d_scale))
         return out
 
 
@@ -130,13 +146,13 @@ def _valued_masks(
     d_scale: int,
     twists: dict[int, list[tuple[int, int, int]]] | None = None,
 ) -> dict[int, int]:
-    """Each listed mask's value, for :func:`compute_valuation`.
+    """Each listed mask's value, the search of :func:`compute_valuation`.
 
-    Each mask's :meth:`TwistTable.twists` list is computed once; a
-    ``twists`` dict, when given, keeps them by mask.
+    It runs on the masks of the graph's listing (:meth:`SnakeGraph._listed`)
+    and builds no edge set.  Each mask's :meth:`TwistTable.twists` list is
+    computed once; a ``twists`` dict, when given, keeps them by mask.
     """
     table = TwistTable(graph)
-    matchings = graph.matchings()
     minimal, maximal = graph._extremal_masks()
     values = {maximal: 0}
     queue = deque([maximal])
@@ -157,7 +173,7 @@ def _valued_masks(
                     "valuation ill-defined: twist cycle assigns both "
                     f"{known} and {value} to a matching"
                 )
-    if len(values) != len(matchings):
+    if len(values) != len(graph._listed()):
         raise ValuationError(
             "valuation ill-defined: twists do not connect all matchings"
         )
@@ -175,9 +191,10 @@ def compute_valuation(graph: SnakeGraph, d_scale: int = 1) -> dict[Matching, int
     A breadth-first search over matching bit masks, from the maximal
     matching at value 0, along twists: one :class:`TwistTable` per graph,
     and :meth:`TwistTable.twists` gives each matching's twisted masks and
-    increments.  The masks are the ones in the graph's listing of
-    :meth:`SnakeGraph.matchings`, so no matching is converted to a mask
-    here, and the result follows the listing's order.  Every matching it
+    increments.  The masks are the ones in the graph's listing
+    (:meth:`SnakeGraph._listed`), so no matching is converted to a mask
+    here; the values are keyed by the edge sets of
+    :meth:`SnakeGraph.matchings`, in the listing's order.  Every matching it
     reaches has all of its twists checked, so each twist move is checked
     from both of its ends.  Raises
     :class:`ValuationError` if a twist cycle is inconsistent, if the twists

@@ -283,6 +283,34 @@ def transfer_corpus() -> list[tuple[str, Triangulation, Arc]]:
     return out
 
 
+def side_vertices(tile, pos: str) -> frozenset:
+    """The plane coordinates of the two ends of a tile's side."""
+    x, y = tile.x, tile.y
+    if pos == "S":
+        return frozenset(((x, y), (x + 1, y)))
+    if pos == "W":
+        return frozenset(((x, y), (x, y + 1)))
+    if pos == "E":
+        return frozenset(((x + 1, y), (x + 1, y + 1)))
+    return frozenset(((x, y + 1), (x + 1, y + 1)))
+
+
+def edge_vertices(g, ref) -> frozenset:
+    """The plane coordinates of the two ends of one of the graph's edges."""
+    if ref not in g.bit:
+        raise KeyError(ref)
+    if ref == (0, "G"):
+        return frozenset(((0, 0), (1, 0)))
+    return side_vertices(g.tiles[ref[0] - 1], ref[1])
+
+
+def glue_edges(g) -> tuple:
+    """The side shared by tiles p and p + 1, at entry p - 1."""
+    return tuple(
+        (j, "E" if glue == "R" else "N") for j, glue in enumerate(g.glue, start=1)
+    )
+
+
 def reference_matchings(g) -> tuple:
     """Reference: every perfect matching by a vertex search, in bit order.
 
@@ -294,13 +322,13 @@ def reference_matchings(g) -> tuple:
     partial matching.
     """
     vertices = sorted(
-        set().union(*map(g.edge_vertices, g.edge_refs)),
+        set().union(*(edge_vertices(g, ref) for ref in g.edge_refs)),
         key=lambda v: (v[0] + v[1], v[0]),
     )
     bit = {v: 1 << i for i, v in enumerate(vertices)}
     incident: list[list] = [[] for _ in vertices]
     for ref in g.edge_refs:
-        ends = [bit[v] for v in g.edge_vertices(ref)]
+        ends = [bit[v] for v in edge_vertices(g, ref)]
         mask = ends[0] | ends[1]
         for end in ends:
             incident[end.bit_length() - 1].append((mask, ref))
@@ -333,7 +361,7 @@ def tile_bits(g, matching) -> tuple[int, ...]:
     for tile in g.tiles:
         crossed = 0
         for ref in cycle:
-            low, high = sorted(g.edge_vertices(ref))
+            low, high = sorted(edge_vertices(g, ref))
             if low[0] == high[0] > tile.x and low[1] == tile.y:
                 crossed += 1
         bits.append(crossed % 2)

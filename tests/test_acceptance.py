@@ -22,6 +22,8 @@ from conftest import (
     GOLDEN_QUANTUM_TERMS,
     annulus,
     annulus_bridge,
+    edge_vertices,
+    glue_edges,
     golden_arc,
     heptagon,
     hexagon,
@@ -83,7 +85,7 @@ def test_golden_annulus_quantum_expansion_under_one_second():
 def brute_force_matchings(g: SnakeGraph) -> int:
     """Count perfect matchings by exhaustive subset enumeration."""
     vertices = frozenset(
-        v for ref in g.edge_refs for v in g.edge_vertices(ref)
+        v for ref in g.edge_refs for v in edge_vertices(g, ref)
     )
     size = len(vertices) // 2
     count = 0
@@ -91,7 +93,7 @@ def brute_force_matchings(g: SnakeGraph) -> int:
         seen: set = set()
         ok = True
         for ref in subset:
-            ends = g.edge_vertices(ref)
+            ends = edge_vertices(g, ref)
             if ends & seen:
                 ok = False
                 break
@@ -109,7 +111,7 @@ def permanent_matchings(g: SnakeGraph) -> int:
     independent subset enumeration.
     """
     vertices = sorted(
-        {v for ref in g.edge_refs for v in g.edge_vertices(ref)}
+        {v for ref in g.edge_refs for v in edge_vertices(g, ref)}
     )
     left = [v for v in vertices if (v[0] + v[1]) % 2 == 0]
     right = [v for v in vertices if (v[0] + v[1]) % 2 == 1]
@@ -119,7 +121,7 @@ def permanent_matchings(g: SnakeGraph) -> int:
     right_index = {v: i for i, v in enumerate(right)}
     rows = [[0] * n for _ in range(n)]
     for ref in g.edge_refs:
-        u, w = g.edge_vertices(ref)
+        u, w = edge_vertices(g, ref)
         if (u[0] + u[1]) % 2 == 1:
             u, w = w, u
         rows[left_index[u]][right_index[w]] += 1
@@ -269,17 +271,17 @@ def test_neighbouring_tiles_never_match_across_their_shared_edge():
     for g in acceptance_graphs():
         for m in g.matchings():
             for p in range(1, g.d):
-                shared = g.glue_edges()[p - 1]
-                ends = g.edge_vertices(shared)
+                shared = glue_edges(g)[p - 1]
+                ends = edge_vertices(g, shared)
                 first = [
                     ref
                     for ref in g.tile_edge_refs(p)
-                    if ref != shared and ref in m and g.edge_vertices(ref) & ends
+                    if ref != shared and ref in m and edge_vertices(g, ref) & ends
                 ]
                 second = [
                     ref
                     for ref in g.tile_edge_refs(p + 1)
-                    if ref != shared and ref in m and g.edge_vertices(ref) & ends
+                    if ref != shared and ref in m and edge_vertices(g, ref) & ends
                 ]
                 assert not (first and second)
 
@@ -346,7 +348,7 @@ def test_random_twists_preserve_matching_perfection(data):
     matchings = g.matchings()
     m = matchings[data.draw(st.integers(0, len(matchings) - 1))]
     vertices = frozenset(
-        v for ref in g.edge_refs for v in g.edge_vertices(ref)
+        v for ref in g.edge_refs for v in edge_vertices(g, ref)
     )
     for _ in range(4):
         tiles = g.twistable_tiles(m)
@@ -357,5 +359,5 @@ def test_random_twists_preserve_matching_perfection(data):
         assert m in matchings
         covered: list = []
         for ref in m:
-            covered.extend(g.edge_vertices(ref))
+            covered.extend(edge_vertices(g, ref))
         assert len(covered) == len(set(covered)) == len(vertices)

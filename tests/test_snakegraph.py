@@ -16,6 +16,8 @@ from conftest import (
     GOLDEN_TILES,
     annulus,
     annulus_bridge,
+    edge_vertices,
+    glue_edges,
     golden_arc,
     heptagon,
     hexagon,
@@ -111,11 +113,11 @@ def test_every_matching_is_perfect():
     for g in corpus_graphs():
         vertices = set()
         for ref in g.edge_refs:
-            vertices |= g.edge_vertices(ref)
+            vertices |= edge_vertices(g, ref)
         for m in g.matchings():
             covered: set = set()
             for ref in m:
-                vs = g.edge_vertices(ref)
+                vs = edge_vertices(g, ref)
                 assert not (vs & covered)
                 covered |= vs
             assert covered == vertices
@@ -141,13 +143,13 @@ def test_small_ladder_counts_against_full_subset_enumeration():
         refs = g.edge_refs
         vertices = set()
         for ref in refs:
-            vertices |= g.edge_vertices(ref)
+            vertices |= edge_vertices(g, ref)
         count = 0
         for subset in itertools.combinations(refs, len(vertices) // 2):
             covered: set = set()
             ok = True
             for ref in subset:
-                vs = g.edge_vertices(ref)
+                vs = edge_vertices(g, ref)
                 if vs & covered:
                     ok = False
                     break
@@ -173,7 +175,7 @@ def test_golden_extremal_matchings():
 
 def boundary_matchings(g: SnakeGraph) -> tuple:
     """Reference: the matchings that use no glue edge, by enumeration."""
-    glue = set(g.glue_edges())
+    glue = set(glue_edges(g))
     return tuple(p for p in g.matchings() if not (p & glue))
 
 
@@ -314,7 +316,7 @@ def test_boundary_scan_runs_once_per_graph(monkeypatch):
 
 def test_glue_edges_touch_no_boundary_matching():
     for g in corpus_graphs():
-        glue = set(g.glue_edges())
+        glue = set(glue_edges(g))
         assert not (glue & g.minimal_matching())
         assert not (glue & g.maximal_matching())
 
@@ -325,17 +327,17 @@ def test_no_matching_pairs_across_a_shared_edge():
     for g in corpus_graphs():
         for m in g.matchings():
             for p in range(1, g.d):
-                shared = g.glue_edges()[p - 1]
-                ends = g.edge_vertices(shared)
+                shared = glue_edges(g)[p - 1]
+                ends = edge_vertices(g, shared)
                 left = [
                     ref
                     for ref in g.tile_edge_refs(p)
-                    if ref != shared and ref in m and g.edge_vertices(ref) & ends
+                    if ref != shared and ref in m and edge_vertices(g, ref) & ends
                 ]
                 right = [
                     ref
                     for ref in g.tile_edge_refs(p + 1)
-                    if ref != shared and ref in m and g.edge_vertices(ref) & ends
+                    if ref != shared and ref in m and edge_vertices(g, ref) & ends
                 ]
                 assert not (left and right)
 
@@ -441,7 +443,7 @@ def test_two_edge_tau_classes_are_kind_ii_where_their_edges_meet():
         for tau in set(g.arc.crossings):
             for c in g.tau_classes(tau):
                 if len(c.edges) == 2:
-                    first, second = map(g.edge_vertices, c.edges)
+                    first, second = (edge_vertices(g, e) for e in c.edges)
                     assert c.kind == ("II" if first & second else "I")
                     seen.add(c.kind)
     assert seen == {"I", "II"}
