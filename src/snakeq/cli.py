@@ -69,14 +69,16 @@ def _load_surface(path: str) -> Triangulation:
     return Triangulation.from_dict(_load_json(path))
 
 
-def _load_arc(path: str) -> Arc:
-    return Arc.from_dict(_load_json(path))
+def _load_inputs(args: argparse.Namespace) -> tuple[Triangulation, Arc, Seed]:
+    """The surface, the arc and the seed, loaded in that order.
 
-
-def _load_seed(path: str | None, t: Triangulation) -> Seed:
-    if path is None:
-        return principal_seed(signed_adjacency(t))
-    return Seed.from_dict(_load_json(path))
+    Without ``--seed`` the seed is the principal one of the surface.
+    """
+    t = _load_surface(args.surface)
+    arc = Arc.from_dict(_load_json(args.arc))
+    if args.seed is None:
+        return t, arc, principal_seed(signed_adjacency(t))
+    return t, arc, Seed.from_dict(_load_json(args.seed))
 
 
 def _parse_flips(text: str) -> list[int]:
@@ -101,10 +103,7 @@ def _coeff_pairs_csv(coeff: Coeff) -> str:
 
 
 def cmd_expand(args: argparse.Namespace) -> int:
-    t = _load_surface(args.surface)
-    arc = _load_arc(args.arc)
-    seed = _load_seed(args.seed, t)
-
+    t, arc, seed = _load_inputs(args)
     if args.audit:
         _check_top_block(t, seed.btilde)
         rows = _audit_rows(SnakeGraph(t, arc), seed)
@@ -116,11 +115,13 @@ def cmd_expand(args: argparse.Namespace) -> int:
                     f"# matching {bits} a=({_exponent_csv(exponent)}) "
                     f"v={valuation}"
                 )
-    if args.audit and args.quantum:
-        # the rows are the library's own exact ints: summed, not converted
+        # the total is the sum of the rows, each at s^v, or at s^0 without
+        # --quantum; they are the library's own exact ints, not converted
         value = _value(
             seed.m,
-            _canonical_terms((a, {v: 1}) for _, a, v in rows),
+            _canonical_terms(
+                (a, {v if args.quantum else 0: 1}) for _, a, v in rows
+            ),
         )
     elif args.quantum:
         value = quantum_expand(t, arc, seed)
@@ -152,9 +153,7 @@ def _first_difference(
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    t = _load_surface(args.surface)
-    arc = _load_arc(args.arc)
-    seed = _load_seed(args.seed, t)
+    t, arc, seed = _load_inputs(args)
     flips = _parse_flips(args.flips)
     if not flips:
         raise CliInputError("--flips must name at least one direction")
@@ -173,9 +172,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _load_graph(args: argparse.Namespace) -> tuple[SnakeGraph, int]:
     """The arc's snake graph and the seed's scalar d."""
-    t = _load_surface(args.surface)
-    arc = _load_arc(args.arc)
-    seed = _load_seed(args.seed, t)
+    t, arc, seed = _load_inputs(args)
     _check_top_block(t, seed.btilde)
     return SnakeGraph(t, arc), seed.d
 
@@ -241,11 +238,15 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the input options of the subcommands that read an arc
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--surface", required=True, help="triangulation JSON file")
+    inputs.add_argument("--arc", required=True, help="arc JSON file")
+    inputs.add_argument("--seed", help="seed JSON file (default: principal)")
 
-    expand = sub.add_parser("expand", help="print the Laurent expansion of an arc")
-    expand.add_argument("--surface", required=True, help="triangulation JSON file")
-    expand.add_argument("--arc", required=True, help="arc JSON file")
-    expand.add_argument("--seed", help="seed JSON file (default: principal)")
+    expand = sub.add_parser(
+        "expand", parents=[inputs], help="print the Laurent expansion of an arc"
+    )
     expand.add_argument(
         "--quantum", action="store_true", help="expand in the quantum torus"
     )
@@ -258,11 +259,10 @@ def _build_parser() -> argparse.ArgumentParser:
     expand.set_defaults(func=cmd_expand)
 
     verify = sub.add_parser(
-        "verify", help="check an expansion against the mutation oracle"
+        "verify",
+        parents=[inputs],
+        help="check an expansion against the mutation oracle",
     )
-    verify.add_argument("--surface", required=True)
-    verify.add_argument("--arc", required=True)
-    verify.add_argument("--seed", help="seed JSON file (default: principal)")
     verify.add_argument(
         "--flips", required=True, help="comma list of flip directions"
     )
@@ -274,19 +274,17 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=cmd_verify)
 
     matchings = sub.add_parser(
-        "matchings", help="list the perfect matchings of an arc's snake graph"
+        "matchings",
+        parents=[inputs],
+        help="list the perfect matchings of an arc's snake graph",
     )
-    matchings.add_argument("--surface", required=True)
-    matchings.add_argument("--arc", required=True)
-    matchings.add_argument("--seed", help="seed JSON file (default: principal)")
     matchings.set_defaults(func=cmd_matchings)
 
     valuation = sub.add_parser(
-        "valuation", help="print matching valuations and twist increments"
+        "valuation",
+        parents=[inputs],
+        help="print matching valuations and twist increments",
     )
-    valuation.add_argument("--surface", required=True)
-    valuation.add_argument("--arc", required=True)
-    valuation.add_argument("--seed", help="seed JSON file (default: principal)")
     valuation.set_defaults(func=cmd_valuation)
 
     flip_cmd = sub.add_parser("flip", help="flip internal arcs of a triangulation")

@@ -10,11 +10,11 @@ element is a finite sum of terms c(s) * X^a with c in ZZ[s, s^(-1)].  This
 module represents such elements exactly: coefficients are dicts mapping the
 s-exponent to an integer, exponent vectors are integer tuples, and nothing is
 ever floated or truncated.  One private routine, :func:`_canonical_terms`,
-merges equal exponents and drops zero counts and empty coefficients.  The
-public :class:`QuantumLaurent` constructor converts, width-checks and merges
-what it is given in one loop of its own; sums, negation, scaling, products
-and quotients build their terms from values that are already checked, so
-they call the routine directly and nothing is converted twice.
+merges equal exponents and drops zero counts and empty coefficients, and
+every value goes through it.  The public :class:`QuantumLaurent` constructor
+converts and width-checks each pair before it hands them over; sums,
+negation, scaling, products and quotients build their terms from values that
+are already checked, so nothing is converted twice.
 
 Sparsity lives in :class:`LambdaForm`: next to its dense rows it keeps, per
 row, the tuple of nonzero column indices.  Its skew check,
@@ -120,10 +120,9 @@ def _coeff_div(num: Coeff, den: Coeff) -> Coeff | None:
     """Exact quotient num / den in ZZ[s, s^(-1)], or None.
 
     ``num`` stores no zero; every quotient coefficient is then nonzero, since
-    a zero ``lead`` leaves ``extra`` nonzero.
+    a zero ``lead`` leaves ``extra`` nonzero.  ``den`` is never empty: it is
+    the coefficient of a stored term, and canonical terms have none empty.
     """
-    if not den:
-        raise ZeroDivisionError("division by the zero coefficient")
     if len(den) == 1:
         # a one-entry denominator divides each count and shifts its exponent
         ((top, lead),) = den.items()
@@ -298,11 +297,11 @@ class QuantumLaurent:
     coefficients are never stored.  The constructor is the public boundary:
     ``terms`` is a mapping or an iterable of ``(vector, coefficient)`` pairs,
     every entry is converted with ``int()`` and every vector is checked
-    against ``width``, and repeats are summed in the same pass, into dicts
-    made here, so a caller's dict is never shared.  The arithmetic below
-    builds its terms from checked values and merges them with
-    :func:`_canonical_terms`.  Addition is ordinary; multiplication requires
-    the skew form and is provided by :func:`qmul`.
+    against ``width``.  Each entry becomes a pair of its own, in a dict made
+    here, so a caller's dict is never shared, and :func:`_canonical_terms`
+    adds up repeats, as it does for the arithmetic below.  Addition is
+    ordinary; multiplication requires the skew form and is provided by
+    :func:`qmul`.
     """
 
     __slots__ = ("width", "_terms")
@@ -310,29 +309,14 @@ class QuantumLaurent:
     def __init__(self, width: int, terms: Mapping[Vector, Mapping[int, int]] = ()):
         self.width = width = int(width)
         items = terms.items() if isinstance(terms, Mapping) else terms
-        # every dict in ``merged`` is made here, so sums go in place
-        merged: dict[Vector, Coeff] = {}
+        pairs: list[tuple[Vector, Coeff]] = []
         for vec, coeff in items:
             v = tuple(map(int, vec))
             if len(v) != width:
                 raise ValueError(f"exponent vector {v} does not have width {width}")
-            have = merged.get(v)
-            if have is None:
-                c = dict(zip(map(int, coeff), map(int, coeff.values())))
-                if len(c) == len(coeff):
-                    merged[v] = c
-                    continue
-                # s-exponents that collide after int() are added below
-                have = merged[v] = {}
-            for e, n in coeff.items():
-                e = int(e)
-                have[e] = have.get(e, 0) + int(n)
-        out = self._terms = {}
-        for v, c in merged.items():
-            if 0 in c.values():
-                c = {e: n for e, n in c.items() if n}
-            if c:
-                out[v] = c
+            # one pair per entry, so s-exponents that collide after int() add up
+            pairs += [(v, {int(e): int(n)}) for e, n in coeff.items()]
+        self._terms = _canonical_terms(pairs)
 
     @classmethod
     def zero(cls, width: int) -> QuantumLaurent:
@@ -378,12 +362,7 @@ class QuantumLaurent:
         )
 
     def __neg__(self) -> QuantumLaurent:
-        return _value(
-            self.width,
-            _canonical_terms(
-                (v, {e: -n for e, n in c.items()}) for v, c in self._terms.items()
-            ),
-        )
+        return self.scaled(coefficient=-1)
 
     def __sub__(self, other: QuantumLaurent) -> QuantumLaurent:
         return self + (-other)

@@ -268,6 +268,56 @@ def test_main_calls_share_one_parser(capsys, files):
     assert fresh[0][1] != fresh[1][1]
 
 
+# the subcommands that read a surface, an arc and a seed, each with what
+# else it needs to run
+INPUT_COMMANDS = {
+    "expand": [],
+    "verify": ["--flips", "0"],
+    "matchings": [],
+    "valuation": [],
+}
+
+
+@pytest.mark.parametrize("command", sorted(INPUT_COMMANDS))
+def test_input_options_share_their_help(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "200")  # one line per option
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    for option, text in (
+        ("--surface", "triangulation JSON file"),
+        ("--arc", "arc JSON file"),
+        ("--seed", "seed JSON file (default: principal)"),
+    ):
+        metavar = option[2:].upper()
+        assert re.search(
+            rf"^  {option} {metavar} +{re.escape(text)}$", out, re.MULTILINE
+        )
+
+
+@pytest.mark.parametrize("command", sorted(INPUT_COMMANDS))
+def test_inputs_load_surface_then_arc_then_seed(
+    capsys, files, tmp_path, command
+):
+    # with several malformed inputs, the one error line names the first
+    good = files["annulus"]
+    surface, arc, seed = (
+        tmp_path / f"bad_{name}.json" for name in ("surface", "arc", "seed")
+    )
+    for path in (surface, arc, seed):
+        path.write_text("{", encoding="utf-8")
+    for paths, named in (((surface, arc, seed), surface), ((good, arc, seed), arc)):
+        argv = [command, *INPUT_COMMANDS[command]]
+        for option, path in zip(("--surface", "--arc", "--seed"), paths):
+            argv += [option, str(path)]
+        code, out, err = run_main(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {named} is not valid JSON: ")
+        assert err.count("\n") == 1
+
+
 # ----------------------------------------------------------------------
 # matchings and valuation listings
 
@@ -352,7 +402,8 @@ def test_listings_read_the_rows_of_one_fence_walk(
 ):
     # bits, masks and heights come from the graph's listing: no per-matching
     # reference method runs, and the walk runs once for the one graph; only
-    # the matchings listing, which prints edge labels, builds edge sets
+    # the matchings listing, which prints edge labels, builds edge sets; both
+    # audits total their own rows, so no transfer runs beside the walk
     calls = {
         "height_vector": 0,
         "mask": 0,
@@ -368,6 +419,14 @@ def test_listings_read_the_rows_of_one_fence_walk(
             return _original(graph, *args)
 
         monkeypatch.setattr(SnakeGraph, method, counted)
+    transfer = snakeq.expansion._transfer
+
+    def counted_transfer(*args):
+        calls["_transfer"] += 1
+        return transfer(*args)
+
+    calls["_transfer"] = 0
+    monkeypatch.setattr(snakeq.expansion, "_transfer", counted_transfer)
     arc = files["write"]("arc.json", annulus_bridge(6)[0].to_dict())
     argv = LISTING_COMMANDS[command] + ["--surface", files["annulus"], "--arc", arc]
     code, out, _ = run_main(capsys, *argv)
@@ -375,7 +434,11 @@ def test_listings_read_the_rows_of_one_fence_walk(
     assert len(out.splitlines()) >= 89
     built = calls.pop("_matching")
     assert calls == {
-        "height_vector": 0, "mask": 0, "matching_bits": 0, "_fence_walk": 1
+        "height_vector": 0,
+        "mask": 0,
+        "matching_bits": 0,
+        "_fence_walk": 1,
+        "_transfer": 0,
     }
     if command != "matchings":
         assert built == 0

@@ -94,6 +94,46 @@ def test_graph_rejects_invalid_arcs():
         SnakeGraph(annulus(), Arc((0, 0), 0, 1))
 
 
+def lemma_graphs() -> list[SnakeGraph]:
+    """The transfer corpus, annulus bridges with |w| <= 12, ladders with
+    d <= 20 and every chord of the 3-, 4-, 5-, 10- and 60-fan."""
+    graphs = [SnakeGraph(t, arc) for _, t, arc in transfer_corpus()]
+    t = annulus()
+    for w in (*range(2, 13), *range(-12, 0)):
+        graphs.append(SnakeGraph(t, annulus_bridge(w)[0]))
+    for d in range(1, 21):
+        graphs.append(SnakeGraph(ladder_surface(d), ladder_arc(d)))
+    for k in (3, 4, 5, 10, 60):
+        t = polygon_fan(k)
+        graphs += [SnakeGraph(t, arc) for _, arc, _ in polygon_chords(k)]
+    return graphs
+
+
+def test_glue_and_tau_flanks_follow_from_the_triangles():
+    # the two facts the construction takes from the triangles instead of
+    # checking them: tile j has the connector of tiles j and j + 1 as its
+    # east side before an R and its north side before a U, and tile j + 1
+    # receives it as its west or south side; every edge that a tau class
+    # puts beside a tile with diagonal tau is labeled tau
+    flanks = 0
+    for g in lemma_graphs():
+        assert len(g.glue) == len(g.trace.connectors) == max(g.d - 1, 0)
+        for tile, following, glue, connector in zip(
+            g.tiles, g.tiles[1:], g.glue, g.trace.connectors
+        ):
+            if glue == "R":
+                assert (tile.east, following.west) == (connector, connector)
+            else:
+                assert (tile.north, following.south) == (connector, connector)
+        for tau in set(g.arc.crossings):
+            for c in g.tau_classes(tau):
+                if c.kind != "IV":
+                    for e in c.edges:
+                        assert g.edge_label(e) == tau
+                    flanks += len(c.edges)
+    assert flanks > 0
+
+
 # ----------------------------------------------------------------------
 # matchings
 
