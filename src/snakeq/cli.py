@@ -82,8 +82,11 @@ def _load_inputs(args: argparse.Namespace) -> tuple[Triangulation, Arc, Seed]:
 
 
 def _parse_flips(text: str) -> list[int]:
+    """The comma list as integers; an empty or blank list names none."""
+    if not text.strip():
+        return []
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        return [int(part) for part in text.split(",")]
     except ValueError as exc:
         raise CliInputError(
             f"--flips must be a comma list of integers: {text!r}"
@@ -288,7 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
     valuation.set_defaults(func=cmd_valuation)
 
     flip_cmd = sub.add_parser("flip", help="flip internal arcs of a triangulation")
-    flip_cmd.add_argument("--surface", required=True)
+    flip_cmd.add_argument("--surface", required=True, help="triangulation JSON file")
     flip_cmd.add_argument(
         "--flips", required=True, help="comma list of arcs to flip in order"
     )
@@ -297,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check_seed = sub.add_parser(
         "check-seed", help="validate a seed file and print its compatibility scalar"
     )
-    check_seed.add_argument("--seed", required=True)
+    check_seed.add_argument("--seed", required=True, help="seed JSON file")
     check_seed.add_argument(
         "--surface", help="also check the seed against this surface"
     )

@@ -161,7 +161,6 @@ def _exponents(
 def _tile_constants(
     graph: SnakeGraph,
     g: Sequence[int],
-    slot: dict[int, int],
     pairing: Sequence[Sequence[tuple[int, int]]],
     d_scale: int,
 ) -> list[int]:
@@ -171,13 +170,14 @@ def _tile_constants(
     valuation by the chain's step and the ordered product's twist by
     -d·g_tau plus d·B[tau_q][tau] for each raised tile q before p and
     d·B[tau][tau_q] = -d·B[tau_q][tau] for each raised tile q after it;
-    l_p is the difference.  Raised tiles are kept as one bit mask per label.
+    l_p is the difference.  Raised tiles are kept as one bit mask per label,
+    indexed like ``pairing`` by the graph's slot of the label.
     """
     constants = [0] * (graph.d + 1)
-    raised = [0] * len(slot)
+    raised = [0] * len(graph._slot)
     for p, step in twist_chain(graph, d_scale):
         label = graph.tiles[p - 1].diagonal
-        k = slot[label]
+        k = graph._slot[label]
         below = (1 << p) - 1
         twist = -d_scale * g[label]
         for i, db in pairing[k]:
@@ -215,24 +215,23 @@ def _transfer(
     """
     g = _offset(graph, len(btilde))
     labels = graph.crossed_labels
-    slot = {label: k for k, label in enumerate(labels)}
     # a height is packed as in the graph's listing (see SnakeGraph.matchings)
     bits = graph._height_bits
     low = (1 << bits) - 1
     # d·B[i][tau] for crossed labels i, per crossed label tau
     pairing = [
-        [(slot[i], d_scale * btilde[i][tau]) for i in labels if btilde[i][tau]]
+        [(graph._slot[i], d_scale * btilde[i][tau]) for i in labels if btilde[i][tau]]
         for tau in labels
     ]
 
-    constants = _tile_constants(graph, g, slot, pairing, d_scale)
+    constants = _tile_constants(graph, g, pairing, d_scale)
 
     # heights of the states whose last bit is 0 and 1; the empty prefix
     # counts as a 0, which lets tile 1 take either bit
     zero: dict[int, Coeff] = {0: {0: 1}}
     one: dict[int, Coeff] = {}
     for tile, rising in zip(graph.tiles, (True, *graph.fence())):
-        k = slot[tile.diagonal]
+        k = graph._slot[tile.diagonal]
         unit = 1 << (bits * k)
         base = constants[tile.index] - d_scale * g[tile.diagonal]
         shifts = [(bits * i, db) for i, db in pairing[k] if db]

@@ -153,8 +153,8 @@ def _coeff_div(num: Coeff, den: Coeff) -> Coeff | None:
             rem[tgt] = rem.get(tgt, 0) - lead * n
             if rem[tgt] == 0:
                 del rem[tgt]
-        if rem and max(rem) >= rem_top:
-            return None
+        # rem[rem_top] cancels and every other target is below it, so max(rem)
+        # falls each pass, and the floor check above ends the loop
     return quot
 
 

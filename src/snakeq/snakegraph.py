@@ -79,17 +79,6 @@ class Tile(NamedTuple):
     x: int
     y: int
 
-    def label(self, position: str) -> int:
-        if position == "S":
-            return self.south
-        if position == "W":
-            return self.west
-        if position == "E":
-            return self.east
-        if position == "N":
-            return self.north
-        raise ValueError(f"unknown position {position!r}")
-
 
 class TauClass(NamedTuple):
     """An equivalence class of same-labeled edges, with its anchor tile.
@@ -113,13 +102,8 @@ class SnakeGraph:
         self.arc = arc
         self.trace: ArcTrace = trace_arc(triangulation, arc)
         self.degenerate_label: int | None = arc.arc
-        self.tiles: tuple[Tile, ...]
-        self.glue: tuple[str, ...]
-        if self.degenerate_label is None:
-            self._build_tiles()
-        else:
-            self.tiles = ()
-            self.glue = ()
+        # an arc given by index crosses nothing, so it has no tiles
+        self._build_tiles()
         self._index_edges()
 
     @property
@@ -155,38 +139,43 @@ class SnakeGraph:
                 else:
                     glue.append("U")
                     y += 1
-        self.tiles = tuple(tiles)
-        self.glue = tuple(glue)
+        self.tiles: tuple[Tile, ...] = tuple(tiles)
+        self.glue: tuple[str, ...] = tuple(glue)
 
     def _index_edges(self) -> None:
-        refs: list[EdgeRef] = []
+        # edge order is the order the sides first appear in here
         labels: dict[EdgeRef, int] = {}
         if self.degenerate_label is not None:
-            refs.append(DEGENERATE_EDGE)
             labels[DEGENERATE_EDGE] = self.degenerate_label
-        for tile in self.tiles:
-            owned = set(POSITION_ORDER)
-            if tile.index >= 2:
-                owned.discard("W" if self.glue[tile.index - 2] == "R" else "S")
-            for pos in POSITION_ORDER:
-                if pos not in owned:
-                    continue
-                ref = (tile.index, pos)
-                refs.append(ref)
-                labels[ref] = tile.label(pos)
-        self.edge_refs: tuple[EdgeRef, ...] = tuple(refs)
+        # row p - 1: the references of tile p's south, west, east and north
+        sides: list[tuple[EdgeRef, ...]] = []
+        for tile, entered in zip(self.tiles, ("", *self.glue)):
+            row = [(tile.index, pos) for pos in POSITION_ORDER]
+            # the glued-in side is the previous tile's east (after R) or
+            # north (after U) side; the others are tile p's own
+            if entered == "R":
+                row[1] = sides[-1][2]
+            elif entered == "U":
+                row[0] = sides[-1][3]
+            own = (tile.south, tile.west, tile.east, tile.north)
+            for ref, label in zip(row, own):
+                if ref[0] == tile.index:
+                    labels[ref] = label
+            sides.append(tuple(row))
+        self.edge_refs: tuple[EdgeRef, ...] = tuple(labels)
         self._labels = labels
-        self.bit = {ref: 1 << i for i, ref in enumerate(refs)}
+        self._tile_refs = tuple(sides)
+        self.bit = {ref: 1 << i for i, ref in enumerate(self.edge_refs)}
         # row p - 1: the bits of tile p's south, west, east and north sides
         self.tile_sides: tuple[tuple[int, ...], ...] = tuple(
-            tuple(map(self.bit.__getitem__, self.tile_edge_refs(p)))
-            for p in range(1, self.d + 1)
+            tuple(map(self.bit.__getitem__, row)) for row in sides
         )
-        # a height is packed into one int, ``_height_bits`` bits per entry of
-        # ``crossed_labels``, the lowest for the first
-        crossed = Counter(self.arc.crossings)
-        self.crossed_labels: tuple[int, ...] = tuple(sorted(crossed))
-        self._height_bits = max(crossed.values(), default=0).bit_length()
+        # a label's slot is its index in ``crossed_labels``; a height is packed
+        # into one int, ``_height_bits`` bits per slot, the lowest for slot 0
+        self._crossings = Counter(self.arc.crossings)
+        self.crossed_labels: tuple[int, ...] = tuple(sorted(self._crossings))
+        self._slot = {label: k for k, label in enumerate(self.crossed_labels)}
+        self._height_bits = max(self._crossings.values(), default=0).bit_length()
         self._matchings: tuple[Matching, ...] | None = None
         self._listing: tuple[ListedMatching, ...] | None = None
         self._extremal_edge_masks: tuple[int, int] | None = None
@@ -198,18 +187,14 @@ class SnakeGraph:
         """The matching as an edge mask: bit i set when ``edge_refs[i]`` is in it."""
         return sum(map(self.bit.__getitem__, matching))
 
-    def tile_edge_refs(self, p: int) -> tuple[EdgeRef, EdgeRef, EdgeRef, EdgeRef]:
-        """Canonical references of tile p's south, west, east, north sides."""
+    def tile_edge_refs(self, p: int) -> tuple[EdgeRef, ...]:
+        """Canonical references of tile p's south, west, east, north sides.
+
+        A side glued to tile p - 1 is that tile's east or north side.
+        """
         if not 1 <= p <= self.d:
             raise ValueError(f"tile index {p} out of range")
-        south: EdgeRef = (p, "S")
-        west: EdgeRef = (p, "W")
-        if p >= 2:
-            if self.glue[p - 2] == "R":
-                west = (p - 1, "E")
-            else:
-                south = (p - 1, "N")
-        return (south, west, (p, "E"), (p, "N"))
+        return self._tile_refs[p - 1]
 
     # ------------------------------------------------------------------
     # perfect matchings
@@ -237,30 +222,24 @@ class SnakeGraph:
     def _fence_walk(self) -> tuple[ListedMatching, ...]:
         """The rows of :meth:`_listed`.
 
-        The bit patterns the fence allows are walked tile by tile as edge
-        masks, split by their last bit: each starts as the minimal
-        matching's mask, and a tile whose bit is 1 switches its four sides
-        and adds one to its label's packed height.
+        The bit patterns the fence allows are walked tile by tile as (edge
+        mask, packed height) pairs, split by their last bit: each starts as
+        the minimal matching's mask at height 0, and a tile whose bit is 1
+        switches its four sides and adds one to its label's packed height.
         """
-        slot = {label: k for k, label in enumerate(self.crossed_labels)}
-        zero, one = [self._extremal_masks()[0]], []
-        zero_h, one_h = [0], []
+        zero, one = [(self._extremal_masks()[0], 0)], []
         for tile, sides, rising in zip(
             self.tiles, self.tile_sides, (True, *self.fence())
         ):
             switched = sum(sides)
-            unit = 1 << (self._height_bits * slot[tile.diagonal])
-            if rising:
-                lifted = [m ^ switched for m in zero + one]
-                lifted_h = [h + unit for h in zero_h + one_h]
-            else:
-                lifted = [m ^ switched for m in one]
-                lifted_h = [h + unit for h in one_h]
-                zero, zero_h = zero + one, zero_h + one_h
-            one, one_h = lifted, lifted_h
-        masks = zero + one
+            unit = 1 << (self._height_bits * self._slot[tile.diagonal])
+            states = zero + one if rising else one
+            lifted = [(m ^ switched, h + unit) for m, h in states]
+            if not rising:
+                zero = zero + one
+            one = lifted
         # distinct matchings have distinct bit strings, so only they compare
-        return tuple(sorted(zip(map(self._bits, masks), masks, zero_h + one_h)))
+        return tuple(sorted((self._bits(m), m, h) for m, h in zero + one))
 
     def _unpack_height(self, height: int) -> list[int]:
         """A packed height as one count per entry of ``crossed_labels``."""
@@ -424,11 +403,7 @@ class SnakeGraph:
         return tuple(weights)
 
     def crossing_vector(self) -> tuple[int, ...]:
-        n = self.triangulation.n_internal
-        out = [0] * n
-        for c in self.arc.crossings:
-            out[c] += 1
-        return tuple(out)
+        return tuple(self._crossings[c] for c in range(self.triangulation.n_internal))
 
     # ------------------------------------------------------------------
     # label-equivalence classes along a flip diagonal

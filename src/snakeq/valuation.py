@@ -24,7 +24,7 @@ raises unless it ends at 0.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from collections.abc import Iterable
 
 from .snakegraph import Matching, SnakeGraph
@@ -61,15 +61,14 @@ class TwistTable:
         by_label: dict[int, int] = {}
         for ref, label in graph._labels.items():
             by_label[label] = by_label.get(label, 0) | graph.bit[ref]
-        total = Counter(graph.arc.crossings)
         seen: dict[int, int] = {}
         rows = []
         for tile, (south, west, east, north) in zip(graph.tiles, graph.tile_sides):
             tau = tile.diagonal
-            # k crossings of tau before tile p, total - k - 1 after it
+            # k crossings of tau before tile p, and all but k + 1 after it
             k = seen.get(tau, 0)
             seen[tau] = k + 1
-            balance = 2 * k + 1 - total[tau]
+            balance = 2 * k + 1 - graph._crossings[tau]
             labeled = by_label.get(tau, 0)
             # high - 2 * low has exactly the bits strictly between low and
             # high, and -2 * high every bit above high
@@ -232,10 +231,8 @@ def twist_chain(graph: SnakeGraph, d_scale: int = 1) -> list[tuple[int, int]]:
     steps = []
     while ready:
         p = ready.pop()
-        found = table.twists(mask, d_scale, (table.tiles[p - 1],))
-        if not found:
-            raise AssertionError(f"tile {p} does not twist on the chain")
-        ((_, mask, step),) = found
+        # every tile p waited on is raised, so raising t_p is one twist
+        ((_, mask, step),) = table.twists(mask, d_scale, (table.tiles[p - 1],))
         value -= step
         steps.append((p, -step))
         if p > 1 and fence[p - 2]:

@@ -7,6 +7,7 @@ behavior.  Frozen strings pin the output byte for byte.
 
 from __future__ import annotations
 
+import argparse
 import json
 import re
 import subprocess
@@ -294,6 +295,22 @@ def test_input_options_share_their_help(capsys, monkeypatch, command):
         assert re.search(
             rf"^  {option} {metavar} +{re.escape(text)}$", out, re.MULTILINE
         )
+
+
+def test_every_option_says_what_it_wants():
+    parser = snakeq.cli._build_parser()
+    (commands,) = (
+        action
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    bare = [
+        (name, option.option_strings[0])
+        for name, command in commands.choices.items()
+        for option in command._actions
+        if option.option_strings and not (option.help or "").strip()
+    ]
+    assert bare == []
 
 
 @pytest.mark.parametrize("command", sorted(INPUT_COMMANDS))
@@ -715,6 +732,40 @@ def test_flip_rejects_bad_directions(capsys, files):
     )
     assert code == 2
     assert "comma list of integers" in err
+
+
+@pytest.mark.parametrize("command", ["flip", "verify"])
+@pytest.mark.parametrize("flips", ["0,,1", "0,1,", ",0", ",", "0, ,1"])
+def test_flips_refuse_empty_entries(capsys, files, command, flips):
+    argv = [command, "--surface", files["annulus"], "--flips", flips]
+    if command == "verify":
+        argv += ["--arc", files["golden_arc"]]
+    code, out, err = run_main(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --flips must be a comma list of integers: {flips!r}\n"
+
+
+@pytest.mark.parametrize("flips", ["", "  "])
+def test_blank_flips_name_no_flips(capsys, files, flips):
+    code, out, _ = run_main(
+        capsys, "flip", "--surface", files["annulus"], "--flips", flips
+    )
+    assert code == 0
+    assert Triangulation.from_dict(json.loads(out)) == annulus()
+    code, out, err = run_main(
+        capsys,
+        "verify",
+        "--surface",
+        files["annulus"],
+        "--arc",
+        files["golden_arc"],
+        "--flips",
+        flips,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: --flips must name at least one direction\n"
 
 
 def test_check_seed(capsys, files):

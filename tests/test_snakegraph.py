@@ -28,11 +28,13 @@ from conftest import (
     polygon_chords,
     polygon_fan,
     reference_matchings,
+    side_vertices,
     square,
     tile_bits,
     transfer_corpus,
 )
 from snakeq import Arc, SnakeGraph, SurfaceError, compute_valuation
+from snakeq.snakegraph import POSITION_ORDER
 
 
 def golden_graph() -> SnakeGraph:
@@ -132,6 +134,23 @@ def test_glue_and_tau_flanks_follow_from_the_triangles():
                         assert g.edge_label(e) == tau
                     flanks += len(c.edges)
     assert flanks > 0
+
+
+def test_tile_sides_are_the_drawn_sides_with_their_labels():
+    # each of tile p's four references, the glued-in one included, is the
+    # side drawn at that position, carries that side's label and has the
+    # bit of tile_sides; together they are every edge but a degenerate one
+    for g in lemma_graphs():
+        refs = set()
+        for tile, sides in zip(g.tiles, g.tile_sides):
+            row = g.tile_edge_refs(tile.index)
+            own = (tile.south, tile.west, tile.east, tile.north)
+            for pos, ref, label in zip(POSITION_ORDER, row, own):
+                assert edge_vertices(g, ref) == side_vertices(tile, pos)
+                assert g.edge_label(ref) == label
+            assert sides == tuple(g.bit[ref] for ref in row)
+            refs.update(row)
+        assert refs == set(g.edge_refs) - {(0, "G")}
 
 
 # ----------------------------------------------------------------------
