@@ -111,7 +111,7 @@ def _offset(graph: SnakeGraph, m: int) -> list[int]:
 
     The weight is read off the minimal matching's mask, with no edge set.
     """
-    minimal = graph._bits(graph._extremal_masks()[0])
+    minimal = graph._bits(graph._minimal)
     weight = graph.weight_vector(graph._refs(minimal))
     crossing = graph.crossing_vector()
     return list(map(sub, weight, crossing)) + [0] * (m - len(weight))
@@ -193,7 +193,7 @@ def _transfer(
 ) -> list[tuple[Vector, Coeff]]:
     """Normalized exponents and s-exponent counts, summed over all matchings.
 
-    A matching is its tile bits t_1..t_d (:meth:`SnakeGraph.fence`) and its
+    A matching is its tile bits t_1..t_d (:attr:`SnakeGraph.fence`) and its
     height h is their sum by label.  Its exponent is g + Btilde·h, with
     g the minimal matching's weight minus the crossings on top and 0 below
     (x = X^g F(y-hat)), normalized tropically below.  Its valuation is the
@@ -205,7 +205,7 @@ def _transfer(
 
     The sum runs tile by tile over states (t_p, h), each holding a dict from
     s-exponent to count, so the cost follows the distinct states and not the
-    matchings; :meth:`SnakeGraph.fence` decides which bits may follow which.
+    matchings; :attr:`SnakeGraph.fence` decides which bits may follow which.
     With ``d_scale`` 0 every s-exponent is 0: that is the commutative
     expansion.  Layers merge through
     :func:`~snakeq.qalgebra._canonical_terms`.  A coefficient-free seed can
@@ -215,7 +215,7 @@ def _transfer(
     """
     g = _offset(graph, len(btilde))
     labels = graph.crossed_labels
-    # a height is packed as in the graph's listing (see SnakeGraph.matchings)
+    # a height is packed as in the graph's listing (see SnakeGraph._layout)
     bits = graph._height_bits
     low = (1 << bits) - 1
     # d·B[i][tau] for crossed labels i, per crossed label tau
@@ -230,7 +230,7 @@ def _transfer(
     # counts as a 0, which lets tile 1 take either bit
     zero: dict[int, Coeff] = {0: {0: 1}}
     one: dict[int, Coeff] = {}
-    for tile, rising in zip(graph.tiles, (True, *graph.fence())):
+    for tile, rising in zip(graph.tiles, (True, *graph.fence)):
         k = graph._slot[tile.diagonal]
         unit = 1 << (bits * k)
         base = constants[tile.index] - d_scale * g[tile.diagonal]
@@ -443,11 +443,11 @@ def verify_against_oracle(
     one oracle variable by the oracle's own step and insists that the
     flipped surface still has the mutated matrix on top.  The report
     compares the expansion of ``arc`` against the oracle variable in
-    ``slot`` (by default the last flipped direction).  When ``slot`` is the
-    last flip's direction, that exchange is checked with one product, the
-    expansion times the outgoing variable against the exchange binomial; it
-    divides only if they differ, so a mismatch reports the oracle's own
-    variable.
+    ``slot``, a mutable direction (by default the last flipped one).  When
+    ``slot`` is the last flip's direction, that exchange is checked with one
+    product, the expansion times the outgoing variable against the exchange
+    binomial; it divides only if they differ, so a mismatch reports the
+    oracle's own variable.
     """
     if slot is None:
         if not flips:
@@ -458,6 +458,8 @@ def verify_against_oracle(
             f"slot {slot} is out of range: the seed has {seed.m} cluster "
             "variables"
         )
+    elif slot >= seed.n:
+        raise ExpansionError(f"slot {slot} is frozen: no arc expands to X_{slot}")
     expansion = quantum_expand(t, arc, seed)
 
     variables = _initial_variables(seed.m)

@@ -14,9 +14,11 @@ Perfect matchings of the resulting plane graph are the combinatorial support
 of Laurent expansions.  Each is the minimal matching, every other edge of the
 boundary read off the tiles' sides, with the four sides of every tile whose
 bit is 1 switched, and the fence relations between neighbouring bits say
-which bit patterns occur.  This module lists the matchings that way and
-computes heights, weights, twists and the label-equivalence classes used to
-compare expansions across a flip.
+which bit patterns occur.  The constructor reads all of that off the glue
+word in one walk over the crossings (:meth:`SnakeGraph._layout`): tiles,
+edges, fence and the masks of both extremal matchings.  This module lists
+the matchings that way and computes heights, weights, twists and the
+label-equivalence classes used to compare expansions across a flip.
 
 The graph's listing (:meth:`SnakeGraph._listed`) is primary: the fence walk
 keeps one row per matching, its bit string, its edge mask and its height
@@ -95,7 +97,13 @@ class TauClass(NamedTuple):
 
 
 class SnakeGraph:
-    """The snake graph of an arc over a fixed triangulation."""
+    """The snake graph of an arc over a fixed triangulation.
+
+    ``fence[p - 1]`` is True when t_p <= t_(p+1) in every matching and False
+    when t_p >= t_(p+1), where the bit t_p is 1 when tile p lies inside the
+    matching's symmetric difference with the minimal matching; the bit
+    patterns these relations allow are exactly those of the matchings.
+    """
 
     def __init__(self, triangulation: Triangulation, arc: Arc):
         self.triangulation = triangulation
@@ -103,82 +111,107 @@ class SnakeGraph:
         self.trace: ArcTrace = trace_arc(triangulation, arc)
         self.degenerate_label: int | None = arc.arc
         # an arc given by index crosses nothing, so it has no tiles
-        self._build_tiles()
-        self._index_edges()
+        self._layout()
+        self._matchings: tuple[Matching, ...] | None = None
+        self._listing: tuple[ListedMatching, ...] | None = None
 
     @property
     def d(self) -> int:
         return len(self.tiles)
 
-    def _build_tiles(self) -> None:
+    def _layout(self) -> None:
+        """Each crossing's tile, glue letter, sides, fence entry and boundary edges."""
         tris = self.triangulation.triangles
         path = self.trace.triangle_path
         crossings = self.arc.crossings
         tiles: list[Tile] = []
         glue: list[str] = []
+        fence: list[bool] = []
+        # edge order is the order the sides first appear in here
+        labels: dict[EdgeRef, int] = {}
+        if self.degenerate_label is not None:
+            labels[DEGENERATE_EDGE] = self.degenerate_label
+        # row j - 1: the references of tile j's south, west, east and north
+        sides: list[tuple[EdgeRef, ...]] = []
+        # the southeast and the northwest boundary chains both run from the
+        # south-west corner of tile 1 to the north-east corner of tile d and
+        # close the boundary, the one cycle of every edge but the glue edges;
+        # a degenerate graph's one edge is both chains
+        southeast = list(labels)
+        northwest = list(labels)
         x = y = 0
-        for j in range(1, len(crossings) + 1):
-            diag = crossings[j - 1]
+        entered = ""
+        for j, diag in enumerate(crossings, start=1):
             _, s_in, t_in = tris[path[j - 1]].rotated(diag)
             _, s_out, t_out = tris[path[j]].rotated(diag)
             if j % 2 == 1:
-                north, east = s_out, t_out
-                south, west = s_in, t_in
+                own = (s_in, t_in, t_out, s_out)
             else:
-                north, east = t_out, s_out
-                south, west = t_in, s_in
-            tiles.append(Tile(j, diag, south, west, east, north, x, y))
+                own = (t_in, s_in, s_out, t_out)
+            tiles.append(Tile(j, diag, *own, x, y))
+            row = [(j, pos) for pos in POSITION_ORDER]
+            # the glued-in side is the previous tile's east (after R) or
+            # north (after U) side; the others are tile j's own
+            if entered == "R":
+                row[1] = sides[-1][2]
+            elif entered == "U":
+                row[0] = sides[-1][3]
+            for ref, label in zip(row, own):
+                if ref[0] == j:
+                    labels[ref] = label
+            sides.append(tuple(row))
+            south, west, east, north = row
+            leaving = ""
             if j < len(crossings):
                 # the connector is the side of path[j] that is neither this
                 # diagonal nor the next, so it is this tile's east or north
                 # side, and in either parity tile j + 1 gets it as its west or
                 # south side; the sides are distinct, or trace_arc refuses
-                if self.trace.connectors[j - 1] == east:
-                    glue.append("R")
+                if self.trace.connectors[j - 1] == own[2]:
+                    leaving = "R"
                     x += 1
                 else:
-                    glue.append("U")
+                    leaving = "U"
                     y += 1
+                glue.append(leaving)
+                # the first pair rises when tile 2 sits east of tile 1, and
+                # the direction flips after each straight glue
+                if j == 1:
+                    fence.append(leaving == "R")
+                else:
+                    fence.append(fence[-1] ^ (leaving == entered))
+            if entered != "U":
+                southeast.append(south)
+            if leaving != "R":
+                southeast.append(east)
+            if entered != "R":
+                northwest.append(west)
+            if leaving != "U":
+                northwest.append(north)
+            entered = leaving
         self.tiles: tuple[Tile, ...] = tuple(tiles)
         self.glue: tuple[str, ...] = tuple(glue)
-
-    def _index_edges(self) -> None:
-        # edge order is the order the sides first appear in here
-        labels: dict[EdgeRef, int] = {}
-        if self.degenerate_label is not None:
-            labels[DEGENERATE_EDGE] = self.degenerate_label
-        # row p - 1: the references of tile p's south, west, east and north
-        sides: list[tuple[EdgeRef, ...]] = []
-        for tile, entered in zip(self.tiles, ("", *self.glue)):
-            row = [(tile.index, pos) for pos in POSITION_ORDER]
-            # the glued-in side is the previous tile's east (after R) or
-            # north (after U) side; the others are tile p's own
-            if entered == "R":
-                row[1] = sides[-1][2]
-            elif entered == "U":
-                row[0] = sides[-1][3]
-            own = (tile.south, tile.west, tile.east, tile.north)
-            for ref, label in zip(row, own):
-                if ref[0] == tile.index:
-                    labels[ref] = label
-            sides.append(tuple(row))
+        self.fence: tuple[bool, ...] = tuple(fence)
         self.edge_refs: tuple[EdgeRef, ...] = tuple(labels)
         self._labels = labels
         self._tile_refs = tuple(sides)
-        self.bit = {ref: 1 << i for i, ref in enumerate(self.edge_refs)}
+        self.bit = bit = {ref: 1 << i for i, ref in enumerate(self.edge_refs)}
         # row p - 1: the bits of tile p's south, west, east and north sides
         self.tile_sides: tuple[tuple[int, ...], ...] = tuple(
-            tuple(map(self.bit.__getitem__, row)) for row in sides
+            tuple(map(bit.__getitem__, row)) for row in sides
         )
+        # the extremal matchings take every other edge of the boundary cycle,
+        # so nothing is enumerated: the minimal one takes the first edge of
+        # the northwest chain, the west side of tile 1, and the maximal one
+        # the first edge of the southeast chain
+        self._minimal = sum(map(bit.__getitem__, northwest[0::2] + southeast[1::2]))
+        self._maximal = sum(map(bit.__getitem__, northwest[1::2] + southeast[0::2]))
         # a label's slot is its index in ``crossed_labels``; a height is packed
         # into one int, ``_height_bits`` bits per slot, the lowest for slot 0
-        self._crossings = Counter(self.arc.crossings)
+        self._crossings = Counter(crossings)
         self.crossed_labels: tuple[int, ...] = tuple(sorted(self._crossings))
         self._slot = {label: k for k, label in enumerate(self.crossed_labels)}
         self._height_bits = max(self._crossings.values(), default=0).bit_length()
-        self._matchings: tuple[Matching, ...] | None = None
-        self._listing: tuple[ListedMatching, ...] | None = None
-        self._extremal_edge_masks: tuple[int, int] | None = None
 
     def edge_label(self, ref: EdgeRef) -> int:
         return self._labels[ref]
@@ -227,9 +260,9 @@ class SnakeGraph:
         the minimal matching's mask at height 0, and a tile whose bit is 1
         switches its four sides and adds one to its label's packed height.
         """
-        zero, one = [(self._extremal_masks()[0], 0)], []
+        zero, one = [(self._minimal, 0)], []
         for tile, sides, rising in zip(
-            self.tiles, self.tile_sides, (True, *self.fence())
+            self.tiles, self.tile_sides, (True, *self.fence)
         ):
             switched = sum(sides)
             unit = 1 << (self._height_bits * self._slot[tile.diagonal])
@@ -266,76 +299,16 @@ class SnakeGraph:
         """The matching whose edge ``edge_refs[i]`` is in when bit i is 1."""
         return frozenset(self._refs(bits))
 
-    def _boundary_chains(self) -> tuple[list[int], list[int]]:
-        """The edge bits of the southeast and the northwest boundary chains.
-
-        Both run from the south-west corner of tile 1 to the north-east
-        corner of tile d, and close the boundary, the one cycle of every edge
-        but the glue edges; a degenerate graph's one edge is both chains.
-        """
-        if self.degenerate_label is not None:
-            return [self.bit[DEGENERATE_EDGE]], [self.bit[DEGENERATE_EDGE]]
-        southeast: list[int] = []
-        northwest: list[int] = []
-        for (south, west, east, north), entered, leaving in zip(
-            self.tile_sides, ("", *self.glue), (*self.glue, "")
-        ):
-            if entered != "U":
-                southeast.append(south)
-            if leaving != "R":
-                southeast.append(east)
-            if entered != "R":
-                northwest.append(west)
-            if leaving != "U":
-                northwest.append(north)
-        return southeast, northwest
-
-    def _extremal_masks(self) -> tuple[int, int]:
-        """The edge masks of the minimal and the maximal matching.
-
-        Each takes every other edge of the boundary cycle, so nothing is
-        enumerated: the minimal one takes the first edge of the northwest
-        chain, the west side of tile 1, and the maximal one the first edge of
-        the southeast chain.
-        """
-        if self._extremal_edge_masks is None:
-            southeast, northwest = self._boundary_chains()
-            self._extremal_edge_masks = (
-                sum(northwest[0::2]) + sum(southeast[1::2]),
-                sum(northwest[1::2]) + sum(southeast[0::2]),
-            )
-        return self._extremal_edge_masks
-
     def minimal_matching(self) -> Matching:
         """The all-boundary matching through the west side of the first tile.
 
-        It and :meth:`maximal_matching` are the masks of
-        :meth:`_extremal_masks`, read off the boundary chains, as edge sets.
+        It and :meth:`maximal_matching` are the masks that :meth:`_layout`
+        reads off the boundary chains, as edge sets.
         """
-        return self._matching(self._bits(self._extremal_masks()[0]))
+        return self._matching(self._bits(self._minimal))
 
     def maximal_matching(self) -> Matching:
-        return self._matching(self._bits(self._extremal_masks()[1]))
-
-    def fence(self) -> tuple[bool, ...]:
-        """The order between consecutive tile bits of every matching.
-
-        The bit t_p of a matching is 1 when tile p lies inside its symmetric
-        difference with the minimal matching, so the height vector sums the
-        bits by label.  Entry p - 1 is True when t_p <= t_(p+1) in every
-        matching and False when t_p >= t_(p+1).  The first pair rises
-        when tile 2 sits east of tile 1, and the direction flips after each
-        straight glue.  The bit patterns these relations allow are exactly
-        the patterns of the perfect matchings.
-        """
-        out: list[bool] = []
-        for j, g in enumerate(self.glue):
-            if j == 0:
-                rising = g == "R"
-            elif g == self.glue[j - 1]:
-                rising = not rising
-            out.append(rising)
-        return tuple(out)
+        return self._matching(self._bits(self._maximal))
 
     # ------------------------------------------------------------------
     # twists
@@ -379,12 +352,12 @@ class SnakeGraph:
     def height_vector(self, matching: Matching) -> tuple[int, ...]:
         """Multiplicity of each internal arc among the tiles whose bit is 1.
 
-        Tile p's bit t_p (see :meth:`fence`) is 1 when the matching and the
+        Tile p's bit t_p (see :attr:`fence`) is 1 when the matching and the
         minimal matching differ on a side that only tile p has: its north
         side when tile p + 1 sits to its east, otherwise its east side.
         """
         heights = [0] * self.triangulation.n_internal
-        switched = self.mask(matching) ^ self._extremal_masks()[0]
+        switched = self.mask(matching) ^ self._minimal
         for tile, (_, _, east, north), glue in zip(
             self.tiles, self.tile_sides, (*self.glue, "U")
         ):

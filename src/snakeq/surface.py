@@ -399,6 +399,8 @@ class ArcTrace(NamedTuple):
 def trace_arc(t: Triangulation, arc: Arc) -> ArcTrace:
     """Validate an arc description and recover its triangle walk."""
     if arc.arc is not None:
+        if arc.crossings:
+            raise SurfaceError("an arc given by index must not list crossings")
         if not t.is_internal(arc.arc):
             raise SurfaceError(
                 f"arc index {arc.arc} is not an internal arc of the triangulation"

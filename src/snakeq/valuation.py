@@ -152,7 +152,7 @@ def _valued_masks(
     computed once; a ``twists`` dict, when given, keeps them by mask.
     """
     table = TwistTable(graph)
-    minimal, maximal = graph._extremal_masks()
+    minimal, maximal = graph._minimal, graph._maximal
     values = {maximal: 0}
     queue = deque([maximal])
     while queue:
@@ -210,7 +210,7 @@ def compute_valuation(graph: SnakeGraph, d_scale: int = 1) -> dict[Matching, int
 def twist_chain(graph: SnakeGraph, d_scale: int = 1) -> list[tuple[int, int]]:
     """One chain of twists from the minimal to the maximal matching.
 
-    Each step twists one tile p whose bit t_p (see :meth:`SnakeGraph.fence`)
+    Each step twists one tile p whose bit t_p (see :attr:`SnakeGraph.fence`)
     goes from 0 to 1, in an order that the fence relations allow, and gives
     ``(p, v(after) - v(before))`` from one :class:`TwistTable` row, so the d
     steps cost d rows.  This is the valuation check on the expansion path:
@@ -219,14 +219,14 @@ def twist_chain(graph: SnakeGraph, d_scale: int = 1) -> list[tuple[int, int]]:
     value 0.
     """
     d = graph.d
-    fence = graph.fence()
+    fence = graph.fence
     # the number of neighbours whose bit must be raised before tile p's
     waiting = [0] * (d + 1)
     for p, rising in enumerate(fence, start=1):
         waiting[p if rising else p + 1] += 1
     ready = [p for p in range(1, d + 1) if not waiting[p]]
     table = TwistTable(graph)
-    mask, maximal = graph._extremal_masks()
+    mask, maximal = graph._minimal, graph._maximal
     value = 0
     steps = []
     while ready:

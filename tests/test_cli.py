@@ -461,6 +461,38 @@ def test_listings_read_the_rows_of_one_fence_walk(
         assert built == 0
 
 
+GRAPH_COMMANDS = {
+    "expand": ["expand"],
+    "audit": ["expand", "--audit"],
+    "verify": ["verify", "--flips", "0"],
+    "matchings": ["matchings"],
+    "valuation": ["valuation"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(GRAPH_COMMANDS))
+def test_each_command_lays_out_one_snake_graph(
+    capsys, files, monkeypatch, command
+):
+    # the tiles, edges, fence and extremal masks come from one layout walk
+    # of the one graph a command builds
+    calls = {"__init__": 0, "_layout": 0}
+    for method in calls:
+        original = getattr(SnakeGraph, method)
+
+        def counted(graph, *args, _method=method, _original=original):
+            calls[_method] += 1
+            return _original(graph, *args)
+
+        monkeypatch.setattr(SnakeGraph, method, counted)
+    arc = files["write"]("bridge2.json", annulus_bridge(2)[0].to_dict())
+    argv = GRAPH_COMMANDS[command] + ["--surface", files["annulus"], "--arc", arc]
+    code, out, _ = run_main(capsys, *argv)
+    assert code == 0
+    assert out
+    assert calls == {"__init__": 1, "_layout": 1}
+
+
 @pytest.mark.parametrize(
     "command", [LISTING_COMMANDS[c] for c in ("audit", "matchings", "valuation")],
     ids=["audit", "matchings", "valuation"],
@@ -697,6 +729,27 @@ def test_verify_rejects_out_of_range_slots(capsys, files, slot):
         f"error: slot {slot} is out of range: the seed has 4 cluster "
         "variables\n"
     )
+
+
+@pytest.mark.parametrize("slot", ["2", "3"])
+def test_verify_rejects_a_frozen_slot(capsys, files, slot):
+    # the annulus's principal seed has 2 mutable and 2 frozen directions
+    arc = files["write"]("bridge2.json", annulus_bridge(2)[0].to_dict())
+    code, out, err = run_main(
+        capsys,
+        "verify",
+        "--surface",
+        files["annulus"],
+        "--arc",
+        arc,
+        "--flips",
+        "0",
+        "--slot",
+        slot,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: slot {slot} is frozen: no arc expands to X_{slot}\n"
 
 
 # ----------------------------------------------------------------------

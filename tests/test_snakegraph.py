@@ -299,12 +299,12 @@ def test_listing_rows_are_the_bits_mask_and_height_of_each_matching():
             for p in g.matchings()
         ]
         minimal, maximal = g.minimal_matching(), g.maximal_matching()
-        assert g._extremal_masks() == (g.mask(minimal), g.mask(maximal))
+        assert (g._minimal, g._maximal) == (g.mask(minimal), g.mask(maximal))
 
 
 def test_fence_allows_exactly_the_tile_patterns_of_the_matchings():
     for g in transfer_graphs(12):
-        fence = g.fence()
+        fence = g.fence
         assert len(fence) == max(g.d - 1, 0)
         allowed = {
             bits
@@ -340,37 +340,40 @@ def test_first_tile_corner_dichotomy():
 
 
 def test_boundary_scan_runs_once_per_graph(monkeypatch):
-    # the extremal matchings come from one read of the boundary chains per
-    # graph and never from enumerating the matchings
+    # the extremal matchings come from the one layout walk of each graph,
+    # which reads the boundary chains, and never from enumerating the
+    # matchings; nothing after the constructor lays the graph out again
     enumerated = []
-    scans = []
+    layouts = []
     matchings = SnakeGraph.matchings
-    boundary_chains = SnakeGraph._boundary_chains
+    layout = SnakeGraph._layout
 
     def counted_matchings(graph):
         if graph._matchings is None:
             enumerated.append(graph)
         return matchings(graph)
 
-    def counted_boundary_chains(graph):
-        scans.append(graph)
-        return boundary_chains(graph)
+    def counted_layout(graph):
+        layouts.append(graph)
+        return layout(graph)
 
     monkeypatch.setattr(SnakeGraph, "matchings", counted_matchings)
-    monkeypatch.setattr(SnakeGraph, "_boundary_chains", counted_boundary_chains)
-    for g in corpus_graphs():
+    monkeypatch.setattr(SnakeGraph, "_layout", counted_layout)
+    graphs = corpus_graphs()
+    assert layouts == graphs
+    for g in graphs:
         enumerated.clear()
-        scans.clear()
-        g.minimal_matching()
-        g.maximal_matching()
+        layouts.clear()
+        g.height_vector(g.minimal_matching())
+        g.height_vector(g.maximal_matching())
         assert enumerated == []
-        assert scans == [g]
+        # the valuation keys its values by edge set, so it asks for them
+        compute_valuation(g)
         for m in g.matchings():
             g.height_vector(m)
         g.minimal_matching()
-        compute_valuation(g)
         assert enumerated == [g]
-        assert scans == [g]
+        assert layouts == []
 
 
 def test_glue_edges_touch_no_boundary_matching():

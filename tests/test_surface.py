@@ -251,3 +251,14 @@ def test_trace_of_an_existing_arc_is_degenerate():
 def test_trace_rejects_a_boundary_arc_index():
     with pytest.raises(SurfaceError):
         trace_arc(hexagon(), Arc((), None, None, arc=5))
+
+
+@pytest.mark.parametrize(
+    "arc", [Arc((0, 1, 0), 0, 1, 0), Arc((0,), 0, 1, 1)], ids=["long", "short"]
+)
+def test_trace_rejects_an_arc_with_both_an_index_and_crossings(arc):
+    # as Arc.from_dict does: no snake graph is built from the mixed form
+    with pytest.raises(
+        SurfaceError, match="^an arc given by index must not list crossings$"
+    ):
+        trace_arc(annulus(), arc)
