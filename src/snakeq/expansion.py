@@ -89,7 +89,8 @@ def _top_block_matches(t: Triangulation, rows: Sequence[Sequence[int]]) -> bool:
 def _check_top_block(t: Triangulation, btilde: Sequence[Sequence[int]]) -> None:
     """Raise unless ``btilde`` has the surface's signed adjacency on top.
 
-    Only the top block is read; the rows are compared as they are given.
+    Every row must have one entry per mutable direction, and only the top
+    block's entries are read; its rows are compared as they are given.
     """
     n = t.n_internal
     if not btilde or len(btilde[0]) != n:
@@ -97,6 +98,11 @@ def _check_top_block(t: Triangulation, btilde: Sequence[Sequence[int]]) -> None:
             f"extended matrix has {len(btilde[0]) if btilde else 0} columns, "
             f"expected {n} mutable directions"
         )
+    for i, row in enumerate(btilde):
+        if len(row) != n:
+            raise ExpansionError(
+                f"row {i} of the extended matrix has length {len(row)}, expected {n}"
+            )
     if len(btilde) < n:
         raise ExpansionError("extended matrix has fewer rows than columns")
     if not _top_block_matches(t, btilde):
@@ -160,30 +166,28 @@ def _exponents(
 
 def _tile_constants(
     graph: SnakeGraph,
-    g: Sequence[int],
     pairing: Sequence[Sequence[tuple[int, int]]],
     d_scale: int,
 ) -> list[int]:
-    """The constant l_p of each tile p (entry 0 unused), from one twist chain.
+    """The linear coefficient c_p of the valuation for each tile p, in order.
 
-    Along the chain of :func:`twist_chain`, raising t_p changes the
-    valuation by the chain's step and the ordered product's twist by
-    -d·g_tau plus d·B[tau_q][tau] for each raised tile q before p and
-    d·B[tau][tau_q] = -d·B[tau_q][tau] for each raised tile q after it;
-    l_p is the difference.  Raised tiles are kept as one bit mask per label,
+    The valuation is v(P) = sum of c_p·t_p + sum over q < p of
+    d·B[tau_q][tau_p]·t_q·t_p.  Along the chain of :func:`twist_chain`,
+    raising t_p changes v by the chain's step and the quadratic part by
+    d·B[tau_q][tau_p] for each raised tile q before p and
+    d·B[tau_p][tau_q] = -d·B[tau_q][tau_p] for each raised tile q after it;
+    c_p is the difference.  Raised tiles are kept as one bit mask per label,
     indexed like ``pairing`` by the graph's slot of the label.
     """
-    constants = [0] * (graph.d + 1)
+    constants = [0] * graph.d
     raised = [0] * len(graph._slot)
     for p, step in twist_chain(graph, d_scale):
-        label = graph.tiles[p - 1].diagonal
-        k = graph._slot[label]
+        k = graph._slot[graph.tiles[p - 1].diagonal]
         below = (1 << p) - 1
-        twist = -d_scale * g[label]
         for i, db in pairing[k]:
             before = (raised[i] & below).bit_count()
-            twist += db * (2 * before - raised[i].bit_count())
-        constants[p] = step - twist
+            step -= db * (2 * before - raised[i].bit_count())
+        constants[p - 1] = step
         raised[k] |= 1 << p
     return constants
 
@@ -193,15 +197,15 @@ def _transfer(
 ) -> list[tuple[Vector, Coeff]]:
     """Normalized exponents and s-exponent counts, summed over all matchings.
 
-    A matching is its tile bits t_1..t_d (:attr:`SnakeGraph.fence`) and its
+    A matching P is its tile bits t_1..t_d (:attr:`SnakeGraph.fence`) and its
     height h is their sum by label.  Its exponent is g + Btilde·h, with
     g the minimal matching's weight minus the crossings on top and 0 below
-    (x = X^g F(y-hat)), normalized tropically below.  Its valuation is the
-    twist of the ordered product X^g · y_1^(t_1) ··· y_d^(t_d), with y_p the
-    monomial of Btilde's column of tile p's label, plus the sum of l_p t_p
-    (:func:`_tile_constants`).  Because transpose(Btilde)·Lambda =
-    (d I | 0), that twist pairs y_i with y_j to d·B[i][j] and g with y_j to
-    -d·g_j.
+    (x = X^g F(y-hat)), normalized tropically below.  Its valuation is a
+    quadratic form in the tile bits,
+    v(P) = sum of c_p·t_p + sum over q < p of d·B[tau_q][tau_p]·t_q·t_p,
+    with tau_p tile p's label and c_p from :func:`_tile_constants`, so
+    raising t_p on top of the earlier bits adds c_p plus d·B[i][tau_p] for
+    each count of label i in the height so far.
 
     The sum runs tile by tile over states (t_p, h), each holding a dict from
     s-exponent to count, so the cost follows the distinct states and not the
@@ -213,7 +217,6 @@ def _transfer(
     callers add them up with the same routine.  The bottom rows of
     ``btilde`` are read by index only.
     """
-    g = _offset(graph, len(btilde))
     labels = graph.crossed_labels
     # a height is packed as in the graph's listing (see SnakeGraph._layout)
     bits = graph._height_bits
@@ -223,17 +226,15 @@ def _transfer(
         [(graph._slot[i], d_scale * btilde[i][tau]) for i in labels if btilde[i][tau]]
         for tau in labels
     ]
-
-    constants = _tile_constants(graph, g, pairing, d_scale)
+    constants = _tile_constants(graph, pairing, d_scale)
 
     # heights of the states whose last bit is 0 and 1; the empty prefix
     # counts as a 0, which lets tile 1 take either bit
     zero: dict[int, Coeff] = {0: {0: 1}}
     one: dict[int, Coeff] = {}
-    for tile, rising in zip(graph.tiles, (True, *graph.fence)):
+    for tile, base, rising in zip(graph.tiles, constants, (True, *graph.fence)):
         k = graph._slot[tile.diagonal]
         unit = 1 << (bits * k)
-        base = constants[tile.index] - d_scale * g[tile.diagonal]
         shifts = [(bits * i, db) for i, db in pairing[k] if db]
         lifted: dict[int, Coeff] = {}
         for states in (zero, one) if rising else (one,):
@@ -250,6 +251,7 @@ def _transfer(
 
     finals = _canonical_terms(one.items(), zero)
     heights = map(graph._unpack_height, finals)
+    g = _offset(graph, len(btilde))
     return list(zip(_exponents(g, btilde, labels, heights), finals.values()))
 
 

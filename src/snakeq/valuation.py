@@ -210,39 +210,33 @@ def compute_valuation(graph: SnakeGraph, d_scale: int = 1) -> dict[Matching, int
 def twist_chain(graph: SnakeGraph, d_scale: int = 1) -> list[tuple[int, int]]:
     """One chain of twists from the minimal to the maximal matching.
 
-    Each step twists one tile p whose bit t_p (see :attr:`SnakeGraph.fence`)
-    goes from 0 to 1, in an order that the fence relations allow, and gives
+    Each step raises one tile bit t_p from 0 to 1 by a twist and gives
     ``(p, v(after) - v(before))`` from one :class:`TwistTable` row, so the d
-    steps cost d rows.  This is the valuation check on the expansion path:
-    raises
+    steps cost d rows.  The order is the fence's: ``fence[p - 1]`` True puts
+    tile p + 1 before tile p and False after it, so the tiles are cut into
+    runs at each False entry and the runs are raised left to right, each
+    from its last tile down.  Against the tiles raised before, the steps
+    give the linear coefficients of the valuation, a quadratic form in the
+    tile bits (:func:`~snakeq.expansion._tile_constants`).  Raises
     :class:`ValuationError` unless the chain ends on the maximal matching at
     value 0.
     """
-    d = graph.d
-    fence = graph.fence
-    # the number of neighbours whose bit must be raised before tile p's
-    waiting = [0] * (d + 1)
-    for p, rising in enumerate(fence, start=1):
-        waiting[p if rising else p + 1] += 1
-    ready = [p for p in range(1, d + 1) if not waiting[p]]
+    order: list[int] = []
+    start = 1
+    for p, rising in zip(range(1, graph.d + 1), (*graph.fence, False)):
+        if not rising:
+            order += range(p, start - 1, -1)
+            start = p + 1
     table = TwistTable(graph)
     mask, maximal = graph._minimal, graph._maximal
     value = 0
     steps = []
-    while ready:
-        p = ready.pop()
-        # every tile p waited on is raised, so raising t_p is one twist
+    for p in order:
+        # every tile the fence puts before p is raised, so raising t_p is
+        # one twist
         ((_, mask, step),) = table.twists(mask, d_scale, (table.tiles[p - 1],))
         value -= step
         steps.append((p, -step))
-        if p > 1 and fence[p - 2]:
-            waiting[p - 1] -= 1
-            if not waiting[p - 1]:
-                ready.append(p - 1)
-        if p < d and not fence[p - 1]:
-            waiting[p + 1] -= 1
-            if not waiting[p + 1]:
-                ready.append(p + 1)
     if mask != maximal or value != 0:
         raise ValuationError(
             "valuation ill-defined: the twist chain from the minimal matching "

@@ -243,6 +243,22 @@ def test_quantum_expansion_is_the_sum_of_its_matching_monomials():
             ], name
 
 
+def test_an_arc_and_its_reverse_have_one_expansion():
+    # the reversed walk numbers the tiles from the other end, so the fence
+    # and the tile order of the valuation are read backwards; the cluster
+    # variable must not change
+    for name, t, arc in transfer_corpus():
+        if not arc.crossings:
+            continue
+        start, end = arc.start_triangle, arc.end_triangle
+        back = Arc(tuple(reversed(arc.crossings)), end, start)
+        for seed in (*seed_choices(t), sheared_seed(t)):
+            assert quantum_expand(t, back, seed) == quantum_expand(t, arc, seed), name
+            assert commutative_expand(t, back, seed.btilde) == commutative_expand(
+                t, arc, seed.btilde
+            ), name
+
+
 def test_expansions_never_enumerate_matchings(monkeypatch):
     def refuse(graph):
         raise AssertionError("the expansion enumerated the matchings")
@@ -300,6 +316,11 @@ def test_wrong_top_block_is_rejected():
         commutative_expand(t, arc, [[0, 0]])
     with pytest.raises(ExpansionError, match="fewer rows"):
         commutative_expand(pentagon(), polygon_chords(2)[0][1], [[0, -1]])
+    # a ragged extended matrix is named by its first short or long row
+    with pytest.raises(ExpansionError, match="row 2 .* has length 1, expected 2"):
+        commutative_expand(annulus(), golden_arc(), [[0, -2], [2, 0], [1]])
+    with pytest.raises(ExpansionError, match="row 2 .* has length 3, expected 2"):
+        commutative_expand(annulus(), golden_arc(), [[0, -2], [2, 0], [1, 0, 5]])
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,8 @@ from conftest import (
     initial_arc,
     pentagon,
     polygon_chords,
+    seed_choices,
+    sheared_seed,
     tile_bits,
     transfer_corpus,
     valuation_corpus,
@@ -31,6 +33,7 @@ from snakeq import (
     quantum_expand,
     signed_adjacency,
 )
+from snakeq.expansion import _tile_constants
 from snakeq.snakegraph import POSITION_ORDER
 from snakeq.valuation import TwistTable, _valued_masks, twist_chain
 
@@ -357,6 +360,33 @@ def test_twist_chain_steps_are_valuation_differences():
                 raised.append(p)
             assert sorted(raised) == list(range(1, g.d + 1)), name
             assert current == g.maximal_matching(), name
+
+
+def test_valuation_is_a_quadratic_form_in_the_tile_bits():
+    # v(P) = sum of c_p t_p + sum over q < p of d B[tau_q][tau_p] t_q t_p,
+    # with c from _tile_constants and the pairing _transfer builds: d B[i][tau]
+    # for crossed labels i, per crossed label tau
+    for name, t, arc in valuation_corpus():
+        g = SnakeGraph(t, arc)
+        taus = [tile.diagonal for tile in g.tiles]
+        labels = g.crossed_labels
+        for seed in (*seed_choices(t), sheared_seed(t)):
+            b, d = seed.btilde, seed.d
+            pairing = [
+                [(g._slot[i], d * b[i][tau]) for i in labels if b[i][tau]]
+                for tau in labels
+            ]
+            c = _tile_constants(g, pairing, d)
+            assert len(c) == g.d, name
+            for matching, value in compute_valuation(g, d).items():
+                bits = tile_bits(g, matching)
+                linear = sum(cp * tp for cp, tp in zip(c, bits))
+                quadratic = sum(
+                    d * b[taus[q]][taus[p]] * bits[q] * bits[p]
+                    for p in range(g.d)
+                    for q in range(p)
+                )
+                assert value == linear + quadratic, (name, seed.d, bits)
 
 
 def test_a_wrong_chain_increment_makes_the_expansion_ill_defined(monkeypatch):
