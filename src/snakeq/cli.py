@@ -4,16 +4,18 @@ Subcommands load a triangulated surface, an arc, and optionally a seed from
 JSON files, run the library, and print canonical text.  All ordering is
 deterministic, so output is byte-stable across runs.  Exit codes: 0 on
 success, 1 when a verification finds a mismatch, 2 on any input or
-validation error.
+validation error, 141 when the reader closes the output pipe.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
-from typing import Sequence
+from itertools import chain
+from typing import Any, Callable, Sequence
 
 from .expansion import (
     ExpansionError,
@@ -27,7 +29,7 @@ from .qalgebra import (
     Coeff,
     ExactDivisionError,
     QuantumLaurent,
-    _canonical_terms,
+    Vector,
     _value,
     coeff_to_string,
 )
@@ -97,44 +99,58 @@ def _exponent_csv(exponent: Sequence[int]) -> str:
     return ",".join(map(str, exponent))
 
 
-def _coeff_pairs_csv(coeff: Coeff) -> str:
-    parts: list[str] = []
-    for s_exp in sorted(coeff):
-        parts.append(str(s_exp))
-        parts.append(str(coeff[s_exp]))
-    return ",".join(parts)
+class _Texts(dict):
+    """Each key's text, rendered by ``render`` on its first lookup only."""
+
+    def __init__(self, render: Callable[[Any], str]) -> None:
+        self.render = render
+
+    def __missing__(self, key: Any) -> str:
+        text = self[key] = self.render(key)
+        return text
+
+
+def _csv_texts() -> tuple[Callable[[int], str], _Texts, Callable[[Coeff], str]]:
+    """The int texts, exponent texts and coefficient-pair texts of one call.
+
+    All three read one memo of int texts, so each distinct int goes through
+    ``str()`` once; each distinct exponent is joined once.
+    """
+    digits = _Texts(str).__getitem__
+    exponents = _Texts(lambda a: ",".join(map(digits, a)))
+
+    def pairs(coeff: Coeff) -> str:
+        return ",".join(map(digits, chain.from_iterable(sorted(coeff.items()))))
+
+    return digits, exponents, pairs
 
 
 def cmd_expand(args: argparse.Namespace) -> int:
     t, arc, seed = _load_inputs(args)
+    write = sys.stdout.write
+    digits, exponents, pairs = _csv_texts()
     if args.audit:
         _check_top_block(t, seed.btilde)
-        rows = _audit_rows(SnakeGraph(t, arc), seed)
-        for bits, exponent, valuation in rows:
-            if args.machine:
-                print(f"{bits}|{_exponent_csv(exponent)}|{valuation}")
-            else:
-                print(
-                    f"# matching {bits} a=({_exponent_csv(exponent)}) "
-                    f"v={valuation}"
-                )
-        # the total is the sum of the rows, each at s^v, or at s^0 without
-        # --quantum; they are the library's own exact ints, not converted
-        value = _value(
-            seed.m,
-            _canonical_terms(
-                (a, {v if args.quantum else 0: 1}) for _, a, v in rows
-            ),
-        )
+        # the total counts each row at s^v, or at s^0 without --quantum; every
+        # count is +1, so nothing cancels, and the exponents are the
+        # library's own exact int tuples, not converted
+        terms: dict[Vector, Coeff] = {}
+        row = "{}|{}|{}\n" if args.machine else "# matching {} a=({}) v={}\n"
+        for bits, exponent, valuation in _audit_rows(SnakeGraph(t, arc), seed):
+            write(row.format(bits, exponents[exponent], digits(valuation)))
+            coeff = terms.setdefault(exponent, {})
+            s_exp = valuation if args.quantum else 0
+            coeff[s_exp] = coeff.get(s_exp, 0) + 1
+        value = _value(seed.m, terms)
     elif args.quantum:
         value = quantum_expand(t, arc, seed)
     else:
         value = commutative_expand(t, arc, seed.btilde)
     if args.machine:
         for exponent, coeff in value.terms_lex_descending():
-            print(f"{_exponent_csv(exponent)}|{_coeff_pairs_csv(coeff)}")
+            write(f"{exponents[exponent]}|{pairs(coeff)}\n")
     else:
-        print(value.to_string("X" if args.quantum else "x"))
+        write(value.to_string("X" if args.quantum else "x") + "\n")
     return 0
 
 
@@ -313,10 +329,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed the pipe: what is left goes to the null device,
+        # so the interpreter's last flush cannot raise again, and the exit
+        # code is the shell's for a process ended by SIGPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

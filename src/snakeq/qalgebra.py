@@ -45,7 +45,7 @@ from collections.abc import Hashable, Iterable, Mapping, Sequence
 from heapq import heapify, heappop, heappush
 from itertools import compress
 from operator import add, le, mul, neg, sub
-from typing import TypeVar
+from typing import Any, TypeVar
 
 __all__ = [
     "Coeff",
@@ -70,6 +70,25 @@ class ExactDivisionError(ArithmeticError):
 def _dot(a: Sequence[int], lb: Sequence[int]) -> int:
     """The dot product of a with lb."""
     return sum(map(mul, a, lb))
+
+
+def _int_tuple(
+    values: Iterable[Any], what: str, error: type[ValueError] = ValueError
+) -> Vector:
+    """``values`` converted with ``int()``, refusing a value that changes.
+
+    A float such as 2.9 or a fraction such as 5/2 raises ``error`` naming
+    the first such value, rather than being truncated; integral floats,
+    bools and integer strings convert.  The converted row is compared with
+    the given one as a whole, at C speed, and walked only on a mismatch.
+    """
+    given = tuple(values)
+    ints = tuple(map(int, given))
+    if ints != given:
+        for value, n in zip(given, ints):
+            if n != value and not isinstance(value, (str, bytes, bytearray)):
+                raise error(f"{what} {value!r} is not an integer")
+    return ints
 
 
 def _canonical_terms(
@@ -193,15 +212,16 @@ class LambdaForm:
     ``rows`` is the dense matrix, the public form.  Each row's nonzero
     column indices are kept alongside it, and every kernel below walks
     only those, so its cost follows the nonzeros rather than m^2.  The
-    constructor converts every entry with ``int()``; :meth:`_of_int_rows`
-    takes rows that are integers already and skips that, but both check
-    that the matrix is square and skew.
+    constructor converts every entry with ``int()`` and raises
+    :class:`ValueError` for an entry that is not integral, such as 0.5;
+    :meth:`_of_int_rows` takes rows that are integers already and skips
+    that, but both check that the matrix is square and skew.
     """
 
     __slots__ = ("rows", "_support")
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        self._set_rows(tuple(tuple(map(int, row)) for row in rows))
+        self._set_rows(tuple(_int_tuple(row, "form entry") for row in rows))
 
     @classmethod
     def _of_int_rows(cls, rows: Iterable[Sequence[int]]) -> LambdaForm:
@@ -296,7 +316,8 @@ class QuantumLaurent:
     Terms map exponent vectors to coefficients in ZZ[s, s^(-1)]; zero
     coefficients are never stored.  The constructor is the public boundary:
     ``terms`` is a mapping or an iterable of ``(vector, coefficient)`` pairs,
-    every entry is converted with ``int()`` and every vector is checked
+    every entry is converted with ``int()``, an entry that is not integral
+    (such as 2.9) raises :class:`ValueError`, and every vector is checked
     against ``width``.  Each entry becomes a pair of its own, in a dict made
     here, so a caller's dict is never shared, and :func:`_canonical_terms`
     adds up repeats, as it does for the arithmetic below.  Addition is
@@ -307,15 +328,21 @@ class QuantumLaurent:
     __slots__ = ("width", "_terms")
 
     def __init__(self, width: int, terms: Mapping[Vector, Mapping[int, int]] = ()):
-        self.width = width = int(width)
+        self.width = width = _int_tuple((width,), "width")[0]
         items = terms.items() if isinstance(terms, Mapping) else terms
         pairs: list[tuple[Vector, Coeff]] = []
         for vec, coeff in items:
-            v = tuple(map(int, vec))
+            v = _int_tuple(vec, "exponent entry")
             if len(v) != width:
                 raise ValueError(f"exponent vector {v} does not have width {width}")
             # one pair per entry, so s-exponents that collide after int() add up
-            pairs += [(v, {int(e): int(n)}) for e, n in coeff.items()]
+            pairs += [
+                (v, {e: n})
+                for e, n in zip(
+                    _int_tuple(coeff, "s-exponent"),
+                    _int_tuple(coeff.values(), "coefficient"),
+                )
+            ]
         self._terms = _canonical_terms(pairs)
 
     @classmethod
@@ -330,7 +357,7 @@ class QuantumLaurent:
     def monomial(
         cls, exponent: Iterable[int], s_exp: int = 0, coefficient: int = 1
     ) -> QuantumLaurent:
-        vec = tuple(map(int, exponent))
+        vec = tuple(exponent)
         return cls(len(vec), {vec: {s_exp: coefficient}})
 
     def items(self) -> list[tuple[Vector, Coeff]]:

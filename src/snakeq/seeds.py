@@ -7,11 +7,12 @@ positive integer d; that scalar also calibrates the valuation on snake-graph
 matchings.  Matrix mutation and form mutation are implemented directly from
 the exchange recurrences, with no floating point anywhere.  The public
 :class:`Seed` and :class:`~snakeq.qalgebra.LambdaForm` constructors convert
-every entry with ``int()`` once.  A seed read by :meth:`Seed.from_dict`, whose
-entries are proved JSON integers first, or made by :func:`mutate_seed` is
-built from integer rows that are frozen and checked but not converted again;
-the functions here read matrices as the sequences of integer rows they are
-given.
+every entry with ``int()`` once and refuse an entry that is not integral,
+such as 2.9, rather than truncate it.  A seed read by :meth:`Seed.from_dict`,
+whose entries are proved JSON integers first, or made by :func:`mutate_seed`
+is built from integer rows that are frozen and checked but not converted
+again; the functions here read matrices as the sequences of integer rows
+they are given.
 
 Lambda is read only through :meth:`~snakeq.qalgebra.LambdaForm.pair`, which
 walks the nonzeros of each row: row j of transpose(B) * Lambda is minus
@@ -32,7 +33,7 @@ from itertools import compress
 from operator import neg
 from typing import Any
 
-from .qalgebra import LambdaForm
+from .qalgebra import LambdaForm, _int_tuple
 from .surface import _Frozen, _json_int, _json_list
 
 __all__ = [
@@ -148,7 +149,8 @@ class Seed(_Frozen):
 
     def __init__(self, btilde: Any, lam: LambdaForm) -> None:
         object.__setattr__(self, "lam", lam)
-        self._set_matrix(_freeze(tuple(map(int, row)) for row in btilde))
+        what = "exchange matrix entry"
+        self._set_matrix(_freeze(_int_tuple(row, what, SeedError) for row in btilde))
 
     @classmethod
     def _of_int_rows(cls, btilde: Any, lam: LambdaForm) -> Seed:

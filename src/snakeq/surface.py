@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from typing import Any, NamedTuple
 
+from .qalgebra import _int_tuple
+
 __all__ = [
     "Arc",
     "ArcTrace",
@@ -108,7 +110,11 @@ class Triangle(_Frozen):
 
 
 class Triangulation:
-    """An indexed triangulation of an unpunctured marked surface."""
+    """An indexed triangulation of an unpunctured marked surface.
+
+    The arc counts and triangle sides are converted with ``int()``; one that
+    is not integral, such as 2.9, raises :class:`SurfaceError`.
+    """
 
     def __init__(
         self,
@@ -116,12 +122,15 @@ class Triangulation:
         n_boundary: int,
         triangles: Any,
     ):
-        self.n_internal = int(n_internal)
-        self.n_boundary = int(n_boundary)
+        self.n_internal, self.n_boundary = _int_tuple(
+            (n_internal, n_boundary), "arc count", SurfaceError
+        )
         if self.n_internal < 0 or self.n_boundary < 0:
             raise SurfaceError("arc counts must be non-negative")
         self.triangles = tuple(
-            t if isinstance(t, Triangle) else Triangle(tuple(int(s) for s in t))
+            t
+            if isinstance(t, Triangle)
+            else Triangle(_int_tuple(t, "triangle side", SurfaceError))
             for t in triangles
         )
         self._validate()

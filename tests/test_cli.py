@@ -14,12 +14,14 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import (
     annulus,
     annulus_bridge,
     doubled_lambda,
     golden_arc,
+    ladder_arc,
     ladder_surface,
     pentagon,
 )
@@ -459,6 +461,59 @@ def test_listings_read_the_rows_of_one_fence_walk(
     }
     if command != "matchings":
         assert built == 0
+
+
+def test_expand_renders_each_distinct_value_once(capsys, files, monkeypatch):
+    # the 89 audit rows share 16 exponents, one per height, and the total
+    # has one line per exponent: each exponent is joined once, not 105
+    # times, and each distinct int goes through str() once
+    missed = []
+    missing = snakeq.cli._Texts.__missing__
+
+    def counted(texts, key):
+        missed.append(key)
+        return missing(texts, key)
+
+    monkeypatch.setattr(snakeq.cli._Texts, "__missing__", counted)
+    arc = files["write"]("arc.json", annulus_bridge(6)[0].to_dict())
+    code, out, _ = run_main(
+        capsys,
+        "expand", "--quantum", "--audit", "--machine",
+        "--surface", files["annulus"], "--arc", arc,
+    )
+    assert code == 0
+    lines = out.splitlines()
+    rows, total = lines[:89], lines[89:]
+    assert len(total) == 16
+    exponents = [key for key in missed if type(key) is tuple]
+    assert len(exponents) == len(set(exponents)) == 16
+    ints = [key for key in missed if type(key) is int]
+    assert len(ints) == len(set(ints)) == len(missed) - 16
+    fields = [row.split("|", 1)[1] for row in rows] + total
+    assert set(ints) == {int(x) for f in fields for x in re.split("[|,]", f)}
+
+
+_ENTRIES = st.one_of(
+    st.integers(-3, 3),
+    st.integers(2**64, 2**70),
+    st.integers(-(2**70), -(2**64)),
+)
+
+
+@given(
+    st.lists(st.lists(_ENTRIES, min_size=1, max_size=6), min_size=1, max_size=5),
+    st.dictionaries(_ENTRIES, _ENTRIES.filter(bool), max_size=4),
+)
+def test_expand_renders_values_as_str_does(exponents, coeff):
+    # one memo for the call: exponents met again, and ints shared between
+    # exponents and coefficients, read texts made earlier
+    digits, texts, pairs = snakeq.cli._csv_texts()
+    for _ in range(2):
+        for exponent in map(tuple, exponents):
+            assert texts[exponent] == ",".join(map(str, exponent))
+        assert pairs(coeff) == ",".join(f"{e},{coeff[e]}" for e in sorted(coeff))
+        for n in coeff.values():
+            assert digits(n) == str(n)
 
 
 GRAPH_COMMANDS = {
@@ -1296,6 +1351,32 @@ def test_module_entry_point(files):
     )
     assert proc.returncode == 0
     assert proc.stdout == GOLDEN_COMMUTATIVE + "\n"
+
+
+def test_a_closed_output_pipe_exits_141_without_a_traceback(files):
+    # the audit of a 14-crossing ladder prints 176 KB, more than a pipe
+    # holds, so the command is still writing when the reader goes away
+    surface = files["write"]("ladder.json", ladder_surface(14).to_dict())
+    arc = files["write"]("ladder_arc.json", ladder_arc(14).to_dict())
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "snakeq", "expand",
+            "--surface", surface, "--arc", arc, "--audit", "--machine",
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert len(head) == 10
+    assert code == 141
+    assert b"Traceback" not in err
 
 
 def test_import_loads_no_code_generating_modules():

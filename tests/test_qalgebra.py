@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cache
 
 import pytest
@@ -385,6 +386,48 @@ def test_constructor_adds_keys_that_collide_after_int():
     assert all(type(e) is int for v, c in x.items() for e in (*v, *c))
     first = QuantumLaurent(2, {(0, 1): {"2": 3, 2: -3, 1: 1}})
     assert dict(first.items()) == {(0, 1): {1: 1}}
+
+
+@pytest.mark.parametrize(
+    "build, named",
+    [
+        (lambda: QuantumLaurent(1, {(2.9,): {0.5: 1.7}}), "exponent entry 2.9"),
+        (lambda: QuantumLaurent(1, {(2,): {0.5: 1}}), "s-exponent 0.5"),
+        (lambda: QuantumLaurent(1, {(2,): {0: 1.7}}), "coefficient 1.7"),
+        (lambda: QuantumLaurent(2.5), "width 2.5"),
+        (
+            lambda: QuantumLaurent.monomial((1, Fraction(5, 2))),
+            "exponent entry Fraction(5, 2)",
+        ),
+        (lambda: QuantumLaurent.monomial((1,), 0.5), "s-exponent 0.5"),
+        (lambda: QuantumLaurent.monomial((1,), 0, 2.5), "coefficient 2.5"),
+        (lambda: LambdaForm([[0, 0.5], [-0.5, 0]]), "form entry 0.5"),
+    ],
+    ids=[
+        "exponent",
+        "s-exponent",
+        "coefficient",
+        "width",
+        "monomial-exponent",
+        "monomial-s-exponent",
+        "monomial-coefficient",
+        "form",
+    ],
+)
+def test_constructors_refuse_numbers_that_are_not_integral(build, named):
+    # int() would truncate these; the first such value is named instead
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == f"{named} is not an integer"
+
+
+def test_constructors_convert_integral_floats_bools_and_integer_strings():
+    x = QuantumLaurent.monomial((2.0, True, "-3"), Fraction(4, 2), 3.0)
+    assert x.items() == [((2, 1, -3), {2: 3})]
+    assert all(type(e) is int for v, c in x.items() for e in (*v, *c, *c.values()))
+    form = LambdaForm([[0.0, "1"], [-1, False]])
+    assert form.rows == ((0, 1), (-1, 0))
+    assert all(type(e) is int for row in form.rows for e in row)
 
 
 def test_constructor_merges_repeated_pairs_and_cancels_to_zero():

@@ -148,6 +148,17 @@ def test_seed_matrices_are_converted_once(monkeypatch):
     assert CountedRow.passes == 0
 
 
+def test_seed_refuses_an_entry_that_is_not_integral():
+    lam = LambdaForm([[0, 1], [-1, 0]])
+    with pytest.raises(SeedError) as info:
+        Seed([[0], [1.5]], lam)
+    assert str(info.value) == "exchange matrix entry 1.5 is not an integer"
+    # integral floats, bools and integer strings still convert
+    seed = Seed([[0.0], [True]], LambdaForm([[0, "-1"], [1.0, 0]]))
+    assert seed.btilde == ((0,), (1,)) and seed.d == 1
+    assert all(type(e) is int for row in seed.btilde for e in row)
+
+
 def test_seed_from_dict_round_trip():
     seed = principal_seed(signed_adjacency(hexagon()))
     assert Seed.from_dict(seed.to_dict()) == seed

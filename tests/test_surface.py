@@ -54,6 +54,28 @@ def test_arc_indices_must_be_in_range():
         Triangulation(1, 4, [(0, 2, 1), (0, 5, 3)])
 
 
+@pytest.mark.parametrize(
+    "n_internal, triangles, message",
+    [
+        (1.5, [(0, 2, 1), (0, 4, 3)], "arc count 1.5 is not an integer"),
+        (1, [(0, 2, 1), (0, 4, 2.5)], "triangle side 2.5 is not an integer"),
+    ],
+    ids=["arc-count", "triangle-side"],
+)
+def test_triangulation_refuses_numbers_that_are_not_integral(
+    n_internal, triangles, message
+):
+    with pytest.raises(SurfaceError) as info:
+        Triangulation(n_internal, 4, triangles)
+    assert str(info.value) == message
+
+
+def test_triangulation_converts_integral_floats_and_integer_strings():
+    t = Triangulation(1.0, "4", [(0, 2, 1), (0.0, 4, "3")])
+    assert t == Triangulation(1, 4, [(0, 2, 1), (0, 4, 3)])
+    assert type(t.n_internal) is int and type(t.n_boundary) is int
+
+
 def test_round_trip_through_dict():
     t = hexagon()
     assert Triangulation.from_dict(t.to_dict()) == t
