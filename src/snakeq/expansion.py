@@ -6,10 +6,12 @@ crossing total, the coefficient part is the bottom rows of the extended
 exchange matrix applied to the height vector and normalized tropically
 (componentwise minimum over all matchings), and in the quantum case each term
 additionally carries q to half the matching's valuation.  Both expansions
-compute that sum by one transfer over the tiles whose cost follows the
-distinct (last bit, height) states, not the matchings, and both return a
-:class:`~snakeq.qalgebra.QuantumLaurent`: the commutative one is the transfer
-with a zero twist, so every coefficient sits at s^0 and
+compute that sum by one transfer over the maximal runs of the fence: a run
+of r tiles costs (states entering it) × r lifts, so the cost follows the
+distinct (last bit, height) states, not the matchings, and the exponents
+follow the height slots that change from one height to the next.  Both
+return a :class:`~snakeq.qalgebra.QuantumLaurent`: the commutative one is
+the transfer with a zero twist, so every coefficient sits at s^0 and
 :meth:`~snakeq.qalgebra.QuantumLaurent.specialize_q1` reads its values.  Only
 the audit rows enumerate the matchings one by one: :func:`_audit_rows` gives
 each matching's bit string, exponent and valuation from the graph's listing,
@@ -26,15 +28,16 @@ own exchange step.  The compared exchange is checked with one product: the
 torus has no zero divisors, so expansion·x_k equals the exchange binomial
 exactly when the last division would return the expansion.  Only when that
 fails, or when another slot is compared, does the last step divide.
-The audit records, oracle runs and verification reports are ``NamedTuple``
-records.
+The audit records, oracle runs and verification reports are
+:func:`~collections.namedtuple` records.
 """
 
 from __future__ import annotations
 
-from itertools import compress
-from operator import sub
-from typing import Iterable, NamedTuple, Sequence
+from collections import namedtuple
+from itertools import compress, groupby
+from operator import itemgetter, sub
+from typing import Iterable, Sequence
 
 from .qalgebra import (
     Coeff,
@@ -49,7 +52,7 @@ from .qalgebra import (
     qmul,
 )
 from .seeds import Seed, SeedError, mutate_seed
-from .snakegraph import Matching, SnakeGraph
+from .snakegraph import SnakeGraph
 from .surface import Arc, Triangulation, flip, signed_adjacency
 # compute_valuation is the public form of the search _audit_rows runs; it
 # stays a name of this module, where perfbench/tracing.py looks it up
@@ -72,13 +75,16 @@ class ExpansionError(ValueError):
     """Raised when expansion inputs do not fit together."""
 
 
-class MatchingRecord(NamedTuple):
-    """Audit row: one perfect matching and its contribution."""
+class MatchingRecord(
+    namedtuple("MatchingRecord", "bits matching exponent valuation")
+):
+    """Audit row: one perfect matching and its contribution.
 
-    bits: str
-    matching: Matching
-    exponent: Vector
-    valuation: int
+    ``bits`` is the matching's bit string, ``matching`` its edge set,
+    ``exponent`` its exponent vector and ``valuation`` an int.
+    """
+
+    __slots__ = ()
 
 
 def _top_block_matches(t: Triangulation, rows: Sequence[Sequence[int]]) -> bool:
@@ -123,22 +129,16 @@ def _offset(graph: SnakeGraph, m: int) -> list[int]:
     return list(map(sub, weight, crossing)) + [0] * (m - len(weight))
 
 
-def _exponents(
-    g: Sequence[int],
-    btilde: Sequence[Sequence[int]],
-    labels: Sequence[int],
-    heights: Iterable[Sequence[int]],
-) -> list[Vector]:
-    """g + Btilde·h for each height h, normalized tropically below.
+def _columns(
+    btilde: Sequence[Sequence[int]], labels: Sequence[int]
+) -> list[list[tuple[int, int]]]:
+    """The nonzeros ``(i, Btilde[i][tau])`` of each column tau in ``labels``.
 
-    Each height lists one count per entry of ``labels``.  The bottom entries
-    are shifted by their componentwise minimum over all the heights.  Each
-    row is read at the labels by index at C speed and only its nonzeros take
-    a Python step, so building the columns follows the nonzeros of Btilde.
-    Every nonzero read must be an ``int`` (not a float, not a bool), or
-    :class:`ExpansionError` names its row and column.
+    This is the one read of ``btilde``.  Each row is read at the labels by
+    index at C speed, with no pass over the row, and only its nonzeros take
+    a Python step.  Every nonzero read must be an ``int`` (not a float, not
+    a bool), or :class:`ExpansionError` names its row and column.
     """
-    n = len(btilde[0])
     columns: list[list[tuple[int, int]]] = [[] for _ in labels]
     for i, row in enumerate(btilde):
         picked = tuple(map(row.__getitem__, labels))
@@ -150,18 +150,47 @@ def _exponents(
                     "not an integer"
                 )
             columns[k].append((i, b))
-    vectors = []
-    for h in heights:
-        vec = list(g)
-        for column, count in zip(columns, h):
-            if count:
-                for i, b in column:
-                    vec[i] += b * count
-        vectors.append(vec)
-    mins = [min(entries) for entries in zip(*(vec[n:] for vec in vectors))]
-    return [
-        tuple(vec[:n]) + tuple(map(sub, vec[n:], mins)) for vec in vectors
-    ]
+    return columns
+
+
+def _exponents(
+    graph: SnakeGraph,
+    columns: Sequence[Sequence[tuple[int, int]]],
+    m: int,
+    heights: Iterable[int],
+) -> dict[int, Vector]:
+    """g + Btilde·h for each packed height h, normalized tropically below.
+
+    ``columns`` holds the nonzeros of Btilde's crossed columns
+    (:func:`_columns`), one per slot of the packed heights.  The heights are
+    walked in sorted order, each from the vector of the one before: only the
+    slots where the two differ, the fields that their XOR touches, update it
+    by their column's nonzeros, and the vector is then copied at C speed.
+    The bottom entries are shifted by their componentwise minimum over all
+    the heights.
+    """
+    n = graph.triangulation.n_internal
+    bits = graph._height_bits
+    low = (1 << bits) - 1
+    vec = _offset(graph, m)
+    vectors: dict[int, tuple[int, ...]] = {}
+    previous = 0
+    for h in sorted(heights):
+        changed = h ^ previous
+        while changed:
+            # the highest slot left that the two heights differ in
+            k = (changed.bit_length() - 1) // bits
+            shift = bits * k
+            delta = ((h >> shift) & low) - ((previous >> shift) & low)
+            for i, b in columns[k]:
+                vec[i] += b * delta
+            changed &= (1 << shift) - 1
+        vectors[h] = tuple(vec)
+        previous = h
+    mins = [min(entries) for entries in zip(*(vec[n:] for vec in vectors.values()))]
+    return {
+        h: vec[:n] + tuple(map(sub, vec[n:], mins)) for h, vec in vectors.items()
+    }
 
 
 def _tile_constants(
@@ -200,59 +229,103 @@ def _transfer(
     A matching P is its tile bits t_1..t_d (:attr:`SnakeGraph.fence`) and its
     height h is their sum by label.  Its exponent is g + Btilde·h, with
     g the minimal matching's weight minus the crossings on top and 0 below
-    (x = X^g F(y-hat)), normalized tropically below.  Its valuation is a
-    quadratic form in the tile bits,
+    (x = X^g F(y-hat)), normalized tropically below (:func:`_exponents`).
+    Its valuation is a quadratic form in the tile bits,
     v(P) = sum of c_p·t_p + sum over q < p of d·B[tau_q][tau_p]·t_q·t_p,
-    with tau_p tile p's label and c_p from :func:`_tile_constants`, so
-    raising t_p on top of the earlier bits adds c_p plus d·B[i][tau_p] for
-    each count of label i in the height so far.
+    with tau_p tile p's label and c_p from :func:`_tile_constants`.
 
-    The sum runs tile by tile over states (t_p, h), each holding a dict from
-    s-exponent to count, so the cost follows the distinct states and not the
-    matchings; :attr:`SnakeGraph.fence` decides which bits may follow which.
+    The sum runs over states (last bit, h), each holding a dict from
+    s-exponent to count, and walks the fence's maximal runs, not single
+    tiles.  In a rising run (t_a <= ... <= t_b, r tiles) a state ending in 0
+    continues as 0^i 1^(r-i) for each i: one sweep from right to left grows
+    the raised suffix, and adding tile x on its left adds
+    c_x + sum of d·B[i][tau_x]·h_i - sum of d·B[i][tau_x]·suffix_i (B is
+    skew), whose last sum is the same for every state and is taken once per
+    run.  A state ending in 1 is raised through the whole run at once.  A
+    falling run is the mirror image: a state ending in 1 grows a raised
+    prefix from left to right, with + in place of -, and a state ending in 0
+    stays.  A run thus costs (states entering it) × (run length) lifts, so
+    the cost follows the distinct states, not the matchings.
+
     With ``d_scale`` 0 every s-exponent is 0: that is the commutative
-    expansion.  Layers merge through
-    :func:`~snakeq.qalgebra._canonical_terms`.  A coefficient-free seed can
-    give two heights one exponent, so the pairs returned may repeat one; the
-    callers add them up with the same routine.  The bottom rows of
+    expansion.  A coefficient-free seed can give two heights one exponent,
+    so the pairs returned may repeat one; the callers add them up with
+    :func:`~snakeq.qalgebra._canonical_terms`.  The bottom rows of
     ``btilde`` are read by index only.
     """
     labels = graph.crossed_labels
+    slot = graph._slot
     # a height is packed as in the graph's listing (see SnakeGraph._layout)
     bits = graph._height_bits
     low = (1 << bits) - 1
+    columns = _columns(btilde, labels)
     # d·B[i][tau] for crossed labels i, per crossed label tau
     pairing = [
-        [(graph._slot[i], d_scale * btilde[i][tau]) for i in labels if btilde[i][tau]]
-        for tau in labels
+        [(slot[i], d_scale * b) for i, b in column if d_scale and i in slot]
+        for column in columns
     ]
     constants = _tile_constants(graph, pairing, d_scale)
+    # per slot: one count of packed height, and the pairing read at the height
+    units = [1 << (bits * k) for k in range(len(labels))]
+    shifts = [[(bits * i, db) for i, db in row] for row in pairing]
+    slots = [slot[tile.diagonal] for tile in graph.tiles]
 
     # heights of the states whose last bit is 0 and 1; the empty prefix
     # counts as a 0, which lets tile 1 take either bit
     zero: dict[int, Coeff] = {0: {0: 1}}
     one: dict[int, Coeff] = {}
-    for tile, base, rising in zip(graph.tiles, constants, (True, *graph.fence)):
-        k = graph._slot[tile.diagonal]
-        unit = 1 << (bits * k)
-        shifts = [(bits * i, db) for i, db in pairing[k] if db]
+    fence = zip((True, *graph.fence), slots, constants)
+    for rising, run in groupby(fence, itemgetter(0)):
         lifted: dict[int, Coeff] = {}
-        for states in (zero, one) if rising else (one,):
+        # (raised height, step of s, pairing, target) as the raised suffix
+        # grows leftwards (rising) or the raised prefix rightwards (falling)
+        steps = []
+        raised = whole_step = 0
+        whole_pairs: list[tuple[int, int]] = []
+        for _, k, c in reversed(list(run)) if rising else run:
+            pairs = shifts[k]
+            paired = 0
+            if raised:
+                for shift, db in pairs:
+                    paired += db * ((raised >> shift) & low)
+            raised += units[k]
+            step = c - paired if rising else c + paired
+            whole_step += step
+            whole_pairs += pairs
+            steps.append((raised, step, pairs, lifted if rising else zero))
+        if rising:
+            # a state ending in 1 takes the whole run as one step
+            whole = (raised, whole_step, whole_pairs, lifted)
+            walks = ((zero, steps), (one, [whole]))
+        else:
+            # 1^i 0^(r-i) ends in 0 for 0 < i < r and in 1 for i = r
+            steps[-1] = (raised, step, pairs, lifted)
+            walks = ((one, steps),)
+        for states, walk in walks:
             for h, coeff in states.items():
-                s = base
-                for shift, db in shifts:
-                    s += db * ((h >> shift) & low)
-                target = lifted.setdefault(h + unit, {})
-                for e, c in coeff.items():
-                    target[e + s] = target.get(e + s, 0) + c
+                s = 0
+                for height, step, pairs, into in walk:
+                    s += step
+                    for shift, db in pairs:
+                        s += db * ((h >> shift) & low)
+                    target = into.setdefault(h + height, {})
+                    for e, c in coeff.items():
+                        target[e + s] = target.get(e + s, 0) + c
         if not rising:
-            zero = _canonical_terms(one.items(), zero)
+            # 1^0 0^r: each state ending in 1 passes into ``zero`` as it is
+            # and keeps its dict, since ``one`` is dropped after the run
+            for h, coeff in one.items():
+                have = zero.get(h)
+                if have is None:
+                    zero[h] = coeff
+                else:
+                    for e, c in coeff.items():
+                        have[e] = have.get(e, 0) + c
         one = lifted
 
     finals = _canonical_terms(one.items(), zero)
-    heights = map(graph._unpack_height, finals)
-    g = _offset(graph, len(btilde))
-    return list(zip(_exponents(g, btilde, labels, heights), finals.values()))
+    exponents = _exponents(graph, columns, len(btilde), finals)
+    return [(exponents[h], coeff) for h, coeff in finals.items()]
 
 
 def commutative_expand(
@@ -287,14 +360,12 @@ def _audit_rows(graph: SnakeGraph, seed: Seed) -> list[tuple[str, Vector, int]]:
     """
     listing = graph._listed()
     # matchings of one height share an exponent, computed once
-    heights = dict.fromkeys(h for _, _, h in listing)
-    exponents = _exponents(
-        _offset(graph, seed.m),
-        seed.btilde,
-        graph.crossed_labels,
-        map(graph._unpack_height, heights),
+    by_height = _exponents(
+        graph,
+        _columns(seed.btilde, graph.crossed_labels),
+        seed.m,
+        {h for _, _, h in listing},
     )
-    by_height = dict(zip(heights, exponents))
     values = _valued_masks(graph, seed.d)
     return [(bits, by_height[h], values[mask]) for bits, mask, h in listing]
 
@@ -320,11 +391,13 @@ def matching_records(
     )
 
 
-class OracleRun(NamedTuple):
-    """Cluster variables after a flip sequence, plus the final seed."""
+class OracleRun(namedtuple("OracleRun", "variables seed")):
+    """Cluster variables after a flip sequence, plus the final seed.
 
-    variables: tuple[QuantumLaurent, ...]
-    seed: Seed
+    ``variables`` is a tuple of :class:`~snakeq.qalgebra.QuantumLaurent`.
+    """
+
+    __slots__ = ()
 
 
 def _ordered_power_product(
@@ -422,14 +495,17 @@ def oracle_mutate_variables(seed: Seed, flips: Sequence[int]) -> OracleRun:
     return OracleRun(tuple(variables), current)
 
 
-class VerifyReport(NamedTuple):
-    """The outcome of :func:`verify_against_oracle`: both values and a verdict."""
+class VerifyReport(
+    namedtuple("VerifyReport", "ok slot expected actual detail")
+):
+    """The outcome of :func:`verify_against_oracle`: both values and a verdict.
 
-    ok: bool
-    slot: int
-    expected: QuantumLaurent
-    actual: QuantumLaurent
-    detail: str
+    ``ok`` is a bool, ``slot`` the compared slot, ``expected`` and
+    ``actual`` the expansion and the oracle's variable, and ``detail`` a
+    one-line verdict.
+    """
+
+    __slots__ = ()
 
 
 def verify_against_oracle(

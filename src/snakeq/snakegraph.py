@@ -35,15 +35,15 @@ positions "S", "W", "E", "N", and a shared edge belongs to the earlier tile.
 An arc already in the triangulation has a degenerate one-edge graph with the
 single edge reference (0, "G").  In an edge mask, bit i stands for
 ``edge_refs[i]``: by owning tile, then south, west, east, north.
-:class:`Tile` and :class:`TauClass` are ``NamedTuple`` records.
+:class:`Tile` and :class:`TauClass` are :func:`~collections.namedtuple`
+records.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator
 from itertools import compress
-from typing import NamedTuple
 
 from .surface import Arc, ArcTrace, Triangulation, trace_arc
 
@@ -69,31 +69,26 @@ DEGENERATE_EDGE: EdgeRef = (0, "G")
 _SELECTORS = bytes.maketrans(b"01", b"\0\1")
 
 
-class Tile(NamedTuple):
-    """One square tile: its diagonal label, four side labels, and placement."""
+class Tile(namedtuple("Tile", "index diagonal south west east north x y")):
+    """One square tile: its diagonal label, four side labels, and placement.
 
-    index: int
-    diagonal: int
-    south: int
-    west: int
-    east: int
-    north: int
-    x: int
-    y: int
+    Every field is an int; ``x`` and ``y`` place the tile's south-west corner.
+    """
+
+    __slots__ = ()
 
 
-class TauClass(NamedTuple):
+class TauClass(namedtuple("TauClass", "anchor kind edges")):
     """An equivalence class of same-labeled edges, with its anchor tile.
 
     Kinds: "I" and "II" are the two-edge classes attached to a tile whose
     diagonal carries the label (straight run versus turn), "III" is such a
     class truncated to one edge at the end of the graph, and "IV" is a
     leftover single edge not attached to any diagonal of that label.
+    ``edges`` is a tuple of edge references.
     """
 
-    anchor: int
-    kind: str
-    edges: tuple[EdgeRef, ...]
+    __slots__ = ()
 
 
 class SnakeGraph:

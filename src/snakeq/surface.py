@@ -15,14 +15,16 @@ triangulation and recovers the full sequence of visited triangles.
 
 :class:`Triangle` checks its sides when built and is a small slotted class
 that refuses assignment; :class:`Quadrilateral`, :class:`Arc` and
-:class:`ArcTrace` are plain ``NamedTuple`` records.  Neither kind goes
-through ``dataclasses``, whose generated methods every call of the command
-would compile again at import.
+:class:`ArcTrace` are plain :func:`~collections.namedtuple` records.
+Neither kind goes through ``dataclasses`` or ``typing.NamedTuple``, whose
+generated methods and field annotations every call of the command would
+compile again at import.
 """
 
 from __future__ import annotations
 
-from typing import Any, NamedTuple
+from collections import namedtuple
+from typing import Any
 
 from .qalgebra import _int_tuple
 
@@ -61,7 +63,11 @@ class _Frozen:
 
 
 class Triangle(_Frozen):
-    """Three sides in cyclic order, checked to be three on construction."""
+    """Three sides in cyclic order, checked to be three on construction.
+
+    The sides are converted with ``int()``; one that is not integral, such
+    as 3.5, raises :class:`SurfaceError`.
+    """
 
     __slots__ = ("sides",)
 
@@ -70,6 +76,7 @@ class Triangle(_Frozen):
     def __init__(self, sides: tuple[int, int, int]) -> None:
         if len(sides) != 3:
             raise SurfaceError(f"triangle {sides} does not have three sides")
+        sides = _int_tuple(sides, "triangle side", SurfaceError)
         object.__setattr__(self, "sides", sides)
 
     def __eq__(self, other: object) -> bool:
@@ -112,8 +119,9 @@ class Triangle(_Frozen):
 class Triangulation:
     """An indexed triangulation of an unpunctured marked surface.
 
-    The arc counts and triangle sides are converted with ``int()``; one that
-    is not integral, such as 2.9, raises :class:`SurfaceError`.
+    The arc counts and triangle sides (by :class:`Triangle`) are converted
+    with ``int()``; one that is not integral, such as 2.9, raises
+    :class:`SurfaceError`.
     """
 
     def __init__(
@@ -128,10 +136,7 @@ class Triangulation:
         if self.n_internal < 0 or self.n_boundary < 0:
             raise SurfaceError("arc counts must be non-negative")
         self.triangles = tuple(
-            t
-            if isinstance(t, Triangle)
-            else Triangle(_int_tuple(t, "triangle side", SurfaceError))
-            for t in triangles
+            t if isinstance(t, Triangle) else Triangle(t) for t in triangles
         )
         self._validate()
 
@@ -261,22 +266,18 @@ def signed_adjacency(t: Triangulation) -> list[list[int]]:
     return mat
 
 
-class Quadrilateral(NamedTuple):
+class Quadrilateral(
+    namedtuple("Quadrilateral", "tau a1 a2 a3 a4 first second")
+):
     """The four sides around an internal arc, plus the flanking triangles.
 
     ``a1`` and ``a4`` follow and precede ``tau`` in the first triangle,
     ``a3`` and ``a2`` follow and precede it in the second.  Opposite labels
     may coincide on surfaces where the two triangles share more than the
-    diagonal (an annulus has a1 == a3).
+    diagonal (an annulus has a1 == a3).  Every field is an int.
     """
 
-    tau: int
-    a1: int
-    a2: int
-    a3: int
-    a4: int
-    first: int
-    second: int
+    __slots__ = ()
 
 
 def quadrilateral(t: Triangulation, tau: int) -> Quadrilateral:
@@ -322,17 +323,19 @@ def flip(t: Triangulation, tau: int) -> Triangulation:
     return Triangulation(t.n_internal, t.n_boundary, new_triangles)
 
 
-class Arc(NamedTuple):
+class Arc(
+    namedtuple(
+        "Arc", "crossings start_triangle end_triangle arc", defaults=(None,)
+    )
+):
     """An arc described relative to a triangulation.
 
-    Either a crossing sequence with the start and end triangles, or, for an
-    arc already in the triangulation, just its index.
+    Either a crossing sequence (a tuple of ints) with the start and end
+    triangles, or, for an arc already in the triangulation, just its index
+    ``arc``, which is None otherwise.
     """
 
-    crossings: tuple[int, ...]
-    start_triangle: int
-    end_triangle: int
-    arc: int | None = None
+    __slots__ = ()
 
     @classmethod
     def from_dict(cls, data: Any) -> Arc:
@@ -392,21 +395,34 @@ def _arc_crossings(value: Any) -> tuple[int, ...]:
     return tuple(_json_int(c, "each crossing") for c in _json_list(value, "crossings"))
 
 
-class ArcTrace(NamedTuple):
+class ArcTrace(namedtuple("ArcTrace", "arc triangle_path connectors")):
     """Result of walking an arc through its triangulation.
 
-    ``triangle_path`` lists the d+1 visited triangle indices and
-    ``connectors`` the d-1 sides along which consecutive crossed arcs'
-    triangles meet (the third side of each intermediate triangle).
+    ``arc`` is the traced :class:`Arc`, ``triangle_path`` lists the d+1
+    visited triangle indices and ``connectors`` the d-1 sides along which
+    consecutive crossed arcs' triangles meet (the third side of each
+    intermediate triangle).
     """
 
-    arc: Arc
-    triangle_path: tuple[int, ...]
-    connectors: tuple[int, ...]
+    __slots__ = ()
 
 
 def trace_arc(t: Triangulation, arc: Arc) -> ArcTrace:
-    """Validate an arc description and recover its triangle walk."""
+    """Validate an arc description and recover its triangle walk.
+
+    Its index, or its crossings and its start and end triangles, must be
+    ``int`` values, as :meth:`Arc.from_dict` demands: a float or a bool
+    raises :class:`SurfaceError` naming the field.
+    """
+    try:
+        if arc.arc is not None:
+            _json_int(arc.arc, "arc")
+        else:
+            _json_int(arc.start_triangle, "start_triangle")
+            _json_int(arc.end_triangle, "end_triangle")
+        _arc_crossings(arc.crossings)
+    except TypeError as bad:
+        raise SurfaceError(f"arc description: {bad}") from None
     if arc.arc is not None:
         if arc.crossings:
             raise SurfaceError("an arc given by index must not list crossings")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from operator import sub
 
 from hypothesis import HealthCheck, settings
 
@@ -101,6 +102,46 @@ def ladder_surface(d: int) -> Triangulation:
 
 def ladder_arc(d: int) -> Arc:
     return Arc(tuple(range(d)), 0, d)
+
+
+def fan_blocks(blocks: tuple[int, ...]) -> tuple[Triangulation, Arc]:
+    """A polygon cut into a strip of fans at alternating ends, and its chord.
+
+    The polygon's vertices, in order, are its left end, a top chain, its
+    right end and a bottom chain back.  Every diagonal joins the two chains,
+    and each one after the first moves one end one step to the right: the
+    bottom end for the blocks at even positions, so that they fan out from
+    a top vertex, and the top end for the others.  Internal arc m is the
+    m-th diagonal from the left, and the chord from the left end to the
+    right end crosses them in order, so a block of b diagonals gives a run
+    of b tiles in the snake graph's fence, rising and falling in turn.
+    """
+    p = 1 + sum(blocks[1::2])
+    n = p + 3 + sum(blocks[0::2])
+    top, bottom = [1], [n - 1]
+    diagonals = [(1, n - 1)]
+    triangles = [(0, 1, n - 1)]
+    for b, size in enumerate(blocks):
+        for _ in range(size):
+            if b % 2 == 0:
+                bottom.append(bottom[-1] - 1)
+                triangles.append((top[-1], bottom[-1], bottom[-2]))
+            else:
+                top.append(top[-1] + 1)
+                triangles.append((top[-2], top[-1], bottom[-1]))
+            diagonals.append((top[-1], bottom[-1]))
+    triangles.append((top[-1], p + 1, bottom[-1]))
+    index = {frozenset(e): m for m, e in enumerate(diagonals)}
+
+    def side(u: int, v: int) -> int:
+        return index.setdefault(frozenset((u, v)), len(index))
+
+    # sides read as in polygon_fan: (u, v), (w, u), (v, w) for u < v < w
+    sides = []
+    for u, v, w in map(sorted, triangles):
+        sides.append((side(u, v), side(w, u), side(v, w)))
+    t = Triangulation(len(diagonals), n, sides)
+    return t, Arc(tuple(range(len(diagonals))), 0, len(sides) - 1)
 
 
 def torus_one_point() -> Triangulation:
@@ -268,7 +309,10 @@ def transfer_corpus() -> list[tuple[str, Triangulation, Arc]]:
     """Arcs on which the transfer expansion is compared with enumeration.
 
     The valuation and oracle corpora, ladders with d = 6..11, annulus
-    bridges with w = +-6..+-8 and the longest chords of the 10- and 30-fan.
+    bridges with w = +-6..+-8, the longest chords of the 10-, 30- and 60-fan
+    (one rising run of 10, 30 and 60 tiles) and the chord of a strip of fan
+    blocks at alternating ends, whose fence has rising and falling runs of
+    1, 2 and 5 tiles.
     """
     out = list(valuation_corpus())
     out += [(name, t, arc) for name, t, arc, _ in oracle_corpus()]
@@ -277,10 +321,31 @@ def transfer_corpus() -> list[tuple[str, Triangulation, Arc]]:
     t = annulus()
     for w in (6, 7, 8, -6, -7, -8):
         out.append((f"annulus bridge {w}", t, annulus_bridge(w)[0]))
-    for k in (10, 30):
+    for k in (10, 30, 60):
         chords = {pair: arc for pair, arc, _ in polygon_chords(k)}
         out.append((f"{k}-fan chord (1, {k + 2})", polygon_fan(k), chords[1, k + 2]))
+    blocks = (1, 5, 1, 2, 5, 1)
+    out.append((f"fan blocks {blocks} chord", *fan_blocks(blocks)))
     return out
+
+
+def reference_exponents(offset, btilde, labels, heights) -> list[tuple]:
+    """Reference: offset + Btilde·h for each height h, normalized tropically.
+
+    Each height lists one count per entry of ``labels``, and every count of
+    every height is added to the offset, anew for each height.  The bottom
+    entries are shifted by their componentwise minimum over all the heights.
+    """
+    n = len(btilde[0])
+    vectors = []
+    for h in heights:
+        vec = list(offset)
+        for label, count in zip(labels, h):
+            for i, row in enumerate(btilde):
+                vec[i] += row[label] * count
+        vectors.append(vec)
+    mins = [min(entries) for entries in zip(*(vec[n:] for vec in vectors))]
+    return [tuple(vec[:n]) + tuple(map(sub, vec[n:], mins)) for vec in vectors]
 
 
 def side_vertices(tile, pos: str) -> frozenset:

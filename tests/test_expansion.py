@@ -24,6 +24,7 @@ from conftest import (
     oracle_corpus,
     pentagon,
     polygon_chords,
+    reference_exponents,
     reference_matchings,
     seed_choices,
     sheared_seed,
@@ -39,6 +40,7 @@ from snakeq import (
     QuantumLaurent,
     SeedError,
     SnakeGraph,
+    SurfaceError,
     commutative_expand,
     compute_valuation,
     matching_records,
@@ -48,7 +50,7 @@ from snakeq import (
     signed_adjacency,
     verify_against_oracle,
 )
-from snakeq.expansion import _ordered_power_product
+from snakeq.expansion import _columns, _exponents, _offset, _ordered_power_product
 from snakeq.qalgebra import qmul
 
 
@@ -259,6 +261,57 @@ def test_an_arc_and_its_reverse_have_one_expansion():
             ), name
 
 
+def test_the_exponent_walk_matches_the_per_height_reference():
+    # _exponents walks the packed heights in sorted order and updates only
+    # the slots that change; the reference adds every count of every height
+    # to g, anew for each height.  The sheared seed needs the tropical
+    # minimum, and an odd ladder's coefficient-free seed gives two heights
+    # one exponent
+    cases = [
+        (name, SnakeGraph(t, arc), seed.btilde)
+        for name, t, arc in transfer_corpus()
+        for seed in (principal_seed(signed_adjacency(t)), sheared_seed(t))
+    ]
+    for d in (3, 5, 7):
+        t = ladder_surface(d)
+        name = f"coefficient-free ladder {d}"
+        cases.append((name, SnakeGraph(t, ladder_arc(d)), signed_adjacency(t)))
+    shared = []
+    for name, g, btilde in cases:
+        heights = sorted({h for _, _, h in g._listed()})
+        labels = g.crossed_labels
+        walked = _exponents(g, _columns(btilde, labels), len(btilde), heights)
+        reference = reference_exponents(
+            _offset(g, len(btilde)),
+            btilde,
+            labels,
+            map(g._unpack_height, heights),
+        )
+        assert [walked[h] for h in heights] == reference, name
+        if len(set(reference)) < len(reference):
+            shared.append(name)
+    assert shared == [f"coefficient-free ladder {d}" for d in (3, 5, 7)]
+
+
+@pytest.mark.parametrize(
+    "arc",
+    [Arc((0.0, 1.0, 0.0, 1.0, 0.0), 0, 1), Arc((0, 1, 0.5), 0, 1)],
+    ids=["float-crossings", "half-crossing"],
+)
+def test_an_arc_of_floats_is_an_input_error(arc):
+    # the public Arc record converts nothing, so the trace refuses a value
+    # that is not an int before any expansion reads it
+    t = annulus()
+    seed = sheared_seed(t)
+    for expand in (
+        lambda: quantum_expand(t, arc, seed),
+        lambda: commutative_expand(t, arc, seed.btilde),
+        lambda: matching_records(t, arc, seed),
+    ):
+        with pytest.raises(SurfaceError, match="^arc description: each crossing"):
+            expand()
+
+
 def test_expansions_never_enumerate_matchings(monkeypatch):
     def refuse(graph):
         raise AssertionError("the expansion enumerated the matchings")
@@ -329,7 +382,7 @@ def test_wrong_top_block_is_rejected():
     ids=["integral-float-below", "float-below", "bool-below", "float-on-top"],
 )
 def test_non_integer_matrix_entries_are_named(row, column, entry):
-    # -2.0 on top equals the signed adjacency, so only the exponent routine,
+    # -2.0 on top equals the signed adjacency, so only the column read,
     # which reads every nonzero entry at a crossed column, can reject it
     t = annulus()
     rows = [list(r) for r in principal_btilde(t)]

@@ -70,6 +70,16 @@ def test_triangulation_refuses_numbers_that_are_not_integral(
     assert str(info.value) == message
 
 
+def test_a_ready_made_triangle_checks_its_own_sides():
+    # Triangulation takes a Triangle as it is, so the Triangle converts
+    with pytest.raises(SurfaceError) as info:
+        Triangulation(1, 4, [Triangle((0, 2, 1)), Triangle((0.0, 4, 3.5))])
+    assert str(info.value) == "triangle side 3.5 is not an integer"
+    triangle = Triangle([0.0, True, "2"])
+    assert triangle.sides == (0, 1, 2)
+    assert all(type(side) is int for side in triangle.sides)
+
+
 def test_triangulation_converts_integral_floats_and_integer_strings():
     t = Triangulation(1.0, "4", [(0, 2, 1), (0.0, 4, "3")])
     assert t == Triangulation(1, 4, [(0, 2, 1), (0, 4, 3)])
@@ -273,6 +283,25 @@ def test_trace_of_an_existing_arc_is_degenerate():
 def test_trace_rejects_a_boundary_arc_index():
     with pytest.raises(SurfaceError):
         trace_arc(hexagon(), Arc((), None, None, arc=5))
+
+
+@pytest.mark.parametrize(
+    "arc, field",
+    [
+        (Arc((0, 1, 0.5), 0, 1), "each crossing must be an integer, not 0.5"),
+        (Arc((0, True), 0, 1), "each crossing must be an integer, not True"),
+        (Arc((0,), 0.0, 1), "start_triangle must be an integer, not 0.0"),
+        (Arc((0,), 0, True), "end_triangle must be an integer, not True"),
+        (Arc((), None, None, 1.0), "arc must be an integer, not 1.0"),
+        (Arc((), None, None, False), "arc must be an integer, not False"),
+    ],
+    ids=["half-crossing", "bool-crossing", "start", "end", "index", "bool-index"],
+)
+def test_trace_refuses_a_field_that_is_not_an_int(arc, field):
+    # the rule of Arc.from_dict, for arcs built in code
+    with pytest.raises(SurfaceError) as info:
+        trace_arc(annulus(), arc)
+    assert str(info.value) == f"arc description: {field}"
 
 
 @pytest.mark.parametrize(
