@@ -162,12 +162,10 @@ def _first_difference(
         for e in expected.support() | actual.support()
         if expected.coefficient(e) != actual.coefficient(e)
     )
-    left = expected.coefficient(exponent)
-    right = actual.coefficient(exponent)
     return (
         f"at X^({_exponent_csv(exponent)}): expansion has "
-        f"{coeff_to_string(left) if left else '0'}, oracle has "
-        f"{coeff_to_string(right) if right else '0'}"
+        f"{coeff_to_string(expected.coefficient(exponent))}, oracle has "
+        f"{coeff_to_string(actual.coefficient(exponent))}"
     )
 
 
@@ -344,6 +342,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.close(devnull)
         return 141
 
-
-if __name__ == "__main__":
-    sys.exit(main())

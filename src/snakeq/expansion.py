@@ -35,7 +35,7 @@ The audit records, oracle runs and verification reports are
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import compress, groupby
+from itertools import chain, compress, groupby
 from operator import itemgetter, sub
 from typing import Iterable, Sequence
 
@@ -54,9 +54,7 @@ from .qalgebra import (
 from .seeds import Seed, SeedError, mutate_seed
 from .snakegraph import SnakeGraph
 from .surface import Arc, Triangulation, flip, signed_adjacency
-# compute_valuation is the public form of the search _audit_rows runs; it
-# stays a name of this module, where perfbench/tracing.py looks it up
-from .valuation import _valued_masks, compute_valuation, twist_chain
+from .valuation import _valued_masks, twist_chain
 
 __all__ = [
     "ExpansionError",
@@ -134,22 +132,27 @@ def _columns(
 ) -> list[list[tuple[int, int]]]:
     """The nonzeros ``(i, Btilde[i][tau])`` of each column tau in ``labels``.
 
-    This is the one read of ``btilde``.  Each row is read at the labels by
-    index at C speed, with no pass over the row, and only its nonzeros take
-    a Python step.  Every nonzero read must be an ``int`` (not a float, not
-    a bool), or :class:`ExpansionError` names its row and column.
+    This is the one read of ``btilde``.  Each crossed column is read row by
+    row by index at C speed, with no pass over a row, and only its nonzeros
+    take a Python step.  Every nonzero read must be an ``int`` (not a float,
+    not a bool), or :class:`ExpansionError` names the first offender in row
+    order by its row and column.
     """
-    columns: list[list[tuple[int, int]]] = [[] for _ in labels]
-    for i, row in enumerate(btilde):
-        picked = tuple(map(row.__getitem__, labels))
-        for k in compress(range(len(picked)), picked):
-            b = picked[k]
-            if type(b) is not int:
-                raise ExpansionError(
-                    f"extended matrix entry ({i}, {labels[k]}) is {b!r}, "
-                    "not an integer"
-                )
-            columns[k].append((i, b))
+    columns: list[list[tuple[int, int]]] = []
+    for tau in labels:
+        column = tuple(map(itemgetter(tau), btilde))
+        columns.append(list(compress(enumerate(column), column)))
+    bad = [
+        (i, k, b)
+        for k, column in enumerate(columns)
+        for i, b in column
+        if type(b) is not int
+    ]
+    if bad:
+        i, k, b = min(bad)
+        raise ExpansionError(
+            f"extended matrix entry ({i}, {labels[k]}) is {b!r}, not an integer"
+        )
     return columns
 
 
@@ -323,7 +326,8 @@ def _transfer(
                         have[e] = have.get(e, 0) + c
         one = lifted
 
-    finals = _canonical_terms(one.items(), zero)
+    # every state dict is the transfer's own and sits in one of the two
+    finals = _canonical_terms(chain(zero.items(), one.items()))
     exponents = _exponents(graph, columns, len(btilde), finals)
     return [(exponents[h], coeff) for h, coeff in finals.items()]
 

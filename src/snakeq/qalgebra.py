@@ -10,11 +10,14 @@ element is a finite sum of terms c(s) * X^a with c in ZZ[s, s^(-1)].  This
 module represents such elements exactly: coefficients are dicts mapping the
 s-exponent to an integer, exponent vectors are integer tuples, and nothing is
 ever floated or truncated.  One private routine, :func:`_canonical_terms`,
-merges equal exponents and drops zero counts and empty coefficients, and
-every value goes through it.  The public :class:`QuantumLaurent` constructor
-converts and width-checks each pair before it hands them over; sums,
-negation, scaling, products and quotients build their terms from values that
-are already checked, so nothing is converted twice.
+merges equal exponents and drops zero counts and empty coefficients.  It adds
+into the first coefficient dict of each exponent, so its callers hand it dicts
+of their own.  Every value whose terms can repeat an exponent or cancel goes
+through it; a value canonical by construction, such as an exact quotient, is
+wrapped as it is.  The public :class:`QuantumLaurent` constructor converts and
+width-checks each pair before it hands them over; sums, negation, scaling,
+products and quotients build their terms from values that are already
+checked, so nothing is converted twice.
 
 Sparsity lives in :class:`LambdaForm`: next to its dense rows it keeps, per
 row, the tuple of nonzero column indices.  Its skew check,
@@ -43,7 +46,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Hashable, Iterable, Mapping, Sequence
 from heapq import heapify, heappop, heappush
-from itertools import compress
+from itertools import chain, compress
 from operator import add, le, mul, neg, sub
 from typing import Any, TypeVar
 
@@ -91,38 +94,28 @@ def _int_tuple(
     return ints
 
 
-def _canonical_terms(
-    pairs: Iterable[tuple[K, Coeff]], start: Mapping[K, Coeff] | None = None
-) -> dict[K, Coeff]:
-    """``start`` plus ``pairs``, with equal keys merged and zeros dropped.
+def _canonical_terms(pairs: Iterable[tuple[K, Coeff]]) -> dict[K, Coeff]:
+    """``pairs`` with equal keys merged and zeros dropped.
 
-    Coefficients of equal keys are added, then zero counts and empty
-    coefficients are dropped.  ``start`` must be canonical already: it is
-    copied, not checked.  Keys and counts must be exact ints (or tuples of
-    them) of one width; nothing is converted.  No argument changes:
-    coefficient dicts are shared, and a key met again gets one dict of its
-    own that takes every later sum.
+    Each later coefficient of a key is added into the first one, which is
+    kept, so every dict passed in must belong to the caller and be passed
+    once.  Zero counts and empty coefficients are then dropped.  Keys and
+    counts must be exact ints (or tuples of them) of one width; nothing is
+    converted.
     """
-    out = dict(start) if start else {}
-    summed: set[K] = set()  # keys holding a dict made here; cleaned last
+    out: dict[K, Coeff] = {}
     for key, coeff in pairs:
         have = out.get(key)
         if have is None:
-            if 0 in coeff.values():
-                coeff = {e: n for e, n in coeff.items() if n}
-            if coeff:
-                out[key] = coeff
-            continue
-        if key not in summed:
-            have = out[key] = dict(have)
-            summed.add(key)
-        for e, n in coeff.items():
-            have[e] = have.get(e, 0) + n
-    for key in summed:
-        coeff = out[key]
-        if 0 in coeff.values():
-            coeff = out[key] = {e: n for e, n in coeff.items() if n}
-        if not coeff:
+            out[key] = coeff
+        else:
+            for e, n in coeff.items():
+                have[e] = have.get(e, 0) + n
+    for key in [k for k, c in out.items() if not c or 0 in c.values()]:
+        coeff = {e: n for e, n in out[key].items() if n}
+        if coeff:
+            out[key] = coeff
+        else:
             del out[key]
     return out
 
@@ -384,8 +377,13 @@ class QuantumLaurent:
 
     def __add__(self, other: QuantumLaurent) -> QuantumLaurent:
         self._check_width(other)
+        # both operands' dicts are stored values, so the merge takes copies
         return _value(
-            self.width, _canonical_terms(other._terms.items(), self._terms)
+            self.width,
+            _canonical_terms(
+                (v, dict(c))
+                for v, c in chain(self._terms.items(), other._terms.items())
+            ),
         )
 
     def __neg__(self) -> QuantumLaurent:
@@ -605,7 +603,8 @@ def exact_right_divide(
     else:
         quotient = _eliminate(terms, den, _support_box(numerator, denominator))
 
-    result = _value(numerator.width, _canonical_terms(quotient.items()))
+    # every quotient exponent is new and every coefficient nonzero: canonical
+    result = _value(numerator.width, quotient)
     if qmul(result, denominator, form) != numerator:
         raise AssertionError("internal error: quotient verification failed")
     return result

@@ -71,10 +71,6 @@ def _check_json_matrix(rows: Any, key: str) -> None:
                 _json_int(v, what)
 
 
-def _pos(x: int) -> int:
-    return x if x > 0 else 0
-
-
 def check_compatible(btilde: Any, lam: LambdaForm) -> int:
     """Return the scalar d with transpose(B) * Lambda = (d*I | 0).
 
@@ -227,8 +223,8 @@ def mutate_B(btilde: Any, k: int) -> Matrix:
         raise SeedError(f"mutation direction {k} out of range for {n} columns")
     pivot = btilde[k]
     # b_ij gains b_ik [b_kj]_+ when b_ik > 0 and b_ik [-b_kj]_+ when b_ik < 0
-    rising = [_pos(x) for x in pivot]
-    falling = [_pos(-x) for x in pivot]
+    rising = [x if x > 0 else 0 for x in pivot]
+    falling = [-x if x < 0 else 0 for x in pivot]
     out = []
     for i, row in enumerate(btilde):
         c = row[k]

@@ -13,10 +13,6 @@ import snakeq
 
 SOURCES = sorted(Path(snakeq.__file__).resolve().parent.glob("*.py"))
 
-# expansion.py imports compute_valuation for perfbench/tracing.py, which
-# looks the name up in that module; nothing in the module calls it
-UNUSED_IMPORTS = {("expansion.py", "compute_valuation")}
-
 
 def _trees() -> dict[str, ast.Module]:
     return {
@@ -73,5 +69,4 @@ def test_every_import_is_used():
                     bound = (alias.asname or alias.name).split(".")[0]
                     if bound not in used:
                         unused.add((name, bound))
-    # equal, so the exception cannot outlive the import it excuses
-    assert unused == UNUSED_IMPORTS
+    assert unused == set()

@@ -377,16 +377,30 @@ def test_wrong_top_block_is_rejected():
 
 
 @pytest.mark.parametrize(
-    "row, column, entry",
-    [(2, 0, 1.0), (3, 1, 1.5), (2, 0, True), (0, 1, -2.0)],
-    ids=["integral-float-below", "float-below", "bool-below", "float-on-top"],
+    "row, column, entry, later",
+    [
+        (2, 0, 1.0, ()),
+        (3, 1, 1.5, ()),
+        (2, 0, True, ()),
+        (0, 1, -2.0, ()),
+        # (3, 0) comes first by columns, (2, 1) by rows
+        (2, 1, 0.5, ((3, 0, 2.5),)),
+    ],
+    ids=[
+        "integral-float-below",
+        "float-below",
+        "bool-below",
+        "float-on-top",
+        "first-in-row-order",
+    ],
 )
-def test_non_integer_matrix_entries_are_named(row, column, entry):
+def test_non_integer_matrix_entries_are_named(row, column, entry, later):
     # -2.0 on top equals the signed adjacency, so only the column read,
     # which reads every nonzero entry at a crossed column, can reject it
     t = annulus()
     rows = [list(r) for r in principal_btilde(t)]
-    rows[row][column] = entry
+    for i, j, value in ((row, column, entry), *later):
+        rows[i][j] = value
     with pytest.raises(
         ExpansionError,
         match=rf"entry \({row}, {column}\) is {entry!r}, not an integer",

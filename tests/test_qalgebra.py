@@ -66,6 +66,13 @@ def test_ordered_product_twist_sums_upper_entries():
     assert LAM4.ordered_product_twist((1, 1, 1, 1)) == (0 - 1 + 0) + (0 - 1) + (-1)
 
 
+def test_form_kernels_refuse_a_vector_of_another_length():
+    with pytest.raises(ValueError, match="vector length does not match the form"):
+        LAM2.eval((1,), (1, 0))
+    with pytest.raises(ValueError, match="vector length does not match the form"):
+        LAM2.ordered_product_twist((1, 0, 0))
+
+
 # ----------------------------------------------------------------------
 # basic ring operations
 
@@ -220,9 +227,9 @@ def test_division_respects_the_twist():
 # ----------------------------------------------------------------------
 # canonical form: one private routine merges and drops zeros
 #
-# The public constructor converts, width-checks and merges its input in one
-# loop of its own; sums, negation, scaling, products, quotients and both
-# expansions call the routine directly.  The reference sum and product below clean
+# The public constructor converts and width-checks its input, then merges it
+# with the routine; sums, negation, scaling, products and both expansions
+# call the routine directly, and a quotient is canonical as it is built.  The reference sum and product below clean
 # every coefficient as they go, with helpers of their own, and return plain
 # dicts, so they do not rely on that routine to merge exponents or drop zeros.
 
@@ -455,6 +462,35 @@ def test_constructor_never_shares_or_changes_a_callers_dict():
     assert all(c is not first and c is not second for c in stored.values())
     first[0] = second[0] = 7
     assert dict(x.items()) == {(1, 0): {0: 3, 2: 5}, (0, 1): {0: 2}}
+
+
+A_TERMS = {(1, 0): {0: 1, 2: 5}, (0, 1): {1: 2}}
+
+
+@pytest.mark.parametrize(
+    "a_terms, b_terms, total",
+    [
+        (
+            A_TERMS,
+            {(1, 0): {0: 2, 2: -5}, (0, 0): {0: 3}},
+            {(1, 0): {0: 3}, (0, 1): {1: 2}, (0, 0): {0: 3}},
+        ),
+        (A_TERMS, None, {(1, 0): {0: 2, 2: 10}, (0, 1): {1: 4}}),
+        (A_TERMS, {(1, 0): {0: -1, 2: -5}, (0, 1): {1: -2}}, {}),
+    ],
+    ids=["overlapping", "itself", "cancelling"],
+)
+def test_a_sum_changes_and_shares_no_operand_dict(a_terms, b_terms, total):
+    # the merge adds into the first dict of each exponent, so a sum must
+    # hand it copies of the operands' stored dicts
+    a = QuantumLaurent(2, a_terms)
+    b = a if b_terms is None else QuantumLaurent(2, b_terms)
+    before_a, before_b = QuantumLaurent(2, a.items()), QuantumLaurent(2, b.items())
+    result = a + b
+    assert a == before_a and b == before_b
+    assert dict(result.items()) == total
+    stored = {id(c) for x in (a, b) for c in x._terms.values()}
+    assert stored.isdisjoint(map(id, result._terms.values()))
 
 
 # ----------------------------------------------------------------------
@@ -724,6 +760,9 @@ def test_coefficient_strings():
     assert coeff_to_string({-2: 1, 0: 1, 2: 1}) == "q^-1 + 1 + q"
     assert coeff_to_string({0: 3}) == "3"
     assert coeff_to_string({4: -2}) == "-2·q^2"
+    # a count of -1 at a q power is its minus sign, and a negative term is
+    # joined with " + " like any other
+    assert coeff_to_string({-1: -1, 0: 3, 2: -1}) == "-q^(-1/2) + 3 + -q"
 
 
 def test_polynomial_strings():

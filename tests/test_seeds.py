@@ -35,6 +35,18 @@ def test_principal_seed_has_scalar_one():
     assert seed.m == 4 and seed.n == 2
 
 
+def test_malformed_shapes_are_refused():
+    lam = LambdaForm([[0, 1], [-1, 0]])
+    with pytest.raises(SeedError, match="the exchange matrix has no rows"):
+        check_compatible([], LambdaForm([]))
+    with pytest.raises(SeedError, match="rows do not match the form rank"):
+        mutate_Lambda(lam, [[0], [1], [0]], 0)
+    with pytest.raises(SeedError, match="direction 1 out of range for 1 columns"):
+        mutate_Lambda(lam, [[0], [1]], 1)
+    with pytest.raises(SeedError, match="the exchange matrix must be square"):
+        principal_lambda([[0, 1]])
+
+
 def test_principal_lambda_blocks():
     b = [[0, -1], [1, 0]]
     lam = principal_lambda(b)

@@ -91,6 +91,13 @@ def test_degenerate_graph_for_an_existing_arc():
     assert g.minimal_matching() == g.maximal_matching() == g.matchings()[0]
 
 
+def test_a_degenerate_graph_has_no_tile_to_twist():
+    g = SnakeGraph(annulus(), initial_arc(0))
+    assert g.can_twist(g.matchings()[0], 1) is False
+    with pytest.raises(ValueError, match="tile index 0 out of range"):
+        golden_graph().tile_edge_refs(0)
+
+
 def test_graph_rejects_invalid_arcs():
     with pytest.raises(SurfaceError):
         SnakeGraph(annulus(), Arc((0, 0), 0, 1))

@@ -178,6 +178,32 @@ def test_flip_refuses_boundary_arcs():
         flip(pentagon(), 2)
 
 
+def test_flip_refuses_to_create_a_self_folded_triangle():
+    # arc 1 is both a3 and a4 of the quadrilateral around arc 0, so the
+    # flipped first triangle would have it as two of its sides
+    t = Triangulation(2, 2, [(0, 2, 1), (0, 1, 3)])
+    with pytest.raises(SurfaceError, match="would create a self-folded triangle"):
+        flip(t, 0)
+
+
+def test_annulus_lookups_refuse_what_is_not_there():
+    t = annulus()
+    with pytest.raises(SurfaceError, match="^unknown arc 9$"):
+        t.triangles_containing(9)
+    # boundary arc 2 lies in one triangle only
+    with pytest.raises(SurfaceError, match="arc 2 does not separate two triangles"):
+        t.other_triangle(2, 1)
+    with pytest.raises(SurfaceError, match="no unique third side besides 0, 0"):
+        t.triangles[0].third_side(0, 0)
+
+
+def test_triangulation_repr_lists_the_stored_triangles():
+    assert repr(annulus()) == (
+        "Triangulation(n_internal=2, n_boundary=2, "
+        "triangles=[[0, 1, 2], [0, 1, 3]])"
+    )
+
+
 def test_torus_with_one_marked_point_loads_but_cannot_flip():
     t = torus_one_point()
     assert t.n_internal == 3

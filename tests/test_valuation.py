@@ -255,6 +255,14 @@ def test_degenerate_graph_valuation():
     assert list(values.values()) == [0]
 
 
+def test_omega_refuses_a_tile_without_a_twist():
+    g = golden_graph()
+    minimal = g.minimal_matching()
+    assert not g.can_twist(minimal, 1)
+    with pytest.raises(ValueError, match="matching has no twist at tile 1"):
+        omega(g, minimal, 1)
+
+
 def test_valuation_is_deterministic():
     g = golden_graph()
     assert compute_valuation(g) == compute_valuation(g)
