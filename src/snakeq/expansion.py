@@ -226,7 +226,7 @@ def _tile_constants(
 
 def _transfer(
     graph: SnakeGraph, btilde: Sequence[Sequence[int]], d_scale: int
-) -> list[tuple[Vector, Coeff]]:
+) -> dict[Vector, Coeff]:
     """Normalized exponents and s-exponent counts, summed over all matchings.
 
     A matching P is its tile bits t_1..t_d (:attr:`SnakeGraph.fence`) and its
@@ -251,10 +251,7 @@ def _transfer(
     the cost follows the distinct states, not the matchings.
 
     With ``d_scale`` 0 every s-exponent is 0: that is the commutative
-    expansion.  A coefficient-free seed can give two heights one exponent,
-    so the pairs returned may repeat one; the callers add them up with
-    :func:`~snakeq.qalgebra._canonical_terms`.  The bottom rows of
-    ``btilde`` are read by index only.
+    expansion.  The bottom rows of ``btilde`` are read by index only.
     """
     labels = graph.crossed_labels
     slot = graph._slot
@@ -326,10 +323,12 @@ def _transfer(
                         have[e] = have.get(e, 0) + c
         one = lifted
 
+    heights = zero.keys() | one.keys()
+    exponents = _exponents(graph, columns, len(btilde), heights)
     # every state dict is the transfer's own and sits in one of the two
-    finals = _canonical_terms(chain(zero.items(), one.items()))
-    exponents = _exponents(graph, columns, len(btilde), finals)
-    return [(exponents[h], coeff) for h, coeff in finals.items()]
+    return _canonical_terms(
+        (exponents[h], coeff) for h, coeff in chain(zero.items(), one.items())
+    )
 
 
 def commutative_expand(
@@ -342,15 +341,13 @@ def commutative_expand(
     :class:`ExpansionError`, and nothing is converted.
     """
     _check_top_block(t, btilde)
-    terms = _transfer(SnakeGraph(t, arc), btilde, 0)
-    return _value(len(btilde), _canonical_terms(terms))
+    return _value(len(btilde), _transfer(SnakeGraph(t, arc), btilde, 0))
 
 
 def quantum_expand(t: Triangulation, arc: Arc, seed: Seed) -> QuantumLaurent:
     """Quantum Laurent expansion of an arc in the seed's quantum torus."""
     _check_top_block(t, seed.btilde)
-    terms = _transfer(SnakeGraph(t, arc), seed.btilde, seed.d)
-    return _value(seed.m, _canonical_terms(terms))
+    return _value(seed.m, _transfer(SnakeGraph(t, arc), seed.btilde, seed.d))
 
 
 def _audit_rows(graph: SnakeGraph, seed: Seed) -> list[tuple[str, Vector, int]]:
@@ -381,9 +378,9 @@ def matching_records(
 
     The rows of :func:`_audit_rows`, each with its matching's edge set from
     :meth:`SnakeGraph.matchings`; the valuation is the exhaustive one of
-    :func:`compute_valuation`, which checks every twist from both ends.  The
-    sum of ``X^exponent`` times ``s^valuation`` over the rows is
-    :func:`quantum_expand`'s value.
+    :func:`~snakeq.valuation.compute_valuation`, which checks every twist
+    from both ends.  The sum of ``X^exponent`` times ``s^valuation`` over
+    the rows is :func:`quantum_expand`'s value.
     """
     _check_top_block(t, seed.btilde)
     graph = SnakeGraph(t, arc)

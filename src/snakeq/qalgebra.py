@@ -589,8 +589,6 @@ def exact_right_divide(
         raise ValueError("form rank does not match the operands")
     if denominator.is_zero():
         raise ZeroDivisionError("division by zero")
-    if numerator.is_zero():
-        return QuantumLaurent.zero(numerator.width)
 
     terms = numerator._terms
     den = {v: (form.pair(v), c) for v, c in denominator._terms.items()}

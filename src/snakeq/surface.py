@@ -6,7 +6,10 @@ lists its three sides as a cyclic triple.  The triples are oriented: all
 triangles must be read in the same rotational direction around the surface,
 and that shared direction is what fixes the signs of the adjacency matrix and
 the geometry of snake graphs built on top.  Self-folded triangles (a repeated
-side) and punctures are outside the scope of this model and are rejected.
+side) and punctures are outside the scope of this model.  Loading checks the
+side counts (every internal arc bounds two triangles and every boundary arc
+one) and rejects a self-folded triangle, but it does not look for punctures:
+a gluing with an interior vertex loads (ROADMAP item 10).
 
 Arcs not in the triangulation are described by their crossing sequence: the
 ordered list of internal arcs they cross, plus the triangles where they start

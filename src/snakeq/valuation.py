@@ -47,14 +47,14 @@ class TwistTable:
 
     Row p - 1 of ``tiles`` is ``(p, sides, pairs)``: the mask of tile p's
     four sides, and a dict from the mask of each pair of sides that can
-    twist, south-north and west-east, to ``(between, before, after,
-    offset)``.  ``between`` holds the edges strictly between the pair in
-    edge order, and ``before`` and ``after`` the edges labeled like the
-    diagonal below and above the pair.  ``offset`` is how many crossings of
+    twist, south-north and west-east, to ``(before, after, offset)``.
+    ``before`` and ``after`` hold the edges labeled like the diagonal below
+    and above the pair in edge order.  ``offset`` is how many crossings of
     that label come before tile p minus how many come after it.  Where the
     twist counts negatively, by the pair and the parity of p, ``before``
     and ``after`` are swapped and ``offset`` is negated, so every increment
-    is the same difference of two popcounts.
+    is the same difference of two popcounts.  The masks it reads must be
+    perfect matchings of the graph.
     """
 
     def __init__(self, graph: SnakeGraph):
@@ -70,20 +70,17 @@ class TwistTable:
             seen[tau] = k + 1
             balance = 2 * k + 1 - graph._crossings[tau]
             labeled = by_label.get(tau, 0)
-            # high - 2 * low has exactly the bits strictly between low and
-            # high, and -2 * high every bit above high
-            between_sn = north - (south << 1)
-            between_we = east - (west << 1)
+            # -2 * high has every bit above high
             below_s, above_n = labeled & (south - 1), labeled & -(north << 1)
             below_w, above_e = labeled & (west - 1), labeled & -(east << 1)
             # the south-north pair counts positively on odd tiles, the
             # west-east pair on even ones
             if tile.index % 2:
-                sn = (between_sn, below_s, above_n, balance)
-                we = (between_we, above_e, below_w, -balance)
+                sn = (below_s, above_n, balance)
+                we = (above_e, below_w, -balance)
             else:
-                sn = (between_sn, above_n, below_s, -balance)
-                we = (between_we, below_w, above_e, balance)
+                sn = (above_n, below_s, -balance)
+                we = (below_w, above_e, balance)
             pairs = {south | north: sn, west | east: we}
             rows.append((tile.index, south | west | east | north, pairs))
         self.tiles = tuple(rows)
@@ -93,45 +90,30 @@ class TwistTable:
     ) -> list[tuple[int, int, int]]:
         """``(p, twisted mask, increment)`` at each twistable tile p.
 
-        Tile p twists when exactly two of its sides are matched, and they
-        must be a pair of opposite sides with no matched edge between them;
-        the increment is :func:`omega`.  ``rows`` restricts the scan to those
+        ``mask`` must be a perfect matching of the graph.  Tile p twists when
+        the matching meets it in one pair of opposite sides, and the
+        increment is :func:`omega`.  ``rows`` restricts the scan to those
         rows of :attr:`tiles` (by default every tile).
         """
         out = []
         for p, sides, pairs in self.tiles if rows is None else rows:
-            matched = mask & sides
-            if matched.bit_count() != 2:
-                continue
-            pair = pairs.get(matched)
-            if pair is None:
-                low = matched & -matched
-                between = (matched ^ low) - (low << 1)
-            else:
-                between, before, after, offset = pair
-            if mask & between:
-                raise AssertionError(
-                    f"matched sides of tile {p} are not adjacent in the "
-                    "ordered edge list"
-                )
-            if pair is None:
-                raise AssertionError(
-                    f"twistable tile {p} is matched on adjacent sides"
-                )
-            step = (mask & after).bit_count() - (mask & before).bit_count()
-            out.append((p, mask ^ sides, (step + offset) * d_scale))
+            pair = pairs.get(mask & sides)
+            if pair is not None:
+                before, after, offset = pair
+                step = (mask & after).bit_count() - (mask & before).bit_count()
+                out.append((p, mask ^ sides, (step + offset) * d_scale))
         return out
 
 
 def omega(graph: SnakeGraph, matching: Matching, p: int, d_scale: int = 1) -> int:
     """Twist increment at tile p: v(matching) - v(twist at p).
 
-    With the matching's edges in snake order, the two matched sides of
-    tile p are adjacent; the increment is the popcount of matched edges of
-    the diagonal's label after them minus the popcount before them, plus
-    the occurrences of that label among earlier minus later crossings,
-    signed by which pair of sides is matched and by the parity of p, and
-    scaled by the compatibility scalar.
+    ``matching`` must be a perfect matching of the graph.  With its edges
+    in snake order, the two matched sides of tile p are adjacent; the
+    increment is the popcount of matched edges of the diagonal's label after
+    them minus the popcount before them, plus the occurrences of that label
+    among earlier minus later crossings, signed by which pair of sides is
+    matched and by the parity of p, and scaled by the compatibility scalar.
     """
     table = TwistTable(graph)
     for tile, _, step in table.twists(graph.mask(matching), d_scale):

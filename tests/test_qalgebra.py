@@ -207,6 +207,17 @@ def test_division_by_zero_raises():
         )
 
 
+def test_zero_divided_by_a_nonzero_value_is_zero():
+    # one denominator takes the shift, the other the heap, and neither
+    # special-cases the empty numerator
+    zero = QuantumLaurent.zero(2)
+    for denominator in (
+        QuantumLaurent.monomial((1, 0), coefficient=2),
+        QuantumLaurent.monomial((0, 1)) + QuantumLaurent.one(2),
+    ):
+        assert exact_right_divide(zero, denominator, LAM2) == zero
+
+
 def test_coefficient_division_stops_below_the_quotient_floor():
     # 2·s / (1 + s^2) has no Laurent polynomial quotient; the elimination
     # would otherwise step down forever

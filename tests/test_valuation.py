@@ -320,32 +320,30 @@ def test_twists_must_reach_every_matching(monkeypatch):
         compute_valuation(g)
 
 
-def twist_error(g, refs, p):
-    """The error :meth:`TwistTable.twists` raises at tile p on ``refs``."""
-    table = TwistTable(g)
-    mask = sum(g.bit[ref] for ref in refs)
-    with pytest.raises(AssertionError) as info:
-        table.twists(mask, 1, (table.tiles[p - 1],))
-    return str(info.value)
-
-
-def test_a_twist_on_adjacent_sides_is_refused():
-    g = golden_graph()
-    assert twist_error(g, [(1, "S"), (1, "W")], 1) == (
-        "twistable tile 1 is matched on adjacent sides"
-    )
-
-
-def test_a_twist_across_a_matched_edge_is_refused():
-    # tile 2 is entered by an R glue, so its west side is (1, "E"), and the
-    # matched (1, "N") lies between its west and east sides
-    g = golden_graph()
-    assert g.glue[0] == "R"
-    message = "matched sides of tile 2 are not adjacent in the ordered edge list"
-    assert twist_error(g, [(1, "E"), (2, "E"), (1, "N")], 2) == message
-    # on the adjacent west and north sides the adjacency check still comes
-    # first
-    assert twist_error(g, [(1, "E"), (2, "N"), (1, "N")], 2) == message
+def test_a_matching_meets_a_tile_twice_on_an_adjacent_opposite_pair():
+    # the lemmas TwistTable.twists reads a twist from: where a perfect
+    # matching meets tile p in two sides, they are south and north or west
+    # and east, and no matched edge lies strictly between them in edge
+    # order; twists reports exactly those tiles
+    graphs = [golden_graph()]
+    graphs += [SnakeGraph(t, arc) for _, t, arc in valuation_corpus()]
+    met_twice = 0
+    for g in graphs:
+        table = TwistTable(g)
+        for _, mask, _ in g._listed():
+            twisting = []
+            for tile, (south, west, east, north) in zip(g.tiles, g.tile_sides):
+                matched = mask & (south | west | east | north)
+                if matched.bit_count() != 2:
+                    continue
+                assert matched in (south | north, west | east)
+                low = matched & -matched
+                # high - 2 * low has exactly the bits strictly between them
+                assert mask & ((matched ^ low) - (low << 1)) == 0
+                twisting.append(tile.index)
+            assert [p for p, _, _ in table.twists(mask, 1)] == twisting
+            met_twice += len(twisting)
+    assert met_twice > 0
 
 
 # ----------------------------------------------------------------------
