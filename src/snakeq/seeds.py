@@ -75,10 +75,15 @@ def check_compatible(btilde: Any, lam: LambdaForm) -> int:
     """Return the scalar d with transpose(B) * Lambda = (d*I | 0).
 
     ``btilde`` is read as given: a sequence of integer rows, such as the
-    frozen matrix of a :class:`Seed`.  Raises :class:`SeedError` when the
-    product is not of that shape or d is not a positive integer shared by
-    all columns.
+    frozen matrix of a :class:`Seed`.  A ``lam`` that is not a
+    :class:`~snakeq.qalgebra.LambdaForm` raises :class:`TypeError` first.
+    Raises :class:`SeedError` when the product is not of that shape or d is
+    not a positive integer shared by all columns; row j of the product is
+    scanned in column order over its nonzeros and its diagonal, so the
+    first offending entry of the first offending row is reported.
     """
+    if not isinstance(lam, LambdaForm):
+        raise TypeError(f"lam must be a LambdaForm, not {type(lam).__name__}")
     m = len(btilde)
     if m == 0:
         raise SeedError("the exchange matrix has no rows")
@@ -98,32 +103,25 @@ def check_compatible(btilde: Any, lam: LambdaForm) -> int:
     for j, column in enumerate(zip(*btilde)):
         # row j of transpose(B)·Lambda is minus Lambda times column j
         entries = lam.pair(column)
-        entry = -entries[j]
-        entries[j] = 0
-        # the first nonzero off the diagonal, or m; one before the diagonal
-        # is reported ahead of the diagonal checks, one after it behind them
-        off = next(compress(indices, entries), m)
-        if off < j:
-            break
-        if entry <= 0:
-            raise SeedError(
-                f"compatibility fails: diagonal entry {entry} at "
-                f"column {j} is not positive"
-            )
-        if d and entry != d:
-            raise SeedError(
-                f"compatibility fails: diagonal entries {d} and "
-                f"{entry} differ"
-            )
-        d = entry
-        if off < m:
-            break
-    else:
-        return d
-    raise SeedError(
-        f"compatibility fails: off-diagonal entry {-entries[off]} at "
-        f"row {j}, column {off}"
-    )
+        for i in sorted({j, *compress(indices, entries)}):
+            entry = -entries[i]
+            if i != j:
+                raise SeedError(
+                    f"compatibility fails: off-diagonal entry {entry} at "
+                    f"row {j}, column {i}"
+                )
+            if entry <= 0:
+                raise SeedError(
+                    f"compatibility fails: diagonal entry {entry} at "
+                    f"column {j} is not positive"
+                )
+            if d and entry != d:
+                raise SeedError(
+                    f"compatibility fails: diagonal entries {d} and "
+                    f"{entry} differ"
+                )
+            d = entry
+    return d
 
 
 class Seed(_Frozen):
@@ -194,13 +192,12 @@ class Seed(_Frozen):
             _check_json_matrix(btilde, "Btilde")
             lam_rows = data["Lambda"]
             _check_json_matrix(lam_rows, "Lambda")
+            # every entry is a JSON int now, so the rows are frozen, not converted
+            lam = LambdaForm._of_int_rows(lam_rows)
         except KeyError as missing:
             raise SeedError(f"seed description lacks key {missing}") from None
-        except (TypeError, ValueError) as bad:
+        except TypeError as bad:
             raise SeedError(f"malformed seed description: {bad}") from None
-        # every entry is a JSON int now, so the rows are frozen, not converted
-        try:
-            lam = LambdaForm._of_int_rows(lam_rows)
         except ValueError as bad:
             raise SeedError(str(bad)) from None
         return cls._of_int_rows(btilde, lam)

@@ -244,9 +244,7 @@ class Triangulation:
             )
         except KeyError as missing:
             raise SurfaceError(f"surface description lacks key {missing}") from None
-        except (TypeError, ValueError) as bad:
-            if isinstance(bad, SurfaceError):
-                raise
+        except TypeError as bad:
             raise SurfaceError(f"malformed surface description: {bad}") from None
 
 

@@ -37,7 +37,9 @@ from snakeq import (
     Arc,
     ExactDivisionError,
     ExpansionError,
+    LambdaForm,
     QuantumLaurent,
+    Seed,
     SeedError,
     SnakeGraph,
     SurfaceError,
@@ -561,6 +563,28 @@ def test_verify_oracle_corpus_with_a_sheared_coefficient_block():
     for name, t, arc, plan in oracle_corpus():
         report = verify_against_oracle(t, sheared_seed(t), plan, arc)
         assert report.ok, (name, report.detail)
+
+
+def test_verify_rank_two_oracle_corpus_with_no_coefficients():
+    # Btilde = B: no frozen rows, so the exponents have nothing to normalize.
+    # Lambda = [[0, -1], [1, 0]] and its double give d = 1, 2 on the pentagon
+    # and d = 2, 4 on the annulus
+    scalars = Counter()
+    for name, t, arc, plan in oracle_corpus():
+        b = signed_adjacency(t)
+        if len(b) != 2:
+            continue
+        for k in (1, 2):
+            seed = Seed(b, LambdaForm([[0, -k], [k, 0]]))
+            report = verify_against_oracle(t, seed, plan, arc)
+            assert report.ok, (name, k, report.detail)
+            scalars[name.split()[0], seed.d] += 1
+    assert scalars == {
+        ("pentagon", 1): 3,
+        ("pentagon", 2): 3,
+        ("annulus", 2): 6,
+        ("annulus", 4): 6,
+    }
 
 
 def test_pentagon_flip_cycle_swaps_the_first_two_variables():

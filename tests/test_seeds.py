@@ -10,6 +10,8 @@ from snakeq import (
     LambdaForm,
     Seed,
     SeedError,
+    SurfaceError,
+    Triangulation,
     check_compatible,
     commutative_expand,
     matching_records,
@@ -187,6 +189,49 @@ def test_seed_from_dict_rejects_broken_lambda():
 def test_seed_from_dict_rejects_missing_keys():
     with pytest.raises(SeedError):
         Seed.from_dict({"Btilde": [[0]]})
+
+
+@pytest.mark.parametrize(
+    "load, data, error, message",
+    [
+        (
+            Triangulation.from_dict,
+            {"n_internal": 1, "n_boundary": 4, "triangles": [[0, 0, 1], [2, 3, 4]]},
+            SurfaceError,
+            "triangle 0 with sides (0, 0, 1) is self-folded",
+        ),
+        (
+            Seed.from_dict,
+            {"Btilde": [[0], [1]], "Lambda": [[0, 1], [-1, 0]]},
+            SeedError,
+            "compatibility fails: diagonal entry -1 at column 0 is not positive",
+        ),
+        (
+            Seed.from_dict,
+            {"Btilde": [[0], [1]], "Lambda": [[0, 1], [1, 0]]},
+            SeedError,
+            "the form matrix is not skew-symmetric at (0, 1)",
+        ),
+    ],
+    ids=["self-folded-triangle", "incompatible-seed", "non-skew-form"],
+)
+def test_loaders_pass_a_constructor_refusal_through(load, data, error, message):
+    # the loaders wrap only JSON type and key errors; what the constructors
+    # refuse keeps its own message, unprefixed
+    with pytest.raises(error) as info:
+        load(data)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_a_form_that_is_not_a_lambda_form_is_refused():
+    rows = [[0, 1], [-1, 0]]
+    # refused before the exchange matrix is read, even an empty one
+    for btilde in ([[0], [1]], []):
+        with pytest.raises(TypeError, match="^lam must be a LambdaForm, not list$"):
+            check_compatible(btilde, rows)
+    with pytest.raises(TypeError, match="^lam must be a LambdaForm, not tuple$"):
+        Seed([[0], [1]], tuple(rows))
 
 
 # ----------------------------------------------------------------------
