@@ -412,7 +412,8 @@ def _ordered_power_product(
     and the powers are multiplied in index order; an empty product is one.
     """
     out: QuantumLaurent | None = None
-    for var, power in zip(variables, powers):
+    # a zero power is skipped, so every factor below has a bit set
+    for var, power in compress(zip(variables, powers), powers):
         factor = None
         while power:
             if power & 1:
@@ -420,8 +421,7 @@ def _ordered_power_product(
             power >>= 1
             if power:
                 var = _qsquare(var, form)
-        if factor is not None:
-            out = factor if out is None else qmul(out, factor, form)
+        out = factor if out is None else qmul(out, factor, form)
     return QuantumLaurent.one(variables[0].width) if out is None else out
 
 
@@ -456,8 +456,10 @@ def _exchange(
         raise SeedError(f"flip direction {k} out of range")
     lam = current.lam
     pairs: list[tuple[Vector, Coeff]] = []
-    for sign in (1, -1):
-        powers = [max(sign * row[k], 0) for row in current.btilde]
+    column = list(map(itemgetter(k), current.btilde))
+    rising = [x if x > 0 else 0 for x in column]
+    falling = [-x if x < 0 else 0 for x in column]
+    for powers in (rising, falling):
         target = list(powers)
         target[k] -= 1
         product = _ordered_power_product(variables, powers, form0)

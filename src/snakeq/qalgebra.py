@@ -208,7 +208,8 @@ class LambdaForm:
     constructor converts every entry with ``int()`` and raises
     :class:`ValueError` for an entry that is not integral, such as 0.5;
     :meth:`_of_int_rows` takes rows that are integers already and skips
-    that, but both check that the matrix is square and skew.
+    that, but both check that the matrix is square and skew.  A mutation
+    derives its form from a checked parent with :meth:`_with_column`.
     """
 
     __slots__ = ("rows", "_support")
@@ -245,6 +246,28 @@ class LambdaForm:
             raise ValueError(f"the form matrix is not skew-symmetric at ({i}, {j})")
         self.rows = mat
         self._support = support
+
+    def _with_column(self, k: int, column: list[int]) -> LambdaForm:
+        """This form with column k set to ``column`` and row k to minus it.
+
+        ``column[k]`` must be 0, so the result is skew by construction.  Only
+        rows whose entry k changes are rebuilt, and only those turning zero
+        or nonzero get a new support.
+        """
+        rows = list(self.rows)
+        support = list(self._support)
+        indices = range(len(rows))
+        # the old column k is minus row k, so a nonzero sum marks a changed entry
+        for i in compress(indices, map(add, column, rows[k])):
+            old = rows[i]
+            rows[i] = (*old[:k], column[i], *old[k + 1 :])
+            if not (old[k] and column[i]):
+                support[i] = tuple(compress(indices, rows[i]))
+        rows[k] = tuple(map(neg, column))
+        support[k] = tuple(compress(indices, column))
+        form = object.__new__(LambdaForm)
+        form.rows, form._support = tuple(rows), tuple(support)
+        return form
 
     @property
     def size(self) -> int:

@@ -12,7 +12,8 @@ such as 2.9, rather than truncate it.  A seed read by :meth:`Seed.from_dict`,
 whose entries are proved JSON integers first, or made by :func:`mutate_seed`
 is built from integer rows that are frozen and checked but not converted
 again; the functions here read matrices as the sequences of integer rows
-they are given.
+they are given.  A mutation derives its form from the validated parent, and
+the mutated pair's compatibility is still checked in full.
 
 Lambda is read only through :meth:`~snakeq.qalgebra.LambdaForm.pair`, which
 walks the nonzeros of each row: row j of transpose(B) * Lambda is minus
@@ -30,7 +31,6 @@ path alike, compares by ``btilde`` and ``lam``, and refuses assignment.
 from __future__ import annotations
 
 from itertools import compress
-from operator import neg
 from typing import Any
 
 from .qalgebra import LambdaForm, _int_tuple
@@ -90,7 +90,7 @@ def check_compatible(btilde: Any, lam: LambdaForm) -> int:
     n = len(btilde[0])
     if n == 0:
         raise SeedError("the exchange matrix has no mutable columns")
-    if any(len(row) != n for row in btilde):
+    if set(map(len, btilde)) != {n}:
         raise SeedError("the exchange matrix has ragged rows")
     if n > m:
         raise SeedError(f"more mutable columns ({n}) than rows ({m})")
@@ -103,6 +103,8 @@ def check_compatible(btilde: Any, lam: LambdaForm) -> int:
     for j, column in enumerate(zip(*btilde)):
         # row j of transpose(B)·Lambda is minus Lambda times column j
         entries = lam.pair(column)
+        if d and entries[j] == -d and entries.count(0) == m - 1:
+            continue  # -d·e_j, as every column after the first should be
         for i in sorted({j, *compress(indices, entries)}):
             entry = -entries[i]
             if i != j:
@@ -132,7 +134,8 @@ class Seed(_Frozen):
     both as they are.  ``d`` is the compatibility scalar, computed once by
     that validation; seeds compare and hash by ``btilde`` and ``lam``
     alone.  :meth:`from_dict` and :func:`mutate_seed` hand over rows that
-    are integers already, so they skip the conversion but not the checks.
+    are integers already, so they skip the conversion but not the
+    compatibility check.
     """
 
     __slots__ = ("btilde", "lam", "d")
@@ -240,7 +243,8 @@ def mutate_Lambda(lam: LambdaForm, btilde: Any, k: int) -> LambdaForm:
     """Form mutation in direction k, using the unmutated exchange matrix.
 
     Row and column k are replaced by the pairing of the basis vectors with
-    -e_k + sum_l [b_lk]_+ e_l; all other entries are untouched.
+    -e_k + sum_l [b_lk]_+ e_l; all other entries are untouched, and a row
+    whose entry in column k keeps its value is reused with its support.
     ``btilde`` is a sequence of integer rows.
     """
     m = lam.size
@@ -253,15 +257,7 @@ def mutate_Lambda(lam: LambdaForm, btilde: Any, k: int) -> LambdaForm:
     target[k] -= 1
     column = lam.pair(target)
     column[k] = 0
-    new_rows = []
-    for i, row in enumerate(lam.rows):
-        if i == k:
-            new_rows.append(tuple(map(neg, column)))
-        elif row[k] == column[i]:
-            new_rows.append(row)
-        else:
-            new_rows.append((*row[:k], column[i], *row[k + 1 :]))
-    return LambdaForm._of_int_rows(new_rows)
+    return lam._with_column(k, column)
 
 
 def mutate_seed(seed: Seed, k: int) -> Seed:

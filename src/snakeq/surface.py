@@ -9,7 +9,9 @@ the geometry of snake graphs built on top.  Self-folded triangles (a repeated
 side) and punctures are outside the scope of this model.  Loading checks the
 side counts (every internal arc bounds two triangles and every boundary arc
 one) and rejects a self-folded triangle, but it does not look for punctures:
-a gluing with an interior vertex loads (ROADMAP item 10).
+a gluing with an interior vertex loads (ROADMAP item 10).  A flip derives
+its result from the validated parent: it replaces two triangles and the
+incidences of the two sides that move between them.
 
 Arcs not in the triangulation are described by their crossing sequence: the
 ordered list of internal arcs they cross, plus the triangles where they start
@@ -258,12 +260,12 @@ def signed_adjacency(t: Triangulation) -> list[list[int]]:
     n = t.n_internal
     mat = [[0] * n for _ in range(n)]
     for tri in t.triangles:
-        for i in range(3):
-            a = tri.sides[i]
-            b = tri.sides[(i + 1) % 3]
-            if t.is_internal(a) and t.is_internal(b):
-                mat[b][a] += 1
-                mat[a][b] -= 1
+        a, b, c = tri.sides
+        # sides are known arcs, never negative, so internal means below n
+        for x, y in ((a, b), (b, c), (c, a)):
+            if x < n and y < n:
+                mat[y][x] += 1
+                mat[x][y] -= 1
     return mat
 
 
@@ -318,10 +320,20 @@ def flip(t: Triangulation, tau: int) -> Triangulation:
         raise SurfaceError(
             f"flip of arc {tau} would create a self-folded triangle"
         )
-    new_triangles = list(t.triangles)
-    new_triangles[quad.first] = Triangle((quad.a4, quad.a3, tau))
-    new_triangles[quad.second] = Triangle((quad.a2, quad.a1, tau))
-    return Triangulation(t.n_internal, t.n_boundary, new_triangles)
+    triangles = list(t.triangles)
+    triangles[quad.first] = Triangle((quad.a4, quad.a3, tau))
+    triangles[quad.second] = Triangle((quad.a2, quad.a1, tau))
+    # only a1 and a3 trade triangles (on the annulus a1 == a3 lies in both),
+    # so every side keeps the count the parent checked
+    swap = {quad.first: quad.second, quad.second: quad.first}
+    incidence = dict(t._incidence)
+    for arc in (quad.a1, quad.a3):
+        incidence[arc] = tuple(sorted(swap.get(i, i) for i in incidence[arc]))
+    flipped = object.__new__(Triangulation)
+    flipped.n_internal, flipped.n_boundary = t.n_internal, t.n_boundary
+    flipped.triangles = tuple(triangles)
+    flipped._incidence = incidence
+    return flipped
 
 
 class Arc(

@@ -23,7 +23,9 @@ from conftest import (
     ladder_surface,
     oracle_corpus,
     pentagon,
+    perturbed_lambda,
     polygon_chords,
+    polygon_fan,
     reference_exponents,
     reference_matchings,
     seed_choices,
@@ -43,6 +45,7 @@ from snakeq import (
     SeedError,
     SnakeGraph,
     SurfaceError,
+    Triangulation,
     commutative_expand,
     compute_valuation,
     matching_records,
@@ -508,6 +511,28 @@ def test_verify_initial_arcs_with_zero_flips(monkeypatch):
         assert report.expected == report.actual
     assert divisions == []
     assert mutations == []
+
+
+def test_a_verify_checks_its_loaded_inputs_once_and_no_flip_again(monkeypatch):
+    # each flip derives its surface and form from the last one; rebuilding
+    # either would cost O(m^2) per flip on this width-120 seed
+    fan = polygon_fan(60)
+    b = signed_adjacency(fan)
+    seed = Seed(principal_seed(b).btilde, perturbed_lambda(b))
+    _, arc, plan = next(c for c in polygon_chords(60) if c[0] == (1, 5))
+    assert plan == [0, 1, 2]
+    calls = Counter()
+    for cls, name in ((Triangulation, "_validate"), (LambdaForm, "_set_rows")):
+
+        def counted(self, *args, original=getattr(cls, name), name=name):
+            calls[name] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+    surface = Triangulation.from_dict(fan.to_dict())
+    loaded = Seed.from_dict(seed.to_dict())
+    assert verify_against_oracle(surface, loaded, plan, arc).ok
+    assert calls == {"_validate": 1, "_set_rows": 1}
 
 
 def test_a_flip_that_disagrees_with_matrix_mutation_is_reported(monkeypatch):

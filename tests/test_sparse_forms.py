@@ -3,7 +3,9 @@
 ``LambdaForm`` walks only the nonzeros of each row when it checks skew
 symmetry, pairs, twists, and when ``check_compatible`` and ``mutate_Lambda``
 read it.  The references below are the dense loops those kernels replaced,
-one Python step per matrix entry; values and error messages must agree.
+one Python step per matrix entry; values and error messages must agree.  A
+mutated form is derived from its parent, so its rows and supports must equal
+those of the checked form rebuilt from the dense result.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ from snakeq import (
     Seed,
     SeedError,
     check_compatible,
+    mutate_B,
     mutate_Lambda,
+    mutate_seed,
     principal_seed,
     signed_adjacency,
 )
@@ -320,13 +324,23 @@ def test_incompatible_before_at_and_after_the_diagonal(btilde, message):
 # form mutation
 
 
+def assert_rebuilt(form: LambdaForm, rows) -> None:
+    """``form`` holds the rows and supports that a checked rebuild of ``rows`` has."""
+    rebuilt = LambdaForm._of_int_rows(rows)
+    assert (form.rows, form._support) == (rebuilt.rows, rebuilt._support)
+
+
 @given(st.one_of(compatible_pairs(), arbitrary_pairs()), st.data())
 def test_form_mutation_equals_the_dense_loop(case, data):
+    # a walk of mutations, each derived from the last derived form
     btilde, rows = case
-    k = data.draw(st.integers(0, len(btilde[0]) - 1))
-    assert mutate_Lambda(LambdaForm(rows), btilde, k).rows == dense_mutate_Lambda(
-        rows, btilde, k
-    )
+    form = LambdaForm(rows)
+    directions = st.lists(st.integers(0, len(btilde[0]) - 1), min_size=1, max_size=4)
+    for k in data.draw(directions):
+        form = mutate_Lambda(form, btilde, k)
+        rows = dense_mutate_Lambda(rows, btilde, k)
+        assert_rebuilt(form, rows)
+        btilde = mutate_B(btilde, k)
 
 
 # ----------------------------------------------------------------------
@@ -351,9 +365,18 @@ def test_fan_seed_equals_the_dense_loops(fan_seed):
             rows, column
         )
     for k in (0, 1, 30, 59):
-        assert mutate_Lambda(form, btilde, k).rows == dense_mutate_Lambda(
-            rows, btilde, k
-        )
+        dense = dense_mutate_Lambda(rows, btilde, k)
+        assert_rebuilt(mutate_Lambda(form, btilde, k), dense)
+
+
+def test_fan_seed_mutation_walk_equals_rebuilt_forms(fan_seed):
+    seed = fan_seed
+    for k in (30, 31, 30, 0, 59, 58, 1):
+        parent = seed
+        seed = mutate_seed(seed, k)
+        dense = dense_mutate_Lambda(parent.lam.rows, parent.btilde, k)
+        assert_rebuilt(seed.lam, dense)
+        assert seed.d == dense_check_compatible(seed.btilde, dense) == 1
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,19 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import annulus, heptagon, hexagon, pentagon, square, torus_one_point
+from conftest import (
+    annulus,
+    annulus_bridge,
+    fan_blocks,
+    heptagon,
+    hexagon,
+    ladder_surface,
+    pentagon,
+    polygon_chords,
+    polygon_fan,
+    square,
+    torus_one_point,
+)
 from snakeq import (
     Arc,
     SurfaceError,
@@ -221,6 +233,55 @@ def test_flipping_the_hexagon_keeps_adjacency_skew(path):
     for i in range(3):
         for j in range(3):
             assert b[i][j] == -b[j][i]
+
+
+def assert_flips_equal_rebuilds(t: Triangulation, plan) -> None:
+    """Each flip along ``plan`` equals the validating constructor's surface."""
+    for k in plan:
+        t = flip(t, k)
+        rebuilt = Triangulation(
+            t.n_internal, t.n_boundary, [tri.sides for tri in t.triangles]
+        )
+        # every attribute: the arc counts, the triangles and the incidence map
+        assert vars(t) == vars(rebuilt)
+
+
+def corpus_flip_plans() -> list:
+    """The flip plans of the annulus bridges, ladders, polygon and fan chords."""
+    plans = [
+        pytest.param(annulus(), annulus_bridge(w)[1], id=f"annulus bridge {w}")
+        for w in (2, 3, 4, 5, -1, -2, -3, -4)
+    ]
+    plans += [
+        pytest.param(ladder_surface(d), range(d), id=f"ladder {d}")
+        for d in (1, 2, 5, 10)
+    ]
+    for k in (2, 3, 4):
+        t = polygon_fan(k)
+        plans += [
+            pytest.param(t, plan, id=f"{k}-fan chord {p}")
+            for p, _, plan in polygon_chords(k)
+        ]
+    fan = polygon_fan(60)
+    plans += [pytest.param(fan, range(d), id=f"60-fan chord {d}") for d in (3, 30, 60)]
+    return plans
+
+
+@pytest.mark.parametrize("t, plan", corpus_flip_plans())
+def test_corpus_flips_equal_rebuilt_surfaces(t, plan):
+    # the annulus bridges flip arcs whose quadrilateral has a1 == a3
+    assert_flips_equal_rebuilds(t, plan)
+
+
+@given(
+    st.sampled_from(
+        [pentagon(), heptagon(), annulus(), square(), ladder_surface(6)]
+        + [fan_blocks((2, 3, 1))[0]]
+    ),
+    st.lists(st.integers(0, 11), max_size=8),
+)
+def test_random_flip_walks_equal_rebuilt_surfaces(t, walk):
+    assert_flips_equal_rebuilds(t, [k % t.n_internal for k in walk])
 
 
 def _swap_first_two_arcs(t: Triangulation) -> Triangulation:
