@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import chain, compress, groupby
-from operator import itemgetter, sub
+from operator import countOf, itemgetter, sub
 from typing import Iterable, Sequence
 
 from .qalgebra import (
@@ -87,14 +87,15 @@ class MatchingRecord(
 
 def _top_block_matches(t: Triangulation, rows: Sequence[Sequence[int]]) -> bool:
     """Whether the first rows of ``rows`` are the surface's signed adjacency."""
+    # list copies: on 3.11 lists compare entries faster than tuples do
     return [list(row) for row in rows[: t.n_internal]] == signed_adjacency(t)
 
 
 def _check_top_block(t: Triangulation, btilde: Sequence[Sequence[int]]) -> None:
     """Raise unless ``btilde`` has the surface's signed adjacency on top.
 
-    Every row must have one entry per mutable direction, and only the top
-    block's entries are read; its rows are compared as they are given.
+    Every row must have one entry per mutable direction, counted at C
+    speed; only the top block's entries are read.
     """
     n = t.n_internal
     if not btilde or len(btilde[0]) != n:
@@ -102,11 +103,12 @@ def _check_top_block(t: Triangulation, btilde: Sequence[Sequence[int]]) -> None:
             f"extended matrix has {len(btilde[0]) if btilde else 0} columns, "
             f"expected {n} mutable directions"
         )
-    for i, row in enumerate(btilde):
-        if len(row) != n:
-            raise ExpansionError(
-                f"row {i} of the extended matrix has length {len(row)}, expected {n}"
-            )
+    if countOf(map(len, btilde), n) != len(btilde):
+        i = next(i for i, row in enumerate(btilde) if len(row) != n)
+        raise ExpansionError(
+            f"row {i} of the extended matrix has length {len(btilde[i])}, "
+            f"expected {n}"
+        )
     if len(btilde) < n:
         raise ExpansionError("extended matrix has fewer rows than columns")
     if not _top_block_matches(t, btilde):
@@ -133,15 +135,17 @@ def _columns(
     """The nonzeros ``(i, Btilde[i][tau])`` of each column tau in ``labels``.
 
     This is the one read of ``btilde``.  Each crossed column is read row by
-    row by index at C speed, with no pass over a row, and only its nonzeros
-    take a Python step.  Every nonzero read must be an ``int`` (not a float,
-    not a bool), or :class:`ExpansionError` names the first offender in row
-    order by its row and column.
+    row by index at C speed, with no pass over a row; ``compress`` picks its
+    nonzero rows, and only they make a pair.  Every nonzero read must be an
+    ``int`` (not a float, not a bool), or :class:`ExpansionError` names the
+    first offender in row order by its row and column.
     """
     columns: list[list[tuple[int, int]]] = []
+    indices = range(len(btilde))
     for tau in labels:
         column = tuple(map(itemgetter(tau), btilde))
-        columns.append(list(compress(enumerate(column), column)))
+        nonzero = list(compress(indices, column))
+        columns.append(list(zip(nonzero, map(column.__getitem__, nonzero))))
     bad = [
         (i, k, b)
         for k, column in enumerate(columns)
@@ -528,7 +532,9 @@ def verify_against_oracle(
     ``slot`` is the last flip's direction, that exchange is checked with one
     product, the expansion times the outgoing variable against the exchange
     binomial; it divides only if they differ, so a mismatch reports the
-    oracle's own variable.
+    oracle's own variable.  Each mutated seed is still checked for
+    compatibility in full: that is the only run-time guard on
+    :func:`~snakeq.seeds.mutate_B` and the form's derived column.
     """
     if slot is None:
         if not flips:

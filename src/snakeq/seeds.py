@@ -9,19 +9,20 @@ the exchange recurrences, with no floating point anywhere.  The public
 :class:`Seed` and :class:`~snakeq.qalgebra.LambdaForm` constructors convert
 every entry with ``int()`` once and refuse an entry that is not integral,
 such as 2.9, rather than truncate it.  A seed read by :meth:`Seed.from_dict`,
-whose entries are proved JSON integers first, or made by :func:`mutate_seed`
-is built from integer rows that are frozen and checked but not converted
-again; the functions here read matrices as the sequences of integer rows
-they are given.  A mutation derives its form from the validated parent, and
-the mutated pair's compatibility is still checked in full.
+whose entries are proved JSON integers first by one type count per matrix,
+or made by :func:`mutate_seed` is built from integer rows that are frozen
+and checked but not converted again; the functions here read matrices as
+the sequences of integer rows they are given.  A mutation derives its form
+from the validated parent, and the mutated pair's compatibility is still
+checked in full.
 
 Lambda is read only through :meth:`~snakeq.qalgebra.LambdaForm.pair`, which
 walks the nonzeros of each row: row j of transpose(B) * Lambda is minus
 Lambda times column j of B, and the mutated column k of Lambda is Lambda
 times -e_k + sum_l [b_lk]_+ e_l.  Checking and mutating a seed thus costs
 Python steps per nonzero of B and Lambda, not per entry; the per-entry
-passes left are the public conversions and the freezing of rows into tuples,
-which run at C speed.
+passes left run at C speed: the type count of each JSON matrix, the public
+conversions, the freezing of rows into tuples and the row-length count.
 
 :class:`Seed` is a small slotted class rather than a generated record: it
 checks compatibility when built, on the public path and on the integer-row
@@ -31,10 +32,11 @@ path alike, compares by ``btilde`` and ``lam``, and refuses assignment.
 from __future__ import annotations
 
 from itertools import compress
+from operator import countOf
 from typing import Any
 
 from .qalgebra import LambdaForm, _int_tuple
-from .surface import _Frozen, _json_int, _json_list
+from .surface import _check_json_matrix, _Frozen
 
 __all__ = [
     "Seed",
@@ -58,19 +60,6 @@ def _freeze(rows: Any) -> Matrix:
     return tuple(map(tuple, rows))
 
 
-def _check_json_matrix(rows: Any, key: str) -> None:
-    """Raise unless ``rows`` is a list of lists of JSON integers.
-
-    Each row's entry types are collected at C speed; only a row holding
-    another type is walked entry by entry, for its first offender.
-    """
-    what = f"each {key} entry"
-    for row in _json_list(rows, key):
-        if not set(map(type, _json_list(row, f"each {key} row"))) <= {int}:
-            for v in row:
-                _json_int(v, what)
-
-
 def check_compatible(btilde: Any, lam: LambdaForm) -> int:
     """Return the scalar d with transpose(B) * Lambda = (d*I | 0).
 
@@ -90,8 +79,12 @@ def check_compatible(btilde: Any, lam: LambdaForm) -> int:
     n = len(btilde[0])
     if n == 0:
         raise SeedError("the exchange matrix has no mutable columns")
-    if set(map(len, btilde)) != {n}:
-        raise SeedError("the exchange matrix has ragged rows")
+    if countOf(map(len, btilde), n) != m:
+        i = next(i for i, row in enumerate(btilde) if len(row) != n)
+        raise SeedError(
+            "the exchange matrix has ragged rows: "
+            f"row {i} has length {len(btilde[i])}, expected {n}"
+        )
     if n > m:
         raise SeedError(f"more mutable columns ({n}) than rows ({m})")
     if lam.size != m:
@@ -191,10 +184,10 @@ class Seed(_Frozen):
         if not isinstance(data, dict):
             raise SeedError("seed description must be a JSON object")
         try:
-            btilde = data["Btilde"]
-            _check_json_matrix(btilde, "Btilde")
-            lam_rows = data["Lambda"]
-            _check_json_matrix(lam_rows, "Lambda")
+            btilde, lam_rows = (
+                _check_json_matrix(data[k], k, f"each {k} row", f"each {k} entry")
+                for k in ("Btilde", "Lambda")
+            )
             # every entry is a JSON int now, so the rows are frozen, not converted
             lam = LambdaForm._of_int_rows(lam_rows)
         except KeyError as missing:

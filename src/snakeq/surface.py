@@ -29,7 +29,9 @@ compile again at import.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Any
+from itertools import chain
+from operator import countOf
+from typing import Any, Sequence
 
 from .qalgebra import _int_tuple
 
@@ -83,6 +85,13 @@ class Triangle(_Frozen):
             raise SurfaceError(f"triangle {sides} does not have three sides")
         sides = _int_tuple(sides, "triangle side", SurfaceError)
         object.__setattr__(self, "sides", sides)
+
+    @classmethod
+    def _of_int_rows(cls, sides: Sequence[int]) -> Triangle:
+        """The triangle of three integer sides: frozen, not converted."""
+        tri = object.__new__(cls)
+        object.__setattr__(tri, "sides", tuple(sides))
+        return tri
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -233,17 +242,22 @@ class Triangulation:
 
     @classmethod
     def from_dict(cls, data: Any) -> Triangulation:
+        """The triangulation a JSON object describes.
+
+        Its sides, proved ints by :func:`_check_json_matrix`, are not converted.
+        """
         if not isinstance(data, dict):
             raise SurfaceError("surface description must be a JSON object")
         try:
-            return cls(
-                _json_int(data["n_internal"], "n_internal"),
-                _json_int(data["n_boundary"], "n_boundary"),
-                [
-                    [_json_int(s, "each side") for s in _json_list(t, "each triangle")]
-                    for t in _json_list(data["triangles"], "triangles")
-                ],
+            n_internal = _json_int(data["n_internal"], "n_internal")
+            n_boundary = _json_int(data["n_boundary"], "n_boundary")
+            triangles = _check_json_matrix(
+                data["triangles"], "triangles", "each triangle", "each side"
             )
+            sided = countOf(map(len, triangles), 3) == len(triangles)
+            make = Triangle._of_int_rows if sided else Triangle
+            # lazily, so the arc counts are checked before any triangle
+            return cls(n_internal, n_boundary, map(make, triangles))
         except KeyError as missing:
             raise SurfaceError(f"surface description lacks key {missing}") from None
         except TypeError as bad:
@@ -402,6 +416,23 @@ def _json_list(value: Any, key: str) -> Any:
     if not isinstance(value, (list, tuple)):
         raise TypeError(f"{key} must be a list, not {value!r}")
     return value
+
+
+def _check_json_matrix(rows: Any, key: str, row: str, entry: str) -> Any:
+    """``rows`` if it is a list of lists of JSON integers; else :class:`TypeError`.
+
+    The row types and the entry types are counted in one C-speed pass each;
+    only a short count walks the rows in order, by :func:`_json_list` and
+    :func:`_json_int`, so the first offender and its message are the walk's.
+    """
+    rows = _json_list(rows, key)
+    lists = countOf(map(type, rows), list) == len(rows)
+    entries = chain.from_iterable(rows)
+    if not (lists and countOf(map(type, entries), int) == sum(map(len, rows))):
+        for values in rows:
+            for value in _json_list(values, row):
+                _json_int(value, entry)
+    return rows
 
 
 def _arc_crossings(value: Any) -> tuple[int, ...]:

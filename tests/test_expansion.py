@@ -379,6 +379,10 @@ def test_wrong_top_block_is_rejected():
         commutative_expand(annulus(), golden_arc(), [[0, -2], [2, 0], [1]])
     with pytest.raises(ExpansionError, match="row 2 .* has length 3, expected 2"):
         commutative_expand(annulus(), golden_arc(), [[0, -2], [2, 0], [1, 0, 5]])
+    # the row lengths are counted at once; a failed count walks the rows
+    with pytest.raises(ExpansionError) as info:
+        commutative_expand(annulus(), golden_arc(), [[0, -2], [2, 0], [1], [0, 1, 5]])
+    assert str(info.value) == "row 2 of the extended matrix has length 1, expected 2"
 
 
 @pytest.mark.parametrize(
@@ -529,10 +533,23 @@ def test_a_verify_checks_its_loaded_inputs_once_and_no_flip_again(monkeypatch):
             return original(self, *args)
 
         monkeypatch.setattr(cls, name, counted)
+    compatible = snakeq.seeds.check_compatible
+
+    def counted_check(*args):
+        calls["check_compatible"] += 1
+        return compatible(*args)
+
+    # the full compatibility check still runs once at load and once per flip:
+    # it is the only guard on the mutated matrix and form
+    monkeypatch.setattr(snakeq.seeds, "check_compatible", counted_check)
     surface = Triangulation.from_dict(fan.to_dict())
     loaded = Seed.from_dict(seed.to_dict())
     assert verify_against_oracle(surface, loaded, plan, arc).ok
-    assert calls == {"_validate": 1, "_set_rows": 1}
+    assert calls == {
+        "_validate": 1,
+        "_set_rows": 1,
+        "check_compatible": 1 + len(plan),
+    }
 
 
 def test_a_flip_that_disagrees_with_matrix_mutation_is_reported(monkeypatch):

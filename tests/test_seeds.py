@@ -191,6 +191,68 @@ def test_seed_from_dict_rejects_missing_keys():
         Seed.from_dict({"Btilde": [[0]]})
 
 
+def _load_error(data):
+    with pytest.raises(SeedError) as info:
+        Seed.from_dict(data)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("key", ["Btilde", "Lambda"])
+@pytest.mark.parametrize(
+    "row, column, value, shown",
+    [
+        (1, 1, False, "False"),
+        (1, 1, 0.0, "0.0"),
+        (2, 0, True, "True"),
+        (1, 1, None, "None"),
+        (1, 1, [1], "[1]"),
+    ],
+    ids=["false-for-0", "float-for-0", "true-for-1", "null", "list"],
+)
+def test_a_json_matrix_entry_that_is_no_int_is_named_first(
+    key, row, column, value, shown
+):
+    # each value equals the entry it replaces or is no number at all; the
+    # type count of the matrix fails and the rows are walked in order, so
+    # the 9.5 in the last row is never reached
+    data = principal_seed(signed_adjacency(annulus())).to_dict()
+    assert data[key][row][column] == (1 if value is True else 0)
+    data[key][row][column] = value
+    data[key][-1][-1] = 9.5
+    assert _load_error(data) == (
+        f"malformed seed description: each {key} entry must be an integer, "
+        f"not {shown}"
+    )
+
+
+@pytest.mark.parametrize("key", ["Btilde", "Lambda"])
+def test_a_bad_entry_and_a_row_that_is_no_list_fail_in_row_order(key):
+    data = principal_seed(signed_adjacency(annulus())).to_dict()
+    data[key][0][0] = 0.0
+    data[key].append("ab")
+    assert _load_error(data) == (
+        f"malformed seed description: each {key} entry must be an integer, "
+        "not 0.0"
+    )
+    data[key].insert(0, data[key].pop())
+    assert _load_error(data) == (
+        f"malformed seed description: each {key} row must be a list, not 'ab'"
+    )
+
+
+def test_ragged_rows_are_named_by_the_first_short_or_long_row():
+    lam = LambdaForm([[0] * 4] * 4)
+    for btilde, row in (
+        ([[0, -2], [2, 0], [1], [0, 1, 5]], "row 2 has length 1"),
+        ([[0, -2], [2, 0, 7], [1], [0, 1]], "row 1 has length 3"),
+    ):
+        with pytest.raises(SeedError) as info:
+            check_compatible(btilde, lam)
+        assert str(info.value) == (
+            f"the exchange matrix has ragged rows: {row}, expected 2"
+        )
+
+
 @pytest.mark.parametrize(
     "load, data, error, message",
     [

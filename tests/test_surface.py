@@ -116,6 +116,38 @@ def test_from_dict_rejects_malformed_triangles():
 
 
 @pytest.mark.parametrize(
+    "row, column, value, shown",
+    [(1, 0, False, "False"), (0, 2, 2.0, "2.0")],
+    ids=["false-for-0", "float-for-2"],
+)
+def test_a_side_that_is_no_int_is_named_before_a_later_bad_triangle(
+    row, column, value, shown
+):
+    # the value equals the side it replaces; the type count fails and the
+    # triangles are walked in order, so the side comes before the 5
+    data = annulus().to_dict()
+    assert data["triangles"][row][column] == value
+    data["triangles"][row][column] = value
+    data["triangles"].append(5)
+    with pytest.raises(SurfaceError) as info:
+        Triangulation.from_dict(data)
+    assert str(info.value) == (
+        f"malformed surface description: each side must be an integer, not {shown}"
+    )
+
+
+def test_from_dict_checks_the_arc_counts_before_the_triangles():
+    data = {"n_internal": 2, "n_boundary": -1, "triangles": [[0, 1], [0, 1, 3]]}
+    with pytest.raises(SurfaceError) as info:
+        Triangulation.from_dict(data)
+    assert str(info.value) == "arc counts must be non-negative"
+    data["n_boundary"] = 2
+    with pytest.raises(SurfaceError) as info:
+        Triangulation.from_dict(data)
+    assert str(info.value) == "triangle [0, 1] does not have three sides"
+
+
+@pytest.mark.parametrize(
     "n_internal, n_boundary, triangles, message",
     [
         (0, 10**12, [[0, 1, 2]], "boundary arcs need 1000000000000"),
