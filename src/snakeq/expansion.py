@@ -20,24 +20,26 @@ set to its row.
 
 The oracle takes the same initial seed and computes cluster variables the
 long way around, by mutating seeds and dividing binomials exactly in the
-initial quantum torus; each power in a binomial is taken by squaring.
-Agreement between the two paths is the strongest correctness check in the
-package and is exercised by the verification entry point below.  It walks
-the flip plan once, and each step flips the surface and takes the oracle's
-own exchange step.  The compared exchange is checked with one product: the
-torus has no zero divisors, so expansion·x_k equals the exchange binomial
-exactly when the last division would return the expansion.  Only when that
-fails, or when another slot is compared, does the last step divide.
-The audit records, oracle runs and verification reports are
-:func:`~collections.namedtuple` records.
+associative initial quantum torus: powers are taken by squaring, adjacent
+one-term factors are multiplied together before a long one meets them, and
+an initial variable is built only when read.  Agreement between the two
+paths is the strongest correctness check in the package; the verification
+entry point below walks the flip plan once, and each step flips the surface,
+takes the oracle's own exchange step and compares the flip's change to the
+signed adjacency with the mutation's change to the top block.  The compared
+exchange is checked with one product: the torus has no zero divisors, so
+expansion·x_k equals the exchange binomial exactly when the last division
+would return the expansion.  Only when that fails, or when another slot is
+compared, does the last step divide.  The audit records, oracle runs and
+verification reports are :func:`~collections.namedtuple` records.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from itertools import chain, compress, groupby
-from operator import countOf, itemgetter, sub
-from typing import Iterable, Sequence
+from operator import countOf, is_not, itemgetter, sub
+from typing import Iterable, Mapping, Sequence
 
 from .qalgebra import (
     Coeff,
@@ -51,9 +53,9 @@ from .qalgebra import (
     exact_right_divide,
     qmul,
 )
-from .seeds import Seed, SeedError, mutate_seed
+from .seeds import Matrix, Seed, SeedError, mutate_seed
 from .snakegraph import SnakeGraph
-from .surface import Arc, Triangulation, flip, signed_adjacency
+from .surface import Arc, Triangulation, _add_adjacency, flip, signed_adjacency
 from .valuation import _valued_masks, twist_chain
 
 __all__ = [
@@ -89,6 +91,29 @@ def _top_block_matches(t: Triangulation, rows: Sequence[Sequence[int]]) -> bool:
     """Whether the first rows of ``rows`` are the surface's signed adjacency."""
     # list copies: on 3.11 lists compare entries faster than tuples do
     return [list(row) for row in rows[: t.n_internal]] == signed_adjacency(t)
+
+
+def _flip_matches(
+    parent: Triangulation, surface: Triangulation, rows: Matrix, mutated: Matrix
+) -> bool:
+    """Whether ``mutated`` has ``surface``'s signed adjacency on top.
+
+    ``rows`` has ``parent``'s, so only changes are compared: the adjacency's,
+    by each triangle that is not the parent's object (old part subtracted,
+    new part added), and the top block's, in each row that is not the
+    parent's object.  They agree exactly when :func:`_top_block_matches` would.
+    """
+    n, old, new = surface.n_internal, parent.triangles, surface.triangles
+    moved = list(compress(range(len(old)), map(is_not, old, new)))
+    # a triangle past the end of the other list counts as moved
+    gone = [*map(old.__getitem__, moved), *old[len(new) :]]
+    came = [*map(new.__getitem__, moved), *new[len(old) :]]
+    sides = chain.from_iterable(tri.sides for tri in gone + came)
+    touched = {*compress(range(n), map(is_not, rows, mutated)), *sides}
+    expected = {i: list(rows[i]) for i in touched if i < n}
+    _add_adjacency(expected, gone, n, -1)
+    _add_adjacency(expected, came, n, 1)
+    return all(list(mutated[i]) == row for i, row in expected.items())
 
 
 def _check_top_block(t: Triangulation, btilde: Sequence[Sequence[int]]) -> None:
@@ -406,39 +431,50 @@ class OracleRun(namedtuple("OracleRun", "variables seed")):
 
 
 def _ordered_power_product(
-    variables: Sequence[QuantumLaurent],
+    variables: Mapping[int, QuantumLaurent] | Sequence[QuantumLaurent],
     powers: Sequence[int],
     form: LambdaForm,
 ) -> QuantumLaurent:
-    """The product of variables[i]^powers[i] in index order.
+    """The product of variables[i]^powers[i] in index order; an empty one is 1.
 
-    Each power is taken by squaring (:func:`~snakeq.qalgebra._qsquare`),
-    and the powers are multiplied in index order; an empty product is one.
+    Only the variables with a nonzero power are read, and each power is
+    taken by squaring (:func:`~snakeq.qalgebra._qsquare`).  The torus is
+    associative, so adjacent one-term factors are multiplied together first,
+    and a longer value meets their product once, not each of them.
     """
-    out: QuantumLaurent | None = None
+    factors: list[QuantumLaurent] = []
     # a zero power is skipped, so every factor below has a bit set
-    for var, power in compress(zip(variables, powers), powers):
-        factor = None
+    for i in compress(range(len(powers)), powers):
+        var, power, factor = variables[i], powers[i], None
         while power:
             if power & 1:
                 factor = var if factor is None else qmul(factor, var, form)
             power >>= 1
             if power:
                 var = _qsquare(var, form)
-        out = factor if out is None else qmul(out, factor, form)
-    return QuantumLaurent.one(variables[0].width) if out is None else out
+        if len(factor._terms) == 1 and factors and len(factors[-1]._terms) == 1:
+            factor = qmul(factors.pop(), factor, form)
+        factors.append(factor)
+    out = factors[0] if factors else _value(form.size, {(0,) * form.size: {0: 1}})
+    for factor in factors[1:]:
+        out = qmul(out, factor, form)
+    return out
 
 
-def _initial_variables(m: int) -> list[QuantumLaurent]:
-    """The initial cluster X_1, ..., X_m as elements of its quantum torus."""
-    return [
-        _value(m, {(0,) * i + (1,) + (0,) * (m - i - 1): {0: 1}})
-        for i in range(m)
-    ]
+class _Cluster(dict):
+    """The initial cluster: X_i of the quantum torus, built on first lookup."""
+
+    def __init__(self, m: int) -> None:
+        self.m = m
+
+    def __missing__(self, i: int) -> QuantumLaurent:
+        m = self.m
+        x = self[i] = _value(m, {(0,) * i + (1,) + (0,) * (m - i - 1): {0: 1}})
+        return x
 
 
 def _exchange(
-    variables: list[QuantumLaurent],
+    variables: dict[int, QuantumLaurent],
     current: Seed,
     k: int,
     form0: LambdaForm,
@@ -494,12 +530,10 @@ def oracle_mutate_variables(seed: Seed, flips: Sequence[int]) -> OracleRun:
     variable; exactness of that division is part of the Laurent phenomenon
     and any failure raises immediately, naming the flip that failed.
     """
-    form0 = seed.lam
-    variables = _initial_variables(seed.m)
-    current = seed
+    variables, current = _Cluster(seed.m), seed
     for position, k in enumerate(flips, start=1):
-        current = _exchange(variables, current, k, form0, position, len(flips))
-    return OracleRun(tuple(variables), current)
+        current = _exchange(variables, current, k, seed.lam, position, len(flips))
+    return OracleRun(tuple(map(variables.__getitem__, range(seed.m))), current)
 
 
 class VerifyReport(
@@ -526,15 +560,17 @@ def verify_against_oracle(
 
     The flip plan is walked once.  Each step flips the surface, exchanges
     one oracle variable by the oracle's own step and insists that the
-    flipped surface still has the mutated matrix on top.  The report
-    compares the expansion of ``arc`` against the oracle variable in
-    ``slot``, a mutable direction (by default the last flipped one).  When
-    ``slot`` is the last flip's direction, that exchange is checked with one
-    product, the expansion times the outgoing variable against the exchange
-    binomial; it divides only if they differ, so a mismatch reports the
-    oracle's own variable.  Each mutated seed is still checked for
-    compatibility in full: that is the only run-time guard on
-    :func:`~snakeq.seeds.mutate_B` and the form's derived column.
+    flipped surface still has the mutated matrix on top, reading only the
+    rows and triangles that changed (:func:`_flip_matches`, exact by
+    induction from the full check at load).  The report compares the
+    expansion of ``arc`` against the oracle variable in ``slot``, a mutable
+    direction (by default the last flipped one).  When ``slot`` is the last
+    flip's direction, that exchange is checked with one product, the
+    expansion times the outgoing variable against the exchange binomial; it
+    divides only if they differ, so a mismatch reports the oracle's own
+    variable.  Each mutated seed is still checked for compatibility in full:
+    that is the only run-time guard on :func:`~snakeq.seeds.mutate_B` and
+    the form's derived column.
     """
     if slot is None:
         if not flips:
@@ -549,24 +585,17 @@ def verify_against_oracle(
         raise ExpansionError(f"slot {slot} is frozen: no arc expands to X_{slot}")
     expansion = quantum_expand(t, arc, seed)
 
-    variables = _initial_variables(seed.m)
-    surface = t
-    current = seed
-    total = len(flips)
+    variables = _Cluster(seed.m)
+    surface, current, total = t, seed, len(flips)
     for position, k in enumerate(flips, start=1):
-        surface = flip(surface, k)
+        parent, surface = surface, flip(surface, k)
         compared = expansion if position == total and k == slot else None
-        current = _exchange(
-            variables, current, k, seed.lam, position, total, compared
-        )
-        if not _top_block_matches(surface, current.btilde):
-            return VerifyReport(
-                False,
-                slot,
-                expansion,
-                QuantumLaurent.zero(seed.m),
-                f"flip at {k} disagrees with matrix mutation",
-            )
+        rows = current.btilde
+        current = _exchange(variables, current, k, seed.lam, position, total, compared)
+        if not _flip_matches(parent, surface, rows, current.btilde):
+            detail = f"flip at {k} disagrees with matrix mutation"
+            zero = QuantumLaurent.zero(seed.m)
+            return VerifyReport(False, slot, expansion, zero, detail)
     actual = variables[slot]
     ok = actual == expansion
     detail = "match" if ok else "expansion and oracle variable differ"

@@ -182,11 +182,8 @@ def _q_power_string(s_exp: int) -> str:
 
 def coeff_to_string(c: Coeff) -> str:
     """Render a ZZ[s, s^(-1)] coefficient with q-powers in ascending order."""
-    if not c:
-        return "0"
     parts = []
-    for e in sorted(c):
-        n = c[e]
+    for e, n in sorted(c.items()):
         power = _q_power_string(e)
         if power == "1":
             parts.append(str(n))
@@ -196,7 +193,7 @@ def coeff_to_string(c: Coeff) -> str:
             parts.append(f"-{power}")
         else:
             parts.append(f"{n}·{power}")
-    return " + ".join(parts)
+    return " + ".join(parts) or "0"
 
 
 class LambdaForm:
@@ -444,19 +441,22 @@ class QuantumLaurent:
         return [(v, dict(self._terms[v])) for v in sorted(self._terms, reverse=True)]
 
     def to_string(self, symbol: str = "X") -> str:
-        if not self._terms:
-            return "0"
+        """The terms ``c·X^(a)``, lex-descending; a unit c is left out.
+
+        Each distinct int and each distinct coefficient is rendered once.
+        """
+        ints = {a: str(a) for a in set(chain.from_iterable(self._terms))}.__getitem__
+        prefixes: dict[frozenset[tuple[int, int]], str] = {}
         rendered = []
-        for vec, coeff in self.terms_lex_descending():
-            body = f"{symbol}^({','.join(map(str, vec))})"
-            cs = coeff_to_string(coeff)
-            if cs == "1":
-                rendered.append(body)
-            elif len(coeff) == 1:
-                rendered.append(f"{cs}·{body}")
-            else:
-                rendered.append(f"({cs})·{body}")
-        return " + ".join(rendered)
+        # exponents are distinct, so the sort never compares two coefficients
+        for vec, coeff in sorted(self._terms.items(), reverse=True):
+            key = frozenset(coeff.items())
+            if key not in prefixes:
+                cs = coeff_to_string(coeff)
+                bracket = f"{cs}·" if len(key) == 1 else f"({cs})·"
+                prefixes[key] = "" if cs == "1" else bracket
+            rendered.append(f"{prefixes[key]}{symbol}^({','.join(map(ints, vec))})")
+        return " + ".join(rendered) or "0"
 
     def __repr__(self) -> str:
         return f"<QuantumLaurent {self.to_string()}>"

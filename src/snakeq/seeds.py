@@ -32,7 +32,7 @@ path alike, compares by ``btilde`` and ``lam``, and refuses assignment.
 from __future__ import annotations
 
 from itertools import compress
-from operator import countOf
+from operator import countOf, itemgetter, neg
 from typing import Any
 
 from .qalgebra import LambdaForm, _int_tuple
@@ -208,8 +208,9 @@ class Seed(_Frozen):
 def mutate_B(btilde: Any, k: int) -> Matrix:
     """Matrix mutation in direction k (a mutable column index).
 
-    ``btilde`` is a sequence of integer rows; the result is frozen.  A row
-    other than k whose entry in column k is 0 is unchanged, so it is reused.
+    ``btilde`` is a sequence of integer rows; the result is frozen.  Only row
+    k and the rows with a nonzero entry in column k, picked by ``compress``,
+    are rebuilt; the others are copied at C speed, a tuple row as itself.
     """
     n = len(btilde[0])
     if not 0 <= k < n:
@@ -218,17 +219,12 @@ def mutate_B(btilde: Any, k: int) -> Matrix:
     # b_ij gains b_ik [b_kj]_+ when b_ik > 0 and b_ik [-b_kj]_+ when b_ik < 0
     rising = [x if x > 0 else 0 for x in pivot]
     falling = [-x if x < 0 else 0 for x in pivot]
-    out = []
-    for i, row in enumerate(btilde):
-        c = row[k]
-        if i == k:
-            out.append(tuple(-x for x in row))
-        elif c == 0:
-            out.append(tuple(row))
-        else:
-            new = [x + c * y for x, y in zip(row, rising if c > 0 else falling)]
-            new[k] = -c
-            out.append(tuple(new))
+    out = list(map(tuple, btilde))
+    for i in compress(range(len(btilde)), map(itemgetter(k), btilde)):
+        c = btilde[i][k]
+        new = [x + c * y for x, y in zip(btilde[i], rising if c > 0 else falling)]
+        out[i] = (*new[:k], -c, *new[k + 1 :])
+    out[k] = tuple(map(neg, pivot))
     return tuple(out)
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import chain
 from operator import countOf
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from .qalgebra import _int_tuple
 
@@ -273,14 +273,19 @@ def signed_adjacency(t: Triangulation) -> list[list[int]]:
     """
     n = t.n_internal
     mat = [[0] * n for _ in range(n)]
-    for tri in t.triangles:
+    _add_adjacency(mat, t.triangles, n, 1)
+    return mat
+
+
+def _add_adjacency(mat: Any, triangles: Iterable[Triangle], n: int, sign: int) -> None:
+    """Add ``sign`` times the triangles' signed adjacency to the rows of ``mat``."""
+    for tri in triangles:
         a, b, c = tri.sides
         # sides are known arcs, never negative, so internal means below n
         for x, y in ((a, b), (b, c), (c, a)):
             if x < n and y < n:
-                mat[y][x] += 1
-                mat[x][y] -= 1
-    return mat
+                mat[y][x] += sign
+                mat[x][y] -= sign
 
 
 class Quadrilateral(
@@ -335,8 +340,8 @@ def flip(t: Triangulation, tau: int) -> Triangulation:
             f"flip of arc {tau} would create a self-folded triangle"
         )
     triangles = list(t.triangles)
-    triangles[quad.first] = Triangle((quad.a4, quad.a3, tau))
-    triangles[quad.second] = Triangle((quad.a2, quad.a1, tau))
+    triangles[quad.first] = Triangle._of_int_rows((quad.a4, quad.a3, tau))
+    triangles[quad.second] = Triangle._of_int_rows((quad.a2, quad.a1, tau))
     # only a1 and a3 trade triangles (on the annulus a1 == a3 lies in both),
     # so every side keeps the count the parent checked
     swap = {quad.first: quad.second, quad.second: quad.first}

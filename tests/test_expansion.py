@@ -7,6 +7,7 @@ against the independent mutation oracle or stated as a structural property.
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from operator import sub
 
@@ -45,17 +46,27 @@ from snakeq import (
     SeedError,
     SnakeGraph,
     SurfaceError,
+    Triangle,
     Triangulation,
     commutative_expand,
     compute_valuation,
+    flip,
     matching_records,
+    mutate_seed,
     oracle_mutate_variables,
     principal_seed,
     quantum_expand,
     signed_adjacency,
     verify_against_oracle,
 )
-from snakeq.expansion import _columns, _exponents, _offset, _ordered_power_product
+from snakeq.expansion import (
+    _columns,
+    _exponents,
+    _flip_matches,
+    _offset,
+    _ordered_power_product,
+    _top_block_matches,
+)
 from snakeq.qalgebra import qmul
 
 
@@ -438,17 +449,92 @@ def test_oracle_initial_variables_are_the_public_monomials():
     )
 
 
+def left_to_right_product(variables, powers, form):
+    """The ordered product by one multiplication per factor, as a reference."""
+    expected = QuantumLaurent.one(form.size)
+    for var, power in zip(variables, powers):
+        for _ in range(power):
+            expected = qmul(expected, var, form)
+    return expected
+
+
 def test_ordered_power_products_equal_the_left_to_right_product():
     t = annulus()
     seed = seed_choices(t)[2]
     arc, plan = annulus_bridge(3)
     variables = oracle_mutate_variables(seed, plan).variables
     for powers in ((0, 0, 0, 0), (1, 0, 2, 0), (2, 3, 0, 1), (3, 1, 1, 3)):
-        expected = QuantumLaurent.one(seed.m)
-        for var, power in zip(variables, powers):
-            for _ in range(power):
-                expected = qmul(expected, var, seed.lam)
+        expected = left_to_right_product(variables, powers, seed.lam)
         assert _ordered_power_product(variables, powers, seed.lam) == expected
+
+    # long factors before, between and after runs of one-term factors, some
+    # raised above 1; the one-term runs are multiplied out first
+    t = ladder_surface(4)
+    seed = seed_choices(t)[1]
+    run = oracle_mutate_variables(seed, [0, 1, 2, 3])
+    longs = [var for var in run.variables if len(var) > 1][:3]
+    assert [len(var) for var in longs] == [2, 3, 5]
+    m = seed.m
+    rng = random.Random(29)
+
+    def one_term():
+        exponent = [rng.randint(-2, 2) for _ in range(m)]
+        s_exp, coefficient = rng.randint(-3, 3), rng.choice((1, -2))
+        return QuantumLaurent.monomial(exponent, s_exp, coefficient)
+
+    layouts = [
+        "LoooLooLoL",
+        "ooLoooLLoo",
+        "oooooooooL",
+        "Looooooooo",
+        "oLoLoLoLoL",
+    ]
+    for layout in layouts:
+        for _ in range(3):
+            variables = [rng.choice(longs) if c == "L" else one_term() for c in layout]
+            # a long factor is raised to at most 2, a one-term one to at most 3
+            powers = [
+                rng.randint(1, 2) if c == "L" else rng.randint(0, 3) for c in layout
+            ]
+            expected = left_to_right_product(variables, powers, seed.lam)
+            assert _ordered_power_product(variables, powers, seed.lam) == expected
+
+
+def test_a_long_factor_meets_each_one_term_run_once(monkeypatch):
+    # on a ladder plan a step's product is one long variable followed by up to
+    # three frozen or unexchanged monomials: one product takes the long value
+    products = []
+    ordered = snakeq.expansion._ordered_power_product
+    multiply = snakeq.expansion.qmul
+
+    def recorded(variables, powers, form):
+        sizes = [len(variables[i]) for i, power in enumerate(powers) if power]
+        products.append((sizes, []))
+        return ordered(variables, powers, form)
+
+    def counted(a, b, form):
+        products[-1][1].append((len(a), len(b)))
+        return multiply(a, b, form)
+
+    monkeypatch.setattr(snakeq.expansion, "_ordered_power_product", recorded)
+    monkeypatch.setattr(snakeq.expansion, "qmul", counted)
+    t = ladder_surface(10)
+    oracle_mutate_variables(seed_choices(t)[0], list(range(10)))
+    assert len(products) == 2 * 10
+    grouped = ungrouped = 0
+    for sizes, calls in products:
+        long = [size for size in sizes if size > 1]
+        assert len(long) <= 1
+        taking_long = [pair for pair in calls if max(pair) > 1]
+        if long and len(sizes) > 1:
+            assert taking_long == [(long[0], 1)], (sizes, calls)
+            grouped += 1
+            ungrouped += len(sizes) - 1
+        else:
+            assert taking_long == []
+    # 12 products take the long value once each; one multiplication per
+    # one-term factor would take it 20 times
+    assert (grouped, ungrouped) == (12, 20)
 
 
 def counting(monkeypatch, name):
@@ -552,6 +638,31 @@ def test_a_verify_checks_its_loaded_inputs_once_and_no_flip_again(monkeypatch):
     }
 
 
+def test_a_verify_builds_only_the_initial_variables_it_touches(monkeypatch):
+    # the oracle reads X_i only where an exchange column is nonzero, at the
+    # flipped slots and at the compared one: a few of the 120 on the fan seed
+    fan = polygon_fan(60)
+    b = signed_adjacency(fan)
+    seed = Seed(principal_seed(b).btilde, perturbed_lambda(b))
+    _, arc, plan = next(c for c in polygon_chords(60) if c[0] == (1, 5))
+    built = []
+    missing = snakeq.expansion._Cluster.__missing__
+
+    def counted(cluster, i):
+        built.append(i)
+        return missing(cluster, i)
+
+    monkeypatch.setattr(snakeq.expansion._Cluster, "__missing__", counted)
+    assert verify_against_oracle(fan, seed, plan, arc).ok
+    touched = set()
+    current = seed
+    for k in plan:
+        touched |= {k} | {i for i, row in enumerate(current.btilde) if row[k]}
+        current = mutate_seed(current, k)
+    assert sorted(built) == sorted(touched)
+    assert len(built) == 7
+
+
 def test_a_flip_that_disagrees_with_matrix_mutation_is_reported(monkeypatch):
     # a surface that ignores its flips no longer matches the mutated matrix
     monkeypatch.setattr(snakeq.expansion, "flip", lambda surface, k: surface)
@@ -563,6 +674,76 @@ def test_a_flip_that_disagrees_with_matrix_mutation_is_reported(monkeypatch):
     assert report.detail == f"flip at {plan[0]} disagrees with matrix mutation"
     assert report.expected == quantum_expand(t, arc, seed)
     assert report.actual == QuantumLaurent.zero(seed.m)
+
+
+def with_triangles(t, triangles):
+    """``t`` with its triangle list replaced, unchecked, as a flip builds it."""
+    out = object.__new__(Triangulation)
+    out.n_internal, out.n_boundary = t.n_internal, t.n_boundary
+    out.triangles = tuple(triangles)
+    out._incidence = t._incidence
+    return out
+
+
+def with_entry(rows, i, j, change):
+    """``rows`` with ``change`` added to entry (i, j): row i is a new tuple."""
+    row = list(rows[i])
+    row[j] += change
+    return (*rows[:i], tuple(row), *rows[i + 1 :])
+
+
+def test_the_changed_rows_check_gives_the_full_checks_verdict():
+    # seeded random flips; every flipped surface and mutated matrix, intact
+    # and corrupted, gets the same verdict from the check over what the flip
+    # and the mutation changed as from the full rebuild
+    rng = random.Random(29)
+    verdicts = Counter()
+    for t in (polygon_fan(7), annulus(), ladder_surface(6)):
+        n = t.n_internal
+        seed = principal_seed(signed_adjacency(t))
+        surface, rows = t, seed.btilde
+        for _ in range(12):
+            k = rng.randrange(n)
+            try:
+                child = flip(surface, k)
+            except SurfaceError:
+                continue
+            seed = mutate_seed(seed, k)
+            mutated = seed.btilde
+            triangles = child.triangles
+            near = [k] + [j for j in range(n) if mutated[k][j]]
+            far = [j for j in range(n) if j not in near]
+            cases = {"intact": (child, mutated)}
+            i, j = rng.choice(near), rng.choice(near)
+            changed = with_entry(mutated, i, j, rng.choice((-1, 1)))
+            cases["near entry"] = (child, changed)
+            if far:
+                i, j = rng.choice(far), rng.randrange(n)
+                cases["far entry"] = (child, with_entry(mutated, i, j, 1))
+            # the triangles the flip kept are the parent's own objects
+            kept = [p for p, tri in enumerate(triangles) if tri is surface.triangles[p]]
+            if kept:
+                p = rng.choice(kept)
+                swapped = list(triangles)
+                swapped[p] = Triangle(triangles[p].sides[::-1])
+                reversed_far = with_triangles(child, swapped)
+                cases["far triangle reversed"] = (reversed_far, mutated)
+            cases["triangle dropped"] = (with_triangles(child, triangles[:-1]), mutated)
+            extra = Triangle(rng.choice(triangles).sides)
+            added = with_triangles(child, (*triangles, extra))
+            cases["triangle added"] = (added, mutated)
+            for name, (corrupt, matrix) in cases.items():
+                full = _top_block_matches(corrupt, matrix)
+                assert _flip_matches(surface, corrupt, rows, matrix) == full, name
+                verdicts[name, full] += 1
+            surface, rows = child, mutated
+    # a changed entry always fails; a changed triangle fails unless it has at
+    # most one internal side, and both verdicts occur
+    assert verdicts["intact", False] == 0 < verdicts["intact", True]
+    for name in ("near entry", "far entry"):
+        assert verdicts[name, True] == 0 < verdicts[name, False]
+    for name in ("far triangle reversed", "triangle dropped", "triangle added"):
+        assert verdicts[name, True] > 0 < verdicts[name, False]
 
 
 def test_a_failed_oracle_division_names_its_flip(monkeypatch):

@@ -788,6 +788,34 @@ def test_polynomial_strings():
     assert scaled.to_string("x") == "5·x^(2,0)"
 
 
+def test_to_string_renders_each_distinct_coefficient_once(monkeypatch):
+    # five terms, three distinct coefficients; two equal coefficients built
+    # in different orders are one coefficient
+    rendered = []
+    render = snakeq.qalgebra.coeff_to_string
+
+    def counted(coeff):
+        rendered.append(dict(coeff))
+        return render(coeff)
+
+    monkeypatch.setattr(snakeq.qalgebra, "coeff_to_string", counted)
+    value = QuantumLaurent(
+        2,
+        [
+            ((2, -1), {-1: 1, 1: 1}),
+            ((1, 0), {0: 1}),
+            ((0, 1), {1: 1, -1: 1}),
+            ((-1, 10), {0: 1}),
+            ((-2, 0), {0: -3}),
+        ],
+    )
+    assert value.to_string("X") == (
+        "(q^(-1/2) + q^(1/2))·X^(2,-1) + X^(1,0) + (q^(-1/2) + q^(1/2))·X^(0,1)"
+        " + X^(-1,10) + -3·X^(-2,0)"
+    )
+    assert rendered == [{-1: 1, 1: 1}, {0: 1}, {0: -3}]
+
+
 def test_terms_print_in_lex_descending_order():
     f = QuantumLaurent.monomial((0, 1)) + QuantumLaurent.monomial((1, -5))
     assert f.to_string("X") == "X^(1,-5) + X^(0,1)"

@@ -349,6 +349,17 @@ def test_matrix_mutation_equals_the_reference(rows, k):
     assert all(type(row) is tuple for row in mutate_B(rows, k))
 
 
+def test_matrix_mutation_rebuilds_only_the_rows_it_changes():
+    # a row other than k with 0 in column k comes back as the same object;
+    # the others, and row k, are new
+    btilde = principal_seed(signed_adjacency(hexagon())).btilde
+    for k in range(3):
+        mutated = mutate_B(btilde, k)
+        same = [i for i, (a, b) in enumerate(zip(btilde, mutated)) if a is b]
+        assert same == [i for i, row in enumerate(btilde) if i != k and not row[k]]
+        assert mutated == reference_mutate_B(btilde, k)
+
+
 def test_mutation_direction_must_be_mutable():
     with pytest.raises(SeedError):
         mutate_B(KRONECKER, 2)

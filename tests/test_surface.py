@@ -217,6 +217,20 @@ def test_flip_is_an_involution():
             assert flip(flip(t, k), k) == t
 
 
+def test_a_flip_keeps_every_triangle_but_the_two_it_replaces():
+    # the kept triangles are the parent's own objects, and the two new ones
+    # are triangles of plain ints
+    for t in (hexagon(), heptagon(), annulus(), ladder_surface(5)):
+        for k in range(t.n_internal):
+            flipped = flip(t, k)
+            quad = quadrilateral(t, k)
+            for i, (old, new) in enumerate(zip(t.triangles, flipped.triangles)):
+                assert (old is new) == (i not in (quad.first, quad.second))
+            for i in (quad.first, quad.second):
+                sides = flipped.triangles[i].sides
+                assert type(sides) is tuple and {type(s) for s in sides} == {int}
+
+
 def test_flip_refuses_boundary_arcs():
     with pytest.raises(SurfaceError):
         flip(pentagon(), 2)
