@@ -21,24 +21,26 @@ set to its row.
 The oracle takes the same initial seed and computes cluster variables the
 long way around, by mutating seeds and dividing binomials exactly in the
 associative initial quantum torus: powers are taken by squaring, adjacent
-one-term factors are multiplied together before a long one meets them, and
-an initial variable is built only when read.  Agreement between the two
-paths is the strongest correctness check in the package; the verification
-entry point below walks the flip plan once, and each step flips the surface,
-takes the oracle's own exchange step and compares the flip's change to the
-signed adjacency with the mutation's change to the top block.  The compared
+one-term factors are multiplied together before a long one meets them, an
+initial variable is built only when read, and a unit (one term ±s^e·X^w) is
+not divided by but inverted.  Agreement between the two paths is the
+strongest correctness check in the package; the verification entry point
+below walks the flip plan once, and each step flips the surface, takes the
+oracle's own exchange step and compares the flip's change to the signed
+adjacency with the mutation's change to the top block.  The compared
 exchange is checked with one product: the torus has no zero divisors, so
 expansion·x_k equals the exchange binomial exactly when the last division
-would return the expansion.  Only when that fails, or when another slot is
-compared, does the last step divide.  The audit records, oracle runs and
-verification reports are :func:`~collections.namedtuple` records.
+would return the expansion; an inverted unit's quotient is compared as it
+is.  Only when that fails, or when another slot is compared, does the last
+step divide.  The audit records, oracle runs and verification reports are
+:func:`~collections.namedtuple` records.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from itertools import chain, compress, groupby
-from operator import countOf, is_not, itemgetter, sub
+from operator import countOf, is_not, itemgetter, neg, sub
 from typing import Iterable, Mapping, Sequence
 
 from .qalgebra import (
@@ -434,18 +436,21 @@ def _ordered_power_product(
     variables: Mapping[int, QuantumLaurent] | Sequence[QuantumLaurent],
     powers: Sequence[int],
     form: LambdaForm,
+    last: QuantumLaurent | None = None,
 ) -> QuantumLaurent:
-    """The product of variables[i]^powers[i] in index order; an empty one is 1.
+    """The product of variables[i]^powers[i] in index order, then ``last``.
 
-    Only the variables with a nonzero power are read, and each power is
-    taken by squaring (:func:`~snakeq.qalgebra._qsquare`).  The torus is
-    associative, so adjacent one-term factors are multiplied together first,
-    and a longer value meets their product once, not each of them.
+    An empty product is 1.  Only the variables with a nonzero power are read,
+    and each power is taken by squaring (:func:`~snakeq.qalgebra._qsquare`).
+    The torus is associative, so adjacent one-term factors, the one-term
+    ``last`` among them, are multiplied together first, and a longer value
+    meets their product once, not each of them.
     """
     factors: list[QuantumLaurent] = []
     # a zero power is skipped, so every factor below has a bit set
-    for i in compress(range(len(powers)), powers):
-        var, power, factor = variables[i], powers[i], None
+    raised = [(variables[i], powers[i]) for i in compress(range(len(powers)), powers)]
+    for var, power in chain(raised, () if last is None else [(last, 1)]):
+        factor = None
         while power:
             if power & 1:
                 factor = var if factor is None else qmul(factor, var, form)
@@ -484,17 +489,23 @@ def _exchange(
 ) -> Seed:
     """Exchange ``variables[k]`` in place; return the seed mutated at k.
 
-    The exchange binomial is built in the initial quantum torus: its two
-    ordered power products, each normalized with the current skew form, are
-    merged in one pass.  A given ``quotient`` is taken without dividing when
-    quotient·x_k is the binomial: the torus has no zero divisors, so that
-    holds exactly when the division would return it.  Otherwise the binomial
-    is divided on the right by x_k, and a failed division names flip
-    ``position`` of ``total``.
+    x_k' is the exchange binomial divided on the right by x_k in the initial
+    quantum torus; each of its two ordered power products is normalized with
+    the current skew form by a shift s^σ.  A unit x_k = ±s^e·X^w has the
+    inverse ±s^-e·X^-w (Λ is skew), so each product ends with s^σ·x_k^(-1)
+    and the two are merged once, with no division.  Otherwise the shifted
+    products are merged into the binomial, and a given ``quotient`` is taken
+    when quotient·x_k is the binomial: the torus has no zero divisors, so that
+    holds exactly when the division would return it.  Else the binomial is
+    divided, and a failed division names flip ``position`` of ``total``.
     """
     if not 0 <= k < current.n:
         raise SeedError(f"flip direction {k} out of range")
-    lam = current.lam
+    lam, outgoing = current.lam, variables[k]
+    # x_k is a unit exactly when it is one term ±s^e·X^w
+    ((w, coeff),) = outgoing._terms.items() if len(outgoing) == 1 else [((), {})]
+    ((e, sign),) = coeff.items() if len(coeff) == 1 else [(0, 0)]
+    unit = sign in (1, -1)
     pairs: list[tuple[Vector, Coeff]] = []
     column = list(map(itemgetter(k), current.btilde))
     rising = [x if x > 0 else 0 for x in column]
@@ -502,17 +513,24 @@ def _exchange(
     for powers in (rising, falling):
         target = list(powers)
         target[k] -= 1
-        product = _ordered_power_product(variables, powers, form0)
         # Λ is skew, so -(Λ·target)_k is Λ(target, e_k)
-        s_exp = -lam.pair(target)[k] - lam.ordered_product_twist(powers)
-        pairs += [
-            (v, {e + s_exp: n for e, n in c.items()})
-            for v, c in product._terms.items()
-        ]
-    binomial = _value(current.m, _canonical_terms(pairs))
-    if quotient is None or qmul(quotient, variables[k], form0) != binomial:
+        shift = -lam.pair(target)[k] - lam.ordered_product_twist(powers)
+        if unit:
+            inverse = _value(current.m, {tuple(map(neg, w)): {shift - e: sign}})
+            product = _ordered_power_product(variables, powers, form0, inverse)
+            pairs += product._terms.items()
+        else:
+            product = _ordered_power_product(variables, powers, form0)
+            pairs += [
+                (v, {s + shift: n for s, n in c.items()})
+                for v, c in product._terms.items()
+            ]
+    merged = _value(current.m, _canonical_terms(pairs))
+    if unit:
+        quotient = merged
+    elif quotient is None or qmul(quotient, outgoing, form0) != merged:
         try:
-            quotient = exact_right_divide(binomial, variables[k], form0)
+            quotient = exact_right_divide(merged, outgoing, form0)
         except ExactDivisionError as exc:
             raise ExactDivisionError(
                 f"flip {position} of {total} (direction {k}): {exc}"
@@ -527,8 +545,9 @@ def oracle_mutate_variables(seed: Seed, flips: Sequence[int]) -> OracleRun:
     Variables are carried as elements of the initial quantum torus.  At each
     step the exchange binomial is assembled from the current seed, normalized
     with the current skew form, and divided on the right by the outgoing
-    variable; exactness of that division is part of the Laurent phenomenon
-    and any failure raises immediately, naming the flip that failed.
+    variable (a unit by multiplying by its inverse); exactness of that
+    division is part of the Laurent phenomenon and any failure raises
+    immediately, naming the flip that failed.
     """
     variables, current = _Cluster(seed.m), seed
     for position, k in enumerate(flips, start=1):
@@ -565,9 +584,10 @@ def verify_against_oracle(
     induction from the full check at load).  The report compares the
     expansion of ``arc`` against the oracle variable in ``slot``, a mutable
     direction (by default the last flipped one).  When ``slot`` is the last
-    flip's direction, that exchange is checked with one product, the
-    expansion times the outgoing variable against the exchange binomial; it
-    divides only if they differ, so a mismatch reports the oracle's own
+    flip's direction, an outgoing unit is inverted and the quotient
+    compared; any other exchange is checked with one product, the expansion
+    times the outgoing variable against the exchange binomial, and divides
+    only if they differ.  Either way a mismatch reports the oracle's own
     variable.  Each mutated seed is still checked for compatibility in full:
     that is the only run-time guard on :func:`~snakeq.seeds.mutate_B` and
     the form's derived column.

@@ -13,11 +13,13 @@ ever floated or truncated.  One private routine, :func:`_canonical_terms`,
 merges equal exponents and drops zero counts and empty coefficients.  It adds
 into the first coefficient dict of each exponent, so its callers hand it dicts
 of their own.  Every value whose terms can repeat an exponent or cancel goes
-through it; a value canonical by construction, such as an exact quotient, is
-wrapped as it is.  The public :class:`QuantumLaurent` constructor converts and
-width-checks each pair before it hands them over; sums, negation, scaling,
-products and quotients build their terms from values that are already
-checked, so nothing is converted twice.
+through it, except a product, whose exponents are distinct as it builds them:
+it drops its zeros in place with :func:`_drop_zeros`, the routine's own tail.
+A value canonical by construction, such as an exact quotient, is wrapped as it
+is.  The public :class:`QuantumLaurent` constructor converts and width-checks
+each pair before it hands them over; sums, negation, scaling, products and
+quotients build their terms from values that are already checked, so nothing
+is converted twice.
 
 Sparsity lives in :class:`LambdaForm`: next to its dense rows it keeps, per
 row, the tuple of nonzero column indices.  Its skew check,
@@ -32,9 +34,7 @@ quotient are confined to a finite box computed from N and D, which makes the
 elimination loop a decision procedure: it either returns the exact quotient or
 proves there is none.  Each step subtracts its quotient term times D straight
 into the remainder, with every term of D paired with L once per division, and
-the leading term comes from a heap.  A one-term denominator needs no heap:
-each step cancels one numerator term and adds none, so the quotient is one pass
-over the numerator.  Either way one full product checks the quotient.  A
+the leading term comes from a heap.  One full product checks the quotient.  A
 coefficient divided by a one-entry coefficient is one shift and one exact
 integer division per count, with no elimination.  :func:`_qsquare` squares a
 value with one coefficient product per unordered pair of terms, added at the
@@ -111,6 +111,11 @@ def _canonical_terms(pairs: Iterable[tuple[K, Coeff]]) -> dict[K, Coeff]:
         else:
             for e, n in coeff.items():
                 have[e] = have.get(e, 0) + n
+    return _drop_zeros(out)
+
+
+def _drop_zeros(out: dict[K, Coeff]) -> dict[K, Coeff]:
+    """``out`` with zero counts and empty coefficients dropped, in place."""
     for key in [k for k, c in out.items() if not c or 0 in c.values()]:
         coeff = {e: n for e, n in out[key].items() if n}
         if coeff:
@@ -481,7 +486,7 @@ def qmul(a: QuantumLaurent, b: QuantumLaurent, form: LambdaForm) -> QuantumLaure
                 for eb, nb in cb.items():
                     e = ea + eb + twist
                     target[e] = target.get(e, 0) + na * nb
-    return _value(a.width, _canonical_terms(out.items()))
+    return _value(a.width, _drop_zeros(out))
 
 
 def _qsquare(a: QuantumLaurent, form: LambdaForm) -> QuantumLaurent:
@@ -506,7 +511,7 @@ def _qsquare(a: QuantumLaurent, form: LambdaForm) -> QuantumLaurent:
                     e = ea + eb
                     target[e + twist] = target.get(e + twist, 0) + n
                     target[e - twist] = target.get(e - twist, 0) + n
-    return _value(a.width, _canonical_terms(out.items()))
+    return _value(a.width, _drop_zeros(out))
 
 
 def _support_box(
@@ -600,12 +605,6 @@ def exact_right_divide(
     quantum torus has no zero divisors, every exponent of a genuine quotient
     lies in a finite coordinate box determined by the two supports, so an
     elimination step leaving that box disproves divisibility.
-
-    When the denominator is one term c·X^d, each step cancels exactly one
-    numerator term and adds none, and every r - d lies in the box.  The
-    quotient is then one pass over the numerator's terms in lex-descending
-    order, the order in which the elimination meets them, so a failure names
-    the same exponent.
     """
     numerator._check_width(denominator)
     if form.size != numerator.width:
@@ -613,17 +612,10 @@ def exact_right_divide(
     if denominator.is_zero():
         raise ZeroDivisionError("division by zero")
 
-    terms = numerator._terms
     den = {v: (form.pair(v), c) for v, c in denominator._terms.items()}
-    if len(den) == 1:
-        ((d, (ld, cd)),) = den.items()
-        quotient = {}
-        for r in sorted(terms, reverse=True):
-            e = tuple(map(sub, r, d))
-            quotient[e] = _term_quotient(terms[r], _dot(e, ld), cd, r)
-    else:
-        quotient = _eliminate(terms, den, _support_box(numerator, denominator))
-
+    quotient = _eliminate(
+        numerator._terms, den, _support_box(numerator, denominator)
+    )
     # every quotient exponent is new and every coefficient nonzero: canonical
     result = _value(numerator.width, quotient)
     if qmul(result, denominator, form) != numerator:

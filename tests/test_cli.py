@@ -721,10 +721,11 @@ def test_failed_division_names_its_flip(capsys, files, monkeypatch):
         "--slot",
         "0",
     )
+    # flips 1 and 2 invert initial variables, so the second division is flip 4
     assert code == 2
     assert out == ""
     assert err == (
-        "error: flip 2 of 5 (direction 1): no exact quotient: injected\n"
+        "error: flip 4 of 5 (direction 1): no exact quotient: injected\n"
     )
     assert "Traceback" not in err
 
@@ -733,18 +734,19 @@ def test_failed_division_names_its_flip(capsys, files, monkeypatch):
 def test_a_failed_last_division_names_the_last_flip(
     capsys, files, monkeypatch, slot
 ):
-    # slot 1 is not the last flip's direction, so the last exchange is
-    # divided; with slot 0 the arc's expansion fails the product check
+    # flips 1 and 2 invert initial variables and flips 3 and 4 divide; slot 1
+    # is not the last flip's direction, so the last exchange is divided too,
+    # and with slot 0 the arc's expansion fails the product check
     divide = snakeq.expansion.exact_right_divide
     calls = []
 
-    def fail_fifth(*args):
+    def fail_third(*args):
         calls.append(args)
-        if len(calls) == 5:
+        if len(calls) == 3:
             raise ExactDivisionError("no exact quotient: injected")
         return divide(*args)
 
-    monkeypatch.setattr(snakeq.expansion, "exact_right_divide", fail_fifth)
+    monkeypatch.setattr(snakeq.expansion, "exact_right_divide", fail_third)
     code, out, err = run_main(
         capsys,
         "verify",

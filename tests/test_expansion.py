@@ -50,6 +50,7 @@ from snakeq import (
     Triangulation,
     commutative_expand,
     compute_valuation,
+    exact_right_divide,
     flip,
     matching_records,
     mutate_seed,
@@ -61,6 +62,7 @@ from snakeq import (
 )
 from snakeq.expansion import (
     _columns,
+    _exchange,
     _exponents,
     _flip_matches,
     _offset,
@@ -500,17 +502,100 @@ def test_ordered_power_products_equal_the_left_to_right_product():
             assert _ordered_power_product(variables, powers, seed.lam) == expected
 
 
+def kernel_seed(rng, t):
+    """The principal seed with its form scaled and perturbed in the kernel.
+
+    As in the benchmark's quantization: d·Λ for d in {1, 2}, plus one to
+    three terms c·(w_a w_b^T - w_b w_a^T) with w_a = (e_a, B e_a) and c in
+    {±1, ±2}, which keep the pair compatible with the scalar d.
+    """
+    b = signed_adjacency(t)
+    n = len(b)
+    base = principal_seed(b)
+    d = rng.choice((1, 2))
+    rows = [[d * v for v in row] for row in base.lam.rows]
+    for _ in range(rng.randint(1, 3)):
+        a, c = rng.sample(range(n), 2)
+        scale = rng.choice((-2, -1, 1, 2))
+        wa = [int(i == a) for i in range(n)] + [b[i][a] for i in range(n)]
+        wc = [int(i == c) for i in range(n)] + [b[i][c] for i in range(n)]
+        rows = [
+            [x + scale * (wa[u] * wc[v] - wc[u] * wa[v]) for v, x in enumerate(row)]
+            for u, row in enumerate(rows)
+        ]
+    return Seed(base.btilde, LambdaForm(rows))
+
+
+def initial_cluster(m):
+    return [QuantumLaurent.monomial([int(i == j) for j in range(m)]) for i in range(m)]
+
+
+def dividing_oracle(seed, flips, variables=None):
+    """The oracle's variables, with the binomial divided at every step."""
+    m = seed.m
+    variables = list(variables or initial_cluster(m))
+    current = seed
+    for k in flips:
+        lam = current.lam
+        column = [row[k] for row in current.btilde]
+        binomial = QuantumLaurent.zero(m)
+        for powers in ([max(x, 0) for x in column], [max(-x, 0) for x in column]):
+            target = list(powers)
+            target[k] -= 1
+            shift = -lam.pair(target)[k] - lam.ordered_product_twist(powers)
+            product = left_to_right_product(variables, powers, seed.lam)
+            binomial = binomial + product.scaled(shift)
+        variables[k] = exact_right_divide(binomial, variables[k], seed.lam)
+        current = mutate_seed(current, k)
+    return tuple(variables)
+
+
+def test_inverting_units_gives_the_dividing_oracles_variables():
+    rng = random.Random(30)
+    scales = Counter()
+    for t in (polygon_fan(4), ladder_surface(5), annulus()):
+        seeds = [principal_seed(signed_adjacency(t))]
+        seeds += [kernel_seed(rng, t) for _ in range(3)]
+        for seed in seeds:
+            scales[seed.d] += 1
+            for _ in range(6):
+                plan = [rng.randrange(t.n_internal) for _ in range(rng.randint(1, 7))]
+                run = oracle_mutate_variables(seed, plan)
+                assert run.variables == dividing_oracle(seed, plan), plan
+    assert scales[1] > 3 and scales[2] > 0
+
+
+def test_a_unit_with_a_sign_and_a_power_of_s_is_inverted():
+    t = ladder_surface(4)
+    seed = kernel_seed(random.Random(7), t)
+    for k in range(t.n_internal):
+        for s_exp, sign in ((3, -1), (-2, 1)):
+            start = initial_cluster(seed.m)
+            start[k] = start[k].scaled(s_exp, sign)
+            variables = list(start)
+            _exchange(variables, seed, k, seed.lam, 1, 1)
+            assert variables == list(dividing_oracle(seed, [k], start))
+        # 2·X_k is one term but no unit, so the binomial is divided, and the
+        # division fails on the binomial's odd coefficients
+        start[k] = initial_cluster(seed.m)[k].scaled(coefficient=2)
+        with pytest.raises(ExactDivisionError, match=f"flip 1 of 1 .direction {k}."):
+            _exchange(start, seed, k, seed.lam, 1, 1)
+
+
 def test_a_long_factor_meets_each_one_term_run_once(monkeypatch):
     # on a ladder plan a step's product is one long variable followed by up to
-    # three frozen or unexchanged monomials: one product takes the long value
+    # three frozen or unexchanged monomials and the outgoing variable's
+    # inverse: one product takes the long value
     products = []
     ordered = snakeq.expansion._ordered_power_product
     multiply = snakeq.expansion.qmul
 
-    def recorded(variables, powers, form):
+    def recorded(variables, powers, form, last=None):
         sizes = [len(variables[i]) for i, power in enumerate(powers) if power]
+        if last is not None:
+            sizes.append(len(last))
         products.append((sizes, []))
-        return ordered(variables, powers, form)
+        return ordered(variables, powers, form, last)
 
     def counted(a, b, form):
         products[-1][1].append((len(a), len(b)))
@@ -532,9 +617,10 @@ def test_a_long_factor_meets_each_one_term_run_once(monkeypatch):
             ungrouped += len(sizes) - 1
         else:
             assert taking_long == []
-    # 12 products take the long value once each; one multiplication per
-    # one-term factor would take it 20 times
-    assert (grouped, ungrouped) == (12, 20)
+    # every step inverts a unit, so each product ends in a one-term factor:
+    # 17 products take the long value once each, where one multiplication
+    # per one-term factor would take it 37 times
+    assert (grouped, ungrouped) == (17, 37)
 
 
 def counting(monkeypatch, name):
@@ -550,7 +636,14 @@ def counting(monkeypatch, name):
     return calls
 
 
+def exchanged_again(plan):
+    """The flips before the last whose outgoing variable was exchanged before."""
+    return sum(k in plan[:i] for i, k in enumerate(plan[:-1]))
+
+
 def test_a_passing_verify_checks_its_last_exchange_by_one_product(monkeypatch):
+    # a unit is inverted, and the last exchange is checked, not divided, so
+    # only a step by an exchanged variable before the last one divides
     divisions = counting(monkeypatch, "exact_right_divide")
     mutations = counting(monkeypatch, "mutate_seed")
     for name, t, arc, plan in oracle_corpus():
@@ -558,8 +651,27 @@ def test_a_passing_verify_checks_its_last_exchange_by_one_product(monkeypatch):
         mutations.clear()
         seed = principal_seed(signed_adjacency(t))
         assert verify_against_oracle(t, seed, plan, arc).ok, name
-        assert len(divisions) == len(plan) - 1, name
+        assert len(divisions) == exchanged_again(plan), name
         assert len(mutations) == len(plan), name
+
+
+def test_a_verify_divides_only_by_exchanged_variables(monkeypatch):
+    divisions = counting(monkeypatch, "exact_right_divide")
+    t = ladder_surface(10)
+    seed = seed_choices(t)[2]
+    assert verify_against_oracle(t, seed, list(range(10)), ladder_arc(10)).ok
+    fan = polygon_fan(12)
+    _, arc, plan = next(c for c in polygon_chords(12) if c[0] == (1, 14))
+    assert len(plan) == 12
+    assert verify_against_oracle(fan, seed_choices(fan)[1], plan, arc).ok
+    assert divisions == []
+    for w in (5, 6, -4, -5):
+        arc, plan = annulus_bridge(w)
+        for seed in seed_choices(annulus()):
+            divisions.clear()
+            assert verify_against_oracle(annulus(), seed, plan, arc).ok
+            # the bridge plan alternates 0 and 1: flips 3 to len - 1 divide
+            assert len(divisions) == exchanged_again(plan) == len(plan) - 3
 
 
 def test_a_mismatch_reports_the_oracles_own_variable():
@@ -758,10 +870,11 @@ def test_a_failed_oracle_division_names_its_flip(monkeypatch):
 
     monkeypatch.setattr(snakeq.expansion, "exact_right_divide", fail_second)
     seed = principal_seed(signed_adjacency(pentagon()))
+    # flips 1 and 2 invert initial variables, so the second division is flip 4
     with pytest.raises(ExactDivisionError) as caught:
         oracle_mutate_variables(seed, [0, 1, 0, 1, 0])
     assert str(caught.value) == (
-        "flip 2 of 5 (direction 1): no exact quotient: injected"
+        "flip 4 of 5 (direction 1): no exact quotient: injected"
     )
 
 
