@@ -22,18 +22,18 @@ The oracle takes the same initial seed and computes cluster variables the
 long way around, by mutating seeds and dividing binomials exactly in the
 associative initial quantum torus: powers are taken by squaring, adjacent
 one-term factors are multiplied together before a long one meets them, an
-initial variable is built only when read, and a unit (one term ±s^e·X^w) is
-not divided by but inverted.  Agreement between the two paths is the
-strongest correctness check in the package; the verification entry point
-below walks the flip plan once, and each step flips the surface, takes the
-oracle's own exchange step and compares the flip's change to the signed
-adjacency with the mutation's change to the top block.  The compared
-exchange is checked with one product: the torus has no zero divisors, so
-expansion·x_k equals the exchange binomial exactly when the last division
-would return the expansion; an inverted unit's quotient is compared as it
-is.  Only when that fails, or when another slot is compared, does the last
-step divide.  The audit records, oracle runs and verification reports are
-:func:`~collections.namedtuple` records.
+initial variable is built only when read, a unit (one term ±s^e·X^w) is
+inverted, not divided by, and each mutated seed is checked for compatibility
+where its changed rows reach, with the exchange's own pairing as its new
+form column.  Agreement of the two paths is the package's strongest check;
+the verification entry point below walks the flip plan once, and each step
+flips the surface, takes the oracle's exchange step and compares the flip's
+change to the signed adjacency with the mutation's change to the top block.
+The compared exchange is checked with one product: the torus has no zero
+divisors, so expansion·x_k equals the exchange binomial exactly when the
+last division would return the expansion; an inverted unit's quotient is
+compared as it is.  Only when that fails, or another slot is compared, does
+the last step divide.  Records are :func:`~collections.namedtuple` classes.
 """
 
 from __future__ import annotations
@@ -510,11 +510,11 @@ def _exchange(
     column = list(map(itemgetter(k), current.btilde))
     rising = [x if x > 0 else 0 for x in column]
     falling = [-x if x < 0 else 0 for x in column]
-    for powers in (rising, falling):
-        target = list(powers)
-        target[k] -= 1
-        # Λ is skew, so -(Λ·target)_k is Λ(target, e_k)
-        shift = -lam.pair(target)[k] - lam.ordered_product_twist(powers)
+    # Λ is skew, so -(Λ·t)_k is Λ(t, e_k) for t = p - e_k; the rising Λ·t is
+    # also the mutated form's column k, so the mutation does not pair it again
+    paired = [lam.pair([*p[:k], p[k] - 1, *p[k + 1 :]]) for p in (rising, falling)]
+    for powers, pairing in zip((rising, falling), paired):
+        shift = -pairing[k] - lam.ordered_product_twist(powers)
         if unit:
             inverse = _value(current.m, {tuple(map(neg, w)): {shift - e: sign}})
             product = _ordered_power_product(variables, powers, form0, inverse)
@@ -536,7 +536,7 @@ def _exchange(
                 f"flip {position} of {total} (direction {k}): {exc}"
             ) from exc
     variables[k] = quotient
-    return mutate_seed(current, k)
+    return mutate_seed(current, k, paired[0])
 
 
 def oracle_mutate_variables(seed: Seed, flips: Sequence[int]) -> OracleRun:
@@ -588,9 +588,9 @@ def verify_against_oracle(
     compared; any other exchange is checked with one product, the expansion
     times the outgoing variable against the exchange binomial, and divides
     only if they differ.  Either way a mismatch reports the oracle's own
-    variable.  Each mutated seed is still checked for compatibility in full:
-    that is the only run-time guard on :func:`~snakeq.seeds.mutate_B` and
-    the form's derived column.
+    variable.  Each mutated seed is checked for compatibility over the rows
+    its changed rows reach, exact by induction from the full check at load:
+    the run-time guard on :func:`~snakeq.seeds.mutate_B` and the new column.
     """
     if slot is None:
         if not flips:

@@ -252,10 +252,11 @@ class LambdaForm:
     def _with_column(self, k: int, column: list[int]) -> LambdaForm:
         """This form with column k set to ``column`` and row k to minus it.
 
-        ``column[k]`` must be 0, so the result is skew by construction.  Only
+        ``column[k]`` is set to 0, so the result is skew by construction.  Only
         rows whose entry k changes are rebuilt, and only those turning zero
         or nonzero get a new support.
         """
+        column[k] = 0
         rows = list(self.rows)
         support = list(self._support)
         indices = range(len(rows))

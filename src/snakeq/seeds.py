@@ -13,8 +13,8 @@ whose entries are proved JSON integers first by one type count per matrix,
 or made by :func:`mutate_seed` is built from integer rows that are frozen
 and checked but not converted again; the functions here read matrices as
 the sequences of integer rows they are given.  A mutation derives its form
-from the validated parent, and the mutated pair's compatibility is still
-checked in full.
+from the validated parent and checks compatibility only over the rows of the
+product that its changed rows reach: mutation keeps d (Berenstein-Zelevinsky).
 
 Lambda is read only through :meth:`~snakeq.qalgebra.LambdaForm.pair`, which
 walks the nonzeros of each row: row j of transpose(B) * Lambda is minus
@@ -32,7 +32,7 @@ path alike, compares by ``btilde`` and ``lam``, and refuses assignment.
 from __future__ import annotations
 
 from itertools import compress
-from operator import countOf, itemgetter, neg
+from operator import countOf, is_not, itemgetter, neg, or_
 from typing import Any
 
 from .qalgebra import LambdaForm, _int_tuple
@@ -126,9 +126,9 @@ class Seed(_Frozen):
     form converts its own rows once; code that receives a ``Seed`` reads
     both as they are.  ``d`` is the compatibility scalar, computed once by
     that validation; seeds compare and hash by ``btilde`` and ``lam``
-    alone.  :meth:`from_dict` and :func:`mutate_seed` hand over rows that
-    are integers already, so they skip the conversion but not the
-    compatibility check.
+    alone.  :meth:`from_dict` hands over rows that are integers already, so
+    it skips the conversion but not the check; :func:`mutate_seed` builds
+    its seed directly and checks it from what changed.
     """
 
     __slots__ = ("btilde", "lam", "d")
@@ -244,16 +244,45 @@ def mutate_Lambda(lam: LambdaForm, btilde: Any, k: int) -> LambdaForm:
         raise SeedError(f"mutation direction {k} out of range for {n} columns")
     target = [row[k] if row[k] > 0 else 0 for row in btilde]
     target[k] -= 1
-    column = lam.pair(target)
-    column[k] = 0
-    return lam._with_column(k, column)
+    return lam._with_column(k, lam.pair(target))
 
 
-def mutate_seed(seed: Seed, k: int) -> Seed:
-    """Mutate the compatible pair; compatibility is revalidated on return."""
-    new_lam = mutate_Lambda(seed.lam, seed.btilde, k)
-    new_b = mutate_B(seed.btilde, k)
-    return Seed._of_int_rows(new_b, new_lam)
+def _mutated_d(parent: Seed, btilde: Matrix, lam: LambdaForm) -> int:
+    """``check_compatible(btilde, lam)`` for a mutation of the checked ``parent``.
+
+    A row that is the parent's object is unchanged, and row j of the product
+    is minus the sum of b_ij times row i of Lambda, so only a row j with b_ij
+    nonzero, before or after, at a changed row i is paired.  A shape mismatch
+    or a failed row takes the full check, with its verdict and message.
+    """
+    old_b, rows, d, m, n = parent.btilde, lam.rows, parent.d, parent.m, parent.n
+    moved = map(or_, map(is_not, btilde, old_b), map(is_not, rows, parent.lam.rows))
+    changed = list(compress(range(m), moved))
+    new = list(map(btilde.__getitem__, changed))
+    if len(btilde) != m or len(rows) != m or countOf(map(len, new), n) != len(new):
+        return check_compatible(btilde, lam)
+    for j in compress(range(n), map(any, zip(*new, *map(old_b.__getitem__, changed)))):
+        entries = lam.pair(list(map(itemgetter(j), btilde)))
+        if entries[j] != -d or entries.count(0) != m - 1:
+            return check_compatible(btilde, lam)
+    return d
+
+
+def mutate_seed(seed: Seed, k: int, column: list[int] | None = None) -> Seed:
+    """Mutate the compatible pair, checked from what changed (:func:`_mutated_d`).
+
+    A given ``column`` is Lambda·(-e_k + sum_l [b_lk]_+ e_l), paired by the caller.
+    """
+    btilde = mutate_B(seed.btilde, k)
+    if column is None:
+        lam = mutate_Lambda(seed.lam, seed.btilde, k)
+    else:
+        lam = seed.lam._with_column(k, column)
+    child = object.__new__(Seed)
+    object.__setattr__(child, "btilde", btilde)
+    object.__setattr__(child, "lam", lam)
+    object.__setattr__(child, "d", _mutated_d(seed, btilde, lam))
+    return child
 
 
 def principal_lambda(b_matrix: Any) -> LambdaForm:
@@ -261,21 +290,21 @@ def principal_lambda(b_matrix: Any) -> LambdaForm:
 
     In block shape (rows and columns split n + n) it is ((0, -I), (I, -B)),
     which pairs with (B over I) to give transpose(Btilde) * Lambda = (I | 0).
+    Only -B is converted, as LambdaForm would; the whole form is still checked.
     """
     n = len(b_matrix)
     if any(len(row) != n for row in b_matrix):
         raise SeedError("the exchange matrix must be square")
-    rows = [[0] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        rows[i][n + i] = -1
-        rows[n + i][i] = 1
-        for j in range(n):
-            rows[n + i][n + j] = -b_matrix[i][j]
-    return LambdaForm(rows)
+    lower = [_int_tuple(map(neg, row), "form entry") for row in b_matrix]
+    zeros = (0,) * n
+    top = [zeros + zeros[:i] + (-1,) + zeros[i + 1 :] for i in range(n)]
+    bottom = [zeros[:i] + (1,) + zeros[i + 1 :] + row for i, row in enumerate(lower)]
+    return LambdaForm._of_int_rows(top + bottom)
 
 
 def principal_seed(b_matrix: Any) -> Seed:
-    """Principal-coefficient seed: Btilde stacks B on the identity."""
+    """Principal-coefficient seed: B over the identity, read off Lambda's (I | -B)."""
     n = len(b_matrix)
-    identity = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-    return Seed([*b_matrix, *identity], principal_lambda(b_matrix))
+    lam = principal_lambda(b_matrix)
+    b_rows = [tuple(map(neg, row[n:])) for row in lam.rows[n:]]
+    return Seed._of_int_rows(b_rows + [row[:n] for row in lam.rows[n:]], lam)

@@ -732,22 +732,35 @@ def test_a_verify_checks_its_loaded_inputs_once_and_no_flip_again(monkeypatch):
 
         monkeypatch.setattr(cls, name, counted)
     compatible = snakeq.seeds.check_compatible
+    mutated_d = snakeq.seeds._mutated_d
+    pair = LambdaForm.pair
+    paired = []
 
     def counted_check(*args):
         calls["check_compatible"] += 1
         return compatible(*args)
 
-    # the full compatibility check still runs once at load and once per flip:
-    # it is the only guard on the mutated matrix and form
+    def counted_pair(self, v):
+        calls["pair"] += 1
+        return pair(self, v)
+
+    def counted_mutated_d(*args):
+        before = calls["pair"]
+        d = mutated_d(*args)
+        paired.append(calls["pair"] - before)
+        return d
+
+    # the full compatibility check runs once, at load; each flip pairs only
+    # the rows of the product that its changed rows reach, 3-5 of the 60
     monkeypatch.setattr(snakeq.seeds, "check_compatible", counted_check)
+    monkeypatch.setattr(snakeq.seeds, "_mutated_d", counted_mutated_d)
+    monkeypatch.setattr(LambdaForm, "pair", counted_pair)
     surface = Triangulation.from_dict(fan.to_dict())
     loaded = Seed.from_dict(seed.to_dict())
     assert verify_against_oracle(surface, loaded, plan, arc).ok
-    assert calls == {
-        "_validate": 1,
-        "_set_rows": 1,
-        "check_compatible": 1 + len(plan),
-    }
+    del calls["pair"]
+    assert calls == {"_validate": 1, "_set_rows": 1, "check_compatible": 1}
+    assert paired == [3, 4, 5]
 
 
 def test_a_verify_builds_only_the_initial_variables_it_touches(monkeypatch):

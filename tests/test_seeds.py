@@ -60,6 +60,18 @@ def test_principal_lambda_blocks():
     )
 
 
+def test_principal_seeds_convert_b_once_with_the_forms_messages():
+    # only -B is converted, as the public form converts it, in row order
+    with pytest.raises(ValueError, match=r"^form entry -2\.5 is not an integer$"):
+        principal_seed([[0, 2.5], [-2.5, 0]])
+    with pytest.raises(ValueError, match=r"^the form matrix is not skew-symmetric"):
+        principal_lambda([[0, 1], [1, 0]])
+    seed = principal_seed([[0.0, True], [-1, 0]])
+    assert seed == principal_seed([[0, 1], [-1, 0]])
+    rows = (*seed.btilde, *seed.lam.rows)
+    assert {type(v) for row in rows for v in row} == {int}
+
+
 def test_doubling_lambda_doubles_the_scalar():
     b = signed_adjacency(pentagon())
     seed = principal_seed(b)
@@ -108,10 +120,11 @@ def test_compatibility_is_checked_once_per_seed(monkeypatch):
         assert len(calls) == 1
         assert [copy.d for _ in range(5)] == [seed.d] * 5
         assert len(calls) == 1
+        # a mutation is checked from what changed, not by the full check
         mutated = mutate_seed(copy, 0)
-        assert len(calls) == 2
-        assert mutated.d == seed.d
-        assert len(calls) == 2
+        assert len(calls) == 1
+        assert mutated.d == seed.d == check(mutated.btilde, mutated.lam)
+        assert len(calls) == 1
 
 
 class CountedRow(tuple):
@@ -142,8 +155,9 @@ def test_seed_matrices_are_converted_once(monkeypatch):
     calls.clear()
     assert check_compatible(loaded.btilde, loaded.lam) == loaded.d
     assert calls == []
+    # mutate_B freezes the rows it builds, and the child is built from them
     mutate_seed(loaded, 0)
-    assert len(calls) == 1
+    assert calls == []
 
     # the expansions read the bottom block by index and never pass over it:
     # the enumerated audit rows and the transfer, quantum and commutative

@@ -5,15 +5,29 @@ symmetry, pairs, twists, and when ``check_compatible`` and ``mutate_Lambda``
 read it.  The references below are the dense loops those kernels replaced,
 one Python step per matrix entry; values and error messages must agree.  A
 mutated form is derived from its parent, so its rows and supports must equal
-those of the checked form rebuilt from the dense result.
+those of the checked form rebuilt from the dense result.  A mutated seed's
+compatibility is checked from what changed, so that check must give the full
+check's outcome, scalar or message, on mutated and corrupted children alike.
 """
 
 from __future__ import annotations
 
+import random
+from itertools import compress
+from operator import itemgetter
+
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import perturbed_lambda, polygon_fan
+from conftest import (
+    annulus,
+    annulus_bridge,
+    ladder_surface,
+    perturbed_lambda,
+    polygon_chords,
+    polygon_fan,
+    seed_choices,
+)
 from snakeq import (
     LambdaForm,
     Seed,
@@ -25,6 +39,7 @@ from snakeq import (
     principal_seed,
     signed_adjacency,
 )
+import snakeq.seeds
 
 # ----------------------------------------------------------------------
 # dense references
@@ -399,3 +414,121 @@ def test_fan_seed_with_a_changed_matrix_entry(fan_seed, k, j):
     expected = outcome(dense_check_compatible, changed, rows)
     assert expected[0] == "SeedError"
     assert outcome(check_compatible, changed, fan_seed.lam) == expected
+
+
+# ----------------------------------------------------------------------
+# compatibility checked from what a mutation changed
+
+
+def unchecked_form(rows) -> LambdaForm:
+    """The form of ``rows`` with its supports, skew or not, built unchecked."""
+    form = object.__new__(LambdaForm)
+    form.rows = tuple(rows)
+    form._support = tuple(tuple(compress(range(len(rows)), row)) for row in rows)
+    return form
+
+
+def corruptions(rng, parent_rows, rows):
+    """``rows`` corrupted three ways; each keeps every other row's object.
+
+    A changed row gets one entry shifted, an unchanged row is rebuilt as a new
+    object with one entry moved (popped and reinserted), and two rows are
+    swapped.
+    """
+    changed = [i for i, (a, b) in enumerate(zip(parent_rows, rows)) if a is not b]
+    unchanged = sorted(set(range(len(rows))) - set(changed))
+    out = []
+    i = rng.choice(changed)
+    shifted = list(rows)
+    values = list(rows[i])
+    values[rng.randrange(len(values))] += rng.choice((-1, 1))
+    shifted[i] = tuple(values)
+    out.append(shifted)
+    if unchanged:
+        i = rng.choice(unchanged)
+        moved, values = list(rows), list(rows[i])
+        nonzero = [j for j, v in enumerate(values) if v] or range(len(values))
+        values.insert(rng.randrange(len(values)), values.pop(rng.choice(nonzero)))
+        moved[i] = tuple(values)
+        out.append(moved)
+    i, j = rng.sample(range(len(rows)), 2)
+    swapped = list(rows)
+    swapped[i], swapped[j] = rows[j], rows[i]
+    out.append(swapped)
+    return out
+
+
+def mutation_steps(fan_seed):
+    """(parent, k) along a 60-fan chord, the ladder d=10 and annulus bridges."""
+    _, _, plan = next(c for c in polygon_chords(60) if c[0] == (1, 6))
+    walks = [(fan_seed, plan)]
+    walks += [(seed, list(range(10))) for seed in seed_choices(ladder_surface(10))]
+    for w in (5, -4):
+        walks += [(seed, annulus_bridge(w)[1]) for seed in seed_choices(annulus())]
+    for seed, plan in walks:
+        for k in plan:
+            yield seed, k
+            seed = mutate_seed(seed, k)
+
+
+def test_a_mutation_is_checked_as_the_full_check_would(fan_seed):
+    rng = random.Random(17)
+    outcomes = []
+    for parent, k in mutation_steps(fan_seed):
+        btilde = mutate_B(parent.btilde, k)
+        lam = mutate_Lambda(parent.lam, parent.btilde, k)
+        cases = [(btilde, lam)]
+        for _ in range(3):
+            cases += [
+                (tuple(rows), lam) for rows in corruptions(rng, parent.btilde, btilde)
+            ]
+            cases += [
+                (btilde, unchecked_form(rows))
+                for rows in corruptions(rng, parent.lam.rows, lam.rows)
+            ]
+        for case in cases:
+            expected = outcome(check_compatible, *case)
+            assert outcome(snakeq.seeds._mutated_d, parent, *case) == expected
+            outcomes.append(expected)
+    assert outcomes[0] == 1
+    assert {type(o) for o in outcomes} == {int, tuple}
+    assert {o for o in outcomes if type(o) is int} >= {1, 2}
+    assert len(outcomes) > 1000
+
+
+def test_a_misshapen_mutation_takes_the_full_check():
+    parent = seed_choices(annulus())[1]
+    btilde = mutate_B(parent.btilde, 0)
+    lam = mutate_Lambda(parent.lam, parent.btilde, 0)
+    short, long = (btilde[0][:1], *btilde[1:]), ((*btilde[0], 0), *btilde[1:])
+    cases = [
+        (btilde + ((0, 0),), lam),
+        (btilde, LambdaForm([[0, 1], [-1, 0]])),
+        (btilde[:-1], lam),
+        (short, lam),
+        (long, lam),
+    ]
+    for case in cases:
+        expected = outcome(check_compatible, *case)
+        assert expected[0] == "SeedError"
+        assert outcome(snakeq.seeds._mutated_d, parent, *case) == expected
+
+
+def test_a_mutation_pairs_only_the_rows_its_changes_reach(fan_seed, monkeypatch):
+    # flip 30 changes rows 29-31 and 90 of the matrix and rows 30, 89 and 90
+    # of the form, and those matrix rows, old and new, are nonzero in columns
+    # 28-32 only: 5 of the 60 rows of the product are paired
+    seed = fan_seed
+    paired = []
+    pair = LambdaForm.pair
+
+    def counted(self, v):
+        paired.append(v)
+        return pair(self, v)
+
+    monkeypatch.setattr(LambdaForm, "pair", counted)
+    btilde = mutate_B(seed.btilde, 30)
+    lam = mutate_Lambda(seed.lam, seed.btilde, 30)
+    paired.clear()
+    assert snakeq.seeds._mutated_d(seed, btilde, lam) == 1
+    assert paired == [list(map(itemgetter(j), btilde)) for j in range(28, 33)]
