@@ -8,7 +8,10 @@ output can be checked byte for byte without a second checkout.  The
 ``expand --audit`` modes pin the audit rows followed by the commutative
 expansion.  The ``verify sheared`` mode adds longer flip plans (annulus
 bridges w = +-7, +-8 and the ladder d = 10) under :func:`sheared_seed`,
-whose divisions have more terms and negative coefficient exponents.
+whose divisions have more terms and negative coefficient exponents.  The
+``sheared`` expand modes run every valuation and oracle corpus arc under
+:func:`sheared_seed`, whose bottom block is not the identity, so they pin the
+output where the tropical normalization of exponents shifts them.
 """
 
 from __future__ import annotations
@@ -45,6 +48,15 @@ EXPAND_MODES = {
     ),
     "matchings": ("matchings",),
     "valuation": ("valuation",),
+}
+
+SHEARED_MODES = {
+    f"{mode} sheared": EXPAND_MODES[mode]
+    for mode in (
+        "expand --machine",
+        "expand --quantum --machine",
+        "expand --quantum --audit --machine",
+    )
 }
 
 DIGESTS = {
@@ -87,6 +99,18 @@ DIGESTS = {
     "valuation": (
         "18e18bd67fdd3d2a2c37d48b95ecb8a1"
         "48ed68473b668b9d58d506bc31773612"
+    ),
+    "expand --machine sheared": (
+        "94d716f735185842c14caede6e84c864"
+        "b280b7f61d144e9328d836e8c300c251"
+    ),
+    "expand --quantum --machine sheared": (
+        "b982f2615f2141688306613a7e3b4f87"
+        "521b77d88e63b3f04eabd270fe80142e"
+    ),
+    "expand --quantum --audit --machine sheared": (
+        "82808f975856b77d8cd5e72db4d064e4"
+        "3a95cbefca4ac7ce53ac0560ad777060"
     ),
     "verify": (
         "8d56c0e16c84353afc9772d07c98cdb8"
@@ -138,6 +162,18 @@ def _calls(directory):
             for mode, head in EXPAND_MODES.items():
                 out.append((mode, f"{name} seed {i}", (*head, *common)))
     offset = len(valuation_corpus())
+    # the oracle corpus arcs not in the valuation corpus, under sheared_seed
+    named = {name: (t, arc) for name, t, arc in valuation_corpus()}
+    for name, t, arc, _ in oracle_corpus():
+        named.setdefault(name, (t, arc))
+    for case, (name, (t, arc)) in enumerate(named.items(), start=offset):
+        surface = write(f"surface{case}.json", t.to_dict())
+        seed = write(f"sheared{case}.json", sheared_seed(t).to_dict())
+        arc_path = write(f"arc{case}.json", arc.to_dict())
+        common = ("--surface", surface, "--arc", arc_path, "--seed", seed)
+        for mode, head in SHEARED_MODES.items():
+            out.append((mode, name, (*head, *common)))
+    offset += len(named)
     for case, (name, t, arc, plan) in enumerate(oracle_corpus(), start=offset):
         surface, arc_path, seed_paths = inputs(case, t, arc)
         flips = ",".join(map(str, plan))
@@ -177,6 +213,8 @@ def digests(tmp_path_factory):
     return mode_digests(tmp_path_factory.mktemp("digests"))
 
 
-@pytest.mark.parametrize("mode", [*EXPAND_MODES, "verify", "verify sheared"])
+@pytest.mark.parametrize(
+    "mode", [*EXPAND_MODES, *SHEARED_MODES, "verify", "verify sheared"]
+)
 def test_cli_output_is_unchanged(digests, mode):
     assert digests[mode] == DIGESTS[mode]
