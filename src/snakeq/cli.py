@@ -15,6 +15,7 @@ import os
 import sys
 from functools import cache
 from itertools import chain
+from operator import itemgetter
 from typing import Any, Callable, Sequence
 
 from .expansion import (
@@ -110,18 +111,16 @@ class _Texts(dict):
         return text
 
 
-def _csv_texts() -> tuple[Callable[[int], str], _Texts, Callable[[Coeff], str]]:
+def _csv_texts() -> tuple[Callable[[int], str], _Texts, _Texts]:
     """The int texts, exponent texts and coefficient-pair texts of one call.
 
     All three read one memo of int texts, so each distinct int goes through
-    ``str()`` once; each distinct exponent is joined once.
+    ``str()`` once; each distinct exponent, or coefficient (looked up by the
+    frozenset of its items), is rendered once.
     """
     digits = _Texts(str).__getitem__
     exponents = _Texts(lambda a: ",".join(map(digits, a)))
-
-    def pairs(coeff: Coeff) -> str:
-        return ",".join(map(digits, chain.from_iterable(sorted(coeff.items()))))
-
+    pairs = _Texts(lambda c: ",".join(map(digits, chain.from_iterable(sorted(c)))))
     return digits, exponents, pairs
 
 
@@ -131,9 +130,8 @@ def cmd_expand(args: argparse.Namespace) -> int:
     digits, exponents, pairs = _csv_texts()
     if args.audit:
         _check_top_block(t, seed.btilde)
-        # the total counts each row at s^v, or at s^0 without --quantum; every
-        # count is +1, so nothing cancels, and the exponents are the
-        # library's own exact int tuples, not converted
+        # the total counts each row at s^v (s^0 without --quantum): each count
+        # is +1, so nothing cancels; exponents are the library's own int tuples
         terms: dict[Vector, Coeff] = {}
         row = "{}|{}|{}\n" if args.machine else "# matching {} a=({}) v={}\n"
         for bits, exponent, valuation in _audit_rows(SnakeGraph(t, arc), seed):
@@ -147,8 +145,9 @@ def cmd_expand(args: argparse.Namespace) -> int:
     else:
         value = commutative_expand(t, arc, seed.btilde)
     if args.machine:
-        for exponent, coeff in value.terms_lex_descending():
-            write(f"{exponents[exponent]}|{pairs(coeff)}\n")
+        # keyed by exponent: comparing (exponent, coeff) pairs walks it twice
+        for a, c in sorted(value._terms.items(), key=itemgetter(0), reverse=True):
+            write(f"{','.join(map(digits, a))}|{pairs[frozenset(c.items())]}\n")
     else:
         write(value.to_string("X" if args.quantum else "x") + "\n")
     return 0

@@ -50,6 +50,7 @@ from .qalgebra import (
     QuantumLaurent,
     Vector,
     _canonical_terms,
+    _merged,
     _qsquare,
     _value,
     exact_right_divide,
@@ -200,8 +201,8 @@ def _exponents(
     walked in sorted order, each from the vector of the one before: only the
     slots where the two differ, the fields that their XOR touches, update it
     by their column's nonzeros, and the vector is then copied at C speed.
-    The bottom entries are shifted by their componentwise minimum over all
-    the heights.
+    The bottom entries are shifted by their minimum, which is 0 (heights are
+    counts, height 0 included) unless a crossed column is negative below.
     """
     n = graph.triangulation.n_internal
     bits = graph._height_bits
@@ -221,6 +222,8 @@ def _exponents(
             changed &= (1 << shift) - 1
         vectors[h] = tuple(vec)
         previous = h
+    if all(b > 0 for column in columns for i, b in column if i >= n):
+        return vectors
     mins = [min(entries) for entries in zip(*(vec[n:] for vec in vectors.values()))]
     return {
         h: vec[:n] + tuple(map(sub, vec[n:], mins)) for h, vec in vectors.items()
@@ -282,7 +285,8 @@ def _transfer(
     the cost follows the distinct states, not the matchings.
 
     With ``d_scale`` 0 every s-exponent is 0: that is the commutative
-    expansion.  The bottom rows of ``btilde`` are read by index only.
+    expansion.  The bottom rows of ``btilde`` are read by index only.  Counts
+    are numbers of matchings (positivity), so the merge scans for no zero.
     """
     labels = graph.crossed_labels
     slot = graph._slot
@@ -357,7 +361,7 @@ def _transfer(
     heights = zero.keys() | one.keys()
     exponents = _exponents(graph, columns, len(btilde), heights)
     # every state dict is the transfer's own and sits in one of the two
-    return _canonical_terms(
+    return _merged(
         (exponents[h], coeff) for h, coeff in chain(zero.items(), one.items())
     )
 

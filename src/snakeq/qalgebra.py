@@ -10,16 +10,15 @@ element is a finite sum of terms c(s) * X^a with c in ZZ[s, s^(-1)].  This
 module represents such elements exactly: coefficients are dicts mapping the
 s-exponent to an integer, exponent vectors are integer tuples, and nothing is
 ever floated or truncated.  One private routine, :func:`_canonical_terms`,
-merges equal exponents and drops zero counts and empty coefficients.  It adds
-into the first coefficient dict of each exponent, so its callers hand it dicts
-of their own.  Every value whose terms can repeat an exponent or cancel goes
-through it, except a product, whose exponents are distinct as it builds them:
-it drops its zeros in place with :func:`_drop_zeros`, the routine's own tail.
-A value canonical by construction, such as an exact quotient, is wrapped as it
-is.  The public :class:`QuantumLaurent` constructor converts and width-checks
-each pair before it hands them over; sums, negation, scaling, products and
-quotients build their terms from values that are already checked, so nothing
-is converted twice.
+merges equal exponents (:func:`_merged`, which adds into the first coefficient
+dict of each, so callers hand it their own dicts) and drops zero counts and
+empty coefficients (:func:`_drop_zeros`).  Every value whose terms can cancel
+goes through it, except a product, whose exponents are distinct as built: it
+only drops its zeros.  The expansion's transfer only merges, since its counts
+are numbers of matchings; a value canonical by construction, such as an exact
+quotient, is wrapped as it is.  The public :class:`QuantumLaurent` constructor
+converts and width-checks each pair it hands over; the arithmetic builds its
+terms from checked values, so nothing is converted twice.
 
 Sparsity lives in :class:`LambdaForm`: next to its dense rows it keeps, per
 row, the tuple of nonzero column indices.  Its skew check,
@@ -94,14 +93,12 @@ def _int_tuple(
     return ints
 
 
-def _canonical_terms(pairs: Iterable[tuple[K, Coeff]]) -> dict[K, Coeff]:
-    """``pairs`` with equal keys merged and zeros dropped.
+def _merged(pairs: Iterable[tuple[K, Coeff]]) -> dict[K, Coeff]:
+    """``pairs`` with equal keys merged, nothing dropped.
 
     Each later coefficient of a key is added into the first one, which is
-    kept, so every dict passed in must belong to the caller and be passed
-    once.  Zero counts and empty coefficients are then dropped.  Keys and
-    counts must be exact ints (or tuples of them) of one width; nothing is
-    converted.
+    kept, so every dict passed in must be the caller's, passed once.  Keys
+    and counts are exact ints (or tuples of them) of one width, not converted.
     """
     out: dict[K, Coeff] = {}
     for key, coeff in pairs:
@@ -111,7 +108,12 @@ def _canonical_terms(pairs: Iterable[tuple[K, Coeff]]) -> dict[K, Coeff]:
         else:
             for e, n in coeff.items():
                 have[e] = have.get(e, 0) + n
-    return _drop_zeros(out)
+    return out
+
+
+def _canonical_terms(pairs: Iterable[tuple[K, Coeff]]) -> dict[K, Coeff]:
+    """``pairs`` merged by :func:`_merged`, zeros and empty coefficients dropped."""
+    return _drop_zeros(_merged(pairs))
 
 
 def _drop_zeros(out: dict[K, Coeff]) -> dict[K, Coeff]:

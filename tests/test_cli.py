@@ -465,8 +465,9 @@ def test_listings_read_the_rows_of_one_fence_walk(
 
 def test_expand_renders_each_distinct_value_once(capsys, files, monkeypatch):
     # the 89 audit rows share 16 exponents, one per height, and the total
-    # has one line per exponent: each exponent is joined once, not 105
-    # times, and each distinct int goes through str() once
+    # has one line per exponent: each exponent is memoized once, not 105
+    # times, each distinct coefficient once, and each distinct int goes
+    # through str() once
     missed = []
     missing = snakeq.cli._Texts.__missing__
 
@@ -487,10 +488,54 @@ def test_expand_renders_each_distinct_value_once(capsys, files, monkeypatch):
     assert len(total) == 16
     exponents = [key for key in missed if type(key) is tuple]
     assert len(exponents) == len(set(exponents)) == 16
+    coeffs = [key for key in missed if type(key) is frozenset]
+    assert len(coeffs) == len({line.split("|")[1] for line in total})
     ints = [key for key in missed if type(key) is int]
-    assert len(ints) == len(set(ints)) == len(missed) - 16
+    assert len(ints) == len(set(ints)) == len(missed) - 16 - len(coeffs)
     fields = [row.split("|", 1)[1] for row in rows] + total
     assert set(ints) == {int(x) for f in fields for x in re.split("[|,]", f)}
+
+
+def test_machine_expand_renders_coefficients_once_and_joins_exponents_once(
+    capsys, files, monkeypatch
+):
+    # the 22 terms of the bridge w = 7 have fewer distinct coefficients:
+    # each distinct coefficient's pair text is rendered once, and each
+    # exponent is joined once, reading each of its entries once, with no memo
+    missed = []
+    read = []
+    missing = snakeq.cli._Texts.__missing__
+    csv_texts = snakeq.cli._csv_texts
+
+    def counted(texts, key):
+        missed.append(key)
+        return missing(texts, key)
+
+    def counted_texts():
+        digits, exponents, pairs = csv_texts()
+
+        def counted_digits(n):
+            read.append(n)
+            return digits(n)
+
+        return counted_digits, exponents, pairs
+
+    monkeypatch.setattr(snakeq.cli._Texts, "__missing__", counted)
+    monkeypatch.setattr(snakeq.cli, "_csv_texts", counted_texts)
+    arc = files["write"]("arc.json", annulus_bridge(7)[0].to_dict())
+    code, out, _ = run_main(
+        capsys,
+        "expand", "--quantum", "--machine",
+        "--surface", files["annulus"], "--arc", arc,
+    )
+    assert code == 0
+    lines = [line.split("|") for line in out.splitlines()]
+    assert len(lines) == 22
+    coeffs = [key for key in missed if type(key) is frozenset]
+    texts = {text for _, text in lines}
+    assert len(coeffs) == len(set(coeffs)) == len(texts) < len(lines)
+    assert not [key for key in missed if type(key) is tuple]
+    assert ",".join(map(str, read)) == ",".join(exponent for exponent, _ in lines)
 
 
 _ENTRIES = st.one_of(
@@ -511,7 +556,8 @@ def test_expand_renders_values_as_str_does(exponents, coeff):
     for _ in range(2):
         for exponent in map(tuple, exponents):
             assert texts[exponent] == ",".join(map(str, exponent))
-        assert pairs(coeff) == ",".join(f"{e},{coeff[e]}" for e in sorted(coeff))
+        text = ",".join(f"{e},{coeff[e]}" for e in sorted(coeff))
+        assert pairs[frozenset(coeff.items())] == text
         for n in coeff.values():
             assert digits(n) == str(n)
 

@@ -162,7 +162,7 @@ def _calls(directory):
             for mode, head in EXPAND_MODES.items():
                 out.append((mode, f"{name} seed {i}", (*head, *common)))
     offset = len(valuation_corpus())
-    # the oracle corpus arcs not in the valuation corpus, under sheared_seed
+    # each valuation and oracle corpus arc once, by name, under sheared_seed
     named = {name: (t, arc) for name, t, arc in valuation_corpus()}
     for name, t, arc, _ in oracle_corpus():
         named.setdefault(name, (t, arc))

@@ -68,6 +68,7 @@ from snakeq.expansion import (
     _offset,
     _ordered_power_product,
     _top_block_matches,
+    _transfer,
 )
 from snakeq.qalgebra import qmul
 
@@ -309,6 +310,34 @@ def test_the_exponent_walk_matches_the_per_height_reference():
         if len(set(reference)) < len(reference):
             shared.append(name)
     assert shared == [f"coefficient-free ladder {d}" for d in (3, 5, 7)]
+
+
+def test_every_transfer_count_is_a_positive_int():
+    # positivity, which the paper proves combinatorially: every coefficient
+    # of the expansion counts perfect matchings of the snake graph, so no sum
+    # of the transfer cancels.  Every count it returns is a positive int, no
+    # coefficient is empty, and the counts add up to the matchings: this is
+    # why its merge scans for no zero.  Coefficient-free ladders, whose
+    # heights share exponents, merge states under one exponent
+    cases = []
+    for name, t, arc in transfer_corpus():
+        seeds = (*seed_choices(t), sheared_seed(t))
+        runs = [(s.btilde, s.d) for s in seeds] + [
+            (s.btilde, 0) for s in (seeds[0], seeds[-1])
+        ]
+        cases.append((name, SnakeGraph(t, arc), runs))
+    for d in (3, 5, 7):
+        t = ladder_surface(d)
+        b, graph = signed_adjacency(t), SnakeGraph(t, ladder_arc(d))
+        cases.append((f"coefficient-free ladder {d}", graph, [(b, 1), (b, 0)]))
+    for name, g, runs in cases:
+        matchings = len(g._listed())
+        for btilde, d_scale in runs:
+            terms = _transfer(g, btilde, d_scale)
+            counts = [n for coeff in terms.values() for n in coeff.values()]
+            assert all(terms.values()), name
+            assert all(type(n) is int and n > 0 for n in counts), name
+            assert sum(counts) == matchings, name
 
 
 @pytest.mark.parametrize(
