@@ -23,14 +23,14 @@ long way around, by mutating seeds and dividing binomials exactly in the
 associative initial quantum torus: powers are taken by squaring, adjacent
 one-term factors are multiplied together before a long one meets them, an
 initial variable is built only when read, a unit (one term ±s^e·X^w) is
-inverted, not divided by, and each mutated seed is checked for compatibility
-where its changed rows reach, with the exchange's own pairing as its new
-form column.  Agreement of the two paths is the package's strongest check;
-the verification entry point below walks the flip plan once, and each step
-flips the surface, takes the oracle's exchange step and compares the flip's
-change to the signed adjacency with the mutation's change to the top block.
-The compared exchange is checked with one product: the torus has no zero
-divisors, so expansion·x_k equals the exchange binomial exactly when the
+inverted, not divided by, each product's shift is read off row k of the
+current form, and each mutated seed is checked for compatibility where its
+changed rows reach.  Agreement of the two paths is the package's strongest
+check; the verification entry point below walks the flip plan once, and each
+step flips the surface, takes the oracle's exchange step and compares the
+flip's change to the signed adjacency with the mutation's change to the top
+block.  The compared exchange is checked with one product: the torus has no
+zero divisors, so expansion·x_k equals the exchange binomial exactly when the
 last division would return the expansion; an inverted unit's quotient is
 compared as it is.  Only when that fails, or another slot is compared, does
 the last step divide.  Records are :func:`~collections.namedtuple` classes.
@@ -50,6 +50,7 @@ from .qalgebra import (
     QuantumLaurent,
     Vector,
     _canonical_terms,
+    _dot,
     _merged,
     _qsquare,
     _value,
@@ -494,8 +495,9 @@ def _exchange(
     """Exchange ``variables[k]`` in place; return the seed mutated at k.
 
     x_k' is the exchange binomial divided on the right by x_k in the initial
-    quantum torus; each of its two ordered power products is normalized with
-    the current skew form by a shift s^σ.  A unit x_k = ±s^e·X^w has the
+    quantum torus; each of its two ordered power products p is normalized
+    with the current skew form by a shift s^σ, σ = -Λ_k·p - twist(p), read
+    off row k of Λ with one dot product.  A unit x_k = ±s^e·X^w has the
     inverse ±s^-e·X^-w (Λ is skew), so each product ends with s^σ·x_k^(-1)
     and the two are merged once, with no division.  Otherwise the shifted
     products are merged into the binomial, and a given ``quotient`` is taken
@@ -514,11 +516,10 @@ def _exchange(
     column = list(map(itemgetter(k), current.btilde))
     rising = [x if x > 0 else 0 for x in column]
     falling = [-x if x < 0 else 0 for x in column]
-    # Λ is skew, so -(Λ·t)_k is Λ(t, e_k) for t = p - e_k; the rising Λ·t is
-    # also the mutated form's column k, so the mutation does not pair it again
-    paired = [lam.pair([*p[:k], p[k] - 1, *p[k + 1 :]]) for p in (rising, falling)]
-    for powers, pairing in zip((rising, falling), paired):
-        shift = -pairing[k] - lam.ordered_product_twist(powers)
+    row = lam.rows[k]
+    for powers in (rising, falling):
+        # σ = Λ(p - e_k, e_k) - twist(p); Λ is skew, so Λ(p - e_k, e_k) = -Λ_k·p
+        shift = -_dot(row, powers) - lam.ordered_product_twist(powers)
         if unit:
             inverse = _value(current.m, {tuple(map(neg, w)): {shift - e: sign}})
             product = _ordered_power_product(variables, powers, form0, inverse)
@@ -540,7 +541,7 @@ def _exchange(
                 f"flip {position} of {total} (direction {k}): {exc}"
             ) from exc
     variables[k] = quotient
-    return mutate_seed(current, k, paired[0])
+    return mutate_seed(current, k)
 
 
 def oracle_mutate_variables(seed: Seed, flips: Sequence[int]) -> OracleRun:
@@ -594,7 +595,7 @@ def verify_against_oracle(
     only if they differ.  Either way a mismatch reports the oracle's own
     variable.  Each mutated seed is checked for compatibility over the rows
     its changed rows reach, exact by induction from the full check at load:
-    the run-time guard on :func:`~snakeq.seeds.mutate_B` and the new column.
+    the run-time guard on :func:`~snakeq.seeds.mutate_seed`.
     """
     if slot is None:
         if not flips:

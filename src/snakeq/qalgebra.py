@@ -46,7 +46,7 @@ from bisect import bisect_right
 from collections.abc import Hashable, Iterable, Mapping, Sequence
 from heapq import heapify, heappop, heappush
 from itertools import chain, compress
-from operator import add, le, mul, neg, sub
+from operator import add, itemgetter, le, mul, neg, sub
 from typing import Any, TypeVar
 
 __all__ = [
@@ -456,8 +456,8 @@ class QuantumLaurent:
         ints = {a: str(a) for a in set(chain.from_iterable(self._terms))}.__getitem__
         prefixes: dict[frozenset[tuple[int, int]], str] = {}
         rendered = []
-        # exponents are distinct, so the sort never compares two coefficients
-        for vec, coeff in sorted(self._terms.items(), reverse=True):
+        # exponents are distinct, so keying by them keeps the order
+        for vec, coeff in sorted(self._terms.items(), key=itemgetter(0), reverse=True):
             key = frozenset(coeff.items())
             if key not in prefixes:
                 cs = coeff_to_string(coeff)

@@ -268,16 +268,13 @@ def _mutated_d(parent: Seed, btilde: Matrix, lam: LambdaForm) -> int:
     return d
 
 
-def mutate_seed(seed: Seed, k: int, column: list[int] | None = None) -> Seed:
+def mutate_seed(seed: Seed, k: int) -> Seed:
     """Mutate the compatible pair, checked from what changed (:func:`_mutated_d`).
 
-    A given ``column`` is Lambda·(-e_k + sum_l [b_lk]_+ e_l), paired by the caller.
+    The matrix comes from :func:`mutate_B` and the form from :func:`mutate_Lambda`.
     """
     btilde = mutate_B(seed.btilde, k)
-    if column is None:
-        lam = mutate_Lambda(seed.lam, seed.btilde, k)
-    else:
-        lam = seed.lam._with_column(k, column)
+    lam = mutate_Lambda(seed.lam, seed.btilde, k)
     child = object.__new__(Seed)
     object.__setattr__(child, "btilde", btilde)
     object.__setattr__(child, "lam", lam)

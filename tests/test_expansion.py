@@ -761,6 +761,7 @@ def test_a_verify_checks_its_loaded_inputs_once_and_no_flip_again(monkeypatch):
 
         monkeypatch.setattr(cls, name, counted)
     compatible = snakeq.seeds.check_compatible
+    mutate_lambda = snakeq.seeds.mutate_Lambda
     mutated_d = snakeq.seeds._mutated_d
     pair = LambdaForm.pair
     paired = []
@@ -768,6 +769,10 @@ def test_a_verify_checks_its_loaded_inputs_once_and_no_flip_again(monkeypatch):
     def counted_check(*args):
         calls["check_compatible"] += 1
         return compatible(*args)
+
+    def counted_mutate_lambda(*args):
+        calls["mutate_Lambda"] += 1
+        return mutate_lambda(*args)
 
     def counted_pair(self, v):
         calls["pair"] += 1
@@ -780,15 +785,22 @@ def test_a_verify_checks_its_loaded_inputs_once_and_no_flip_again(monkeypatch):
         return d
 
     # the full compatibility check runs once, at load; each flip pairs only
-    # the rows of the product that its changed rows reach, 3-5 of the 60
+    # the rows of the product that its changed rows reach, 3-5 of the 60,
+    # and mutates the form through mutate_Lambda, the one path for it
     monkeypatch.setattr(snakeq.seeds, "check_compatible", counted_check)
+    monkeypatch.setattr(snakeq.seeds, "mutate_Lambda", counted_mutate_lambda)
     monkeypatch.setattr(snakeq.seeds, "_mutated_d", counted_mutated_d)
     monkeypatch.setattr(LambdaForm, "pair", counted_pair)
     surface = Triangulation.from_dict(fan.to_dict())
     loaded = Seed.from_dict(seed.to_dict())
     assert verify_against_oracle(surface, loaded, plan, arc).ok
     del calls["pair"]
-    assert calls == {"_validate": 1, "_set_rows": 1, "check_compatible": 1}
+    assert calls == {
+        "_validate": 1,
+        "_set_rows": 1,
+        "check_compatible": 1,
+        "mutate_Lambda": 3,
+    }
     assert paired == [3, 4, 5]
 
 
