@@ -10,6 +10,7 @@ validation error, 141 when the reader closes the output pipe.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -323,9 +324,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one ``snakeq`` command line and return its exit code.
+
+    0 on success, 1 when ``verify`` finds a mismatch, 2 on an input or
+    validation error, 141 when the reader closes the output pipe; a usage
+    error raises argparse's ``SystemExit(2)``.  The cyclic garbage collector
+    is paused for the whole call, since no call leaves a reference cycle of
+    its own, and the caller's setting is restored on every exit.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
     try:
+        args = _build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
         return code
@@ -340,4 +350,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
+    finally:
+        if enabled:
+            gc.enable()
 

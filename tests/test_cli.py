@@ -8,6 +8,7 @@ behavior.  Frozen strings pin the output byte for byte.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import re
 import subprocess
@@ -24,6 +25,7 @@ from conftest import (
     ladder_arc,
     ladder_surface,
     pentagon,
+    valuation_corpus,
 )
 import snakeq.cli
 import snakeq.expansion
@@ -1401,14 +1403,18 @@ def test_module_entry_point(files):
     assert proc.stdout == GOLDEN_COMMUTATIVE + "\n"
 
 
-def test_a_closed_output_pipe_exits_141_without_a_traceback(files):
-    # the audit of a 14-crossing ladder prints 176 KB, more than a pipe
-    # holds, so the command is still writing when the reader goes away
+def close_the_pipe_early(files, command):
+    """Run ``command`` on a long audit and close its stdout after 10 bytes.
+
+    The audit of a 14-crossing ladder prints 176 KB, more than a pipe holds,
+    so the command is still writing when the reader goes away.  Returns the
+    bytes read, the exit code and stderr.
+    """
     surface = files["write"]("ladder.json", ladder_surface(14).to_dict())
     arc = files["write"]("ladder_arc.json", ladder_arc(14).to_dict())
     proc = subprocess.Popen(
         [
-            sys.executable, "-m", "snakeq", "expand",
+            *command, "expand",
             "--surface", surface, "--arc", arc, "--audit", "--machine",
         ],
         stdout=subprocess.PIPE,
@@ -1422,6 +1428,11 @@ def test_a_closed_output_pipe_exits_141_without_a_traceback(files):
     finally:
         proc.kill()
         proc.stderr.close()
+    return head, code, err
+
+
+def test_a_closed_output_pipe_exits_141_without_a_traceback(files):
+    head, code, err = close_the_pipe_early(files, [sys.executable, "-m", "snakeq"])
     assert len(head) == 10
     assert code == 141
     assert b"Traceback" not in err
@@ -1451,3 +1462,113 @@ def test_unknown_subcommand_is_a_usage_error(files):
     )
     assert proc.returncode == 2
     assert "invalid choice" in proc.stderr
+
+
+# ----------------------------------------------------------------------
+# the collector pause
+
+def test_every_exit_of_main_gives_back_the_callers_collector(
+    capsys, files, monkeypatch
+):
+    # main pauses the cyclic collector for the call; however the call ends,
+    # the caller finds the collector as it left it, on or off
+    def unexpected(t, k):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setattr(snakeq.cli, "flip", unexpected)
+    inputs = ["--surface", files["pentagon"], "--arc", files["pentagon_arc"]]
+    missing = files["pentagon"] + ".missing"
+    exits = [
+        (["expand", *inputs], 0),
+        (["verify", *inputs, "--flips", "1"], 1),
+        (["expand", "--surface", missing, "--arc", files["pentagon_arc"]], 2),
+        (["expand", "--surface", files["pentagon"]], ("SystemExit", (2,))),
+        (
+            ["flip", "--surface", files["pentagon"], "--flips", "0"],
+            ("RuntimeError", ("unexpected",)),
+        ),
+    ]
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            for argv, outcome in exits:
+                (gc.enable if enabled else gc.disable)()
+                try:
+                    result = main(argv)
+                except (SystemExit, RuntimeError) as exc:
+                    result = (type(exc).__name__, exc.args)
+                capsys.readouterr()
+                assert result == outcome, argv
+                assert gc.isenabled() is enabled, (argv, enabled)
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+PIPE_CALLER = (
+    "import gc, sys\n"
+    "from snakeq.cli import main\n"
+    "if sys.argv[1] == 'off':\n"
+    "    gc.disable()\n"
+    "code = main(sys.argv[2:])\n"
+    "sys.stderr.write(f'{code} {gc.isenabled()}')\n"
+)
+
+
+@pytest.mark.parametrize("collector", ["on", "off"])
+def test_a_closed_output_pipe_gives_back_the_callers_collector(files, collector):
+    command = [sys.executable, "-c", PIPE_CALLER, collector]
+    _, code, err = close_the_pipe_early(files, command)
+    assert code == 0, err
+    assert err == f"141 {collector == 'on'}".encode()
+
+
+def test_no_call_leaves_cyclic_garbage(capsys, files):
+    # main runs with the collector paused, which is safe only because no
+    # call, on any exit, leaves a reference cycle of its own to free
+    write = files["write"]
+    arcs = {name: (t, arc) for name, t, arc in valuation_corpus()}
+    cases = [
+        ("annulus bridge 3", *arcs["annulus bridge 3"], annulus_bridge(3)[1]),
+        ("ladder 10", ladder_surface(10), ladder_arc(10), list(range(10))),
+    ]
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run_main(capsys, "check-seed", "--seed", files["seed"])  # the parser
+        gc.collect()
+        for name, t, arc, plan in cases:
+            surface = write("surface.json", t.to_dict())
+            inputs = ["--surface", surface, "--arc", write("arc.json", arc.to_dict())]
+            seed = principal_seed(signed_adjacency(t)).to_dict()
+            seed_file = write("case_seed.json", seed)
+            seed["Btilde"][0][0] = 1.5
+            bad_seed = write("bad_seed.json", seed)
+            flips = ",".join(map(str, plan))
+            calls = [
+                (["expand", *inputs], 0),
+                (["expand", *inputs, "--quantum"], 0),
+                (["expand", *inputs, "--machine"], 0),
+                (["expand", *inputs, "--quantum", "--audit", "--machine"], 0),
+                (["verify", *inputs, "--flips", flips], 0),
+                (["verify", *inputs, "--flips", str(plan[0])], 1),
+                (["matchings", *inputs], 0),
+                (["valuation", *inputs], 0),
+                (["flip", "--surface", surface, "--flips", flips], 0),
+                (["check-seed", "--seed", seed_file, "--surface", surface], 0),
+                (["expand", "--surface", surface + ".missing", *inputs[2:]], 2),
+                (["expand", *inputs, "--seed", bad_seed], 2),
+            ]
+            for argv, code in calls:
+                result, out, _ = run_main(capsys, *argv)
+                assert result == code, (name, argv)
+                garbage = gc.collect()
+                if argv[0] == "flip":
+                    # the standard library's indented JSON encoder leaves
+                    # its pure-Python closures in a cycle; flip may leave
+                    # nothing beyond that
+                    json.dumps(json.loads(out), sort_keys=True, indent=2)
+                    garbage -= gc.collect()
+                assert garbage == 0, (name, argv)
+    finally:
+        if was_enabled:
+            gc.enable()
