@@ -38,7 +38,7 @@ from .qalgebra import (
 from .seeds import Seed, SeedError, principal_seed
 from .snakegraph import SnakeGraph
 from .surface import Arc, SurfaceError, Triangulation, flip, signed_adjacency
-from .valuation import ValuationError, _valued_masks, compute_valuation
+from .valuation import ValuationError, _valued_masks
 
 __all__ = ["main"]
 
@@ -196,10 +196,10 @@ def _load_graph(args: argparse.Namespace) -> tuple[SnakeGraph, int]:
 
 def cmd_matchings(args: argparse.Namespace) -> int:
     graph, d = _load_graph(args)
-    values = compute_valuation(graph, d)
+    values = _valued_masks(graph, d)
     heights = [0] * graph.triangulation.n_internal  # uncrossed labels stay 0
-    for (bits, _, height), matching in zip(graph._listed(), graph.matchings()):
-        labels = sorted(graph.edge_label(ref) for ref in matching)
+    for bits, mask, height in graph._listed():
+        labels = sorted(map(graph.edge_label, graph._refs(bits)))
         for label, count in zip(
             graph.crossed_labels, graph._unpack_height(height)
         ):
@@ -208,7 +208,7 @@ def cmd_matchings(args: argparse.Namespace) -> int:
             f"{bits} "
             f"labels={_exponent_csv(labels)} "
             f"h={_exponent_csv(heights)} "
-            f"v={values[matching]}"
+            f"v={values[mask]}"
         )
     return 0
 

@@ -9,14 +9,15 @@ additionally carries q to half the matching's valuation.  Both expansions
 compute that sum by one transfer over the maximal runs of the fence: a run
 of r tiles costs (states entering it) × r lifts, so the cost follows the
 distinct (last bit, height) states, not the matchings, and the exponents
-follow the height slots that change from one height to the next.  Both
-return a :class:`~snakeq.qalgebra.QuantumLaurent`: the commutative one is
-the transfer with a zero twist, so every coefficient sits at s^0 and
-:meth:`~snakeq.qalgebra.QuantumLaurent.specialize_q1` reads its values.  Only
-the audit rows enumerate the matchings one by one: :func:`_audit_rows` gives
-each matching's bit string, exponent and valuation from the graph's listing,
-valued by edge mask, and :func:`matching_records` adds each matching's edge
-set to its row.
+follow the height slots that change from one height to the next.  States
+merge only through :func:`~snakeq.qalgebra._merged`, by height and then by
+exponent.  Both return a :class:`~snakeq.qalgebra.QuantumLaurent`: the
+commutative one is the transfer with a zero twist, so every coefficient sits
+at s^0 and :meth:`~snakeq.qalgebra.QuantumLaurent.specialize_q1` reads its
+values.  Only the audit rows enumerate the matchings one by one:
+:func:`_audit_rows` gives each matching's bit string, exponent and valuation
+from the graph's listing, valued by edge mask, and :func:`matching_records`
+adds each matching's edge set to its row.
 
 The oracle takes the same initial seed and computes cluster variables the
 long way around, by mutating seeds and dividing binomials exactly in the
@@ -286,8 +287,12 @@ def _transfer(
     the cost follows the distinct states, not the matchings.
 
     With ``d_scale`` 0 every s-exponent is 0: that is the commutative
-    expansion.  The bottom rows of ``btilde`` are read by index only.  Counts
-    are numbers of matchings (positivity), so the merge scans for no zero.
+    expansion.  The bottom rows of ``btilde`` are read by index only.  States
+    merge only through :func:`~snakeq.qalgebra._merged`: a falling run's
+    states ending in 1 into those ending in 0, the final states by height,
+    and then the heights by exponent, so each exponent is hashed once per
+    distinct height.  Counts are numbers of matchings (positivity), so no
+    merge scans for a zero.
     """
     labels = graph.crossed_labels
     slot = graph._slot
@@ -349,22 +354,13 @@ def _transfer(
                         target[e + s] = target.get(e + s, 0) + c
         if not rising:
             # 1^0 0^r: each state ending in 1 passes into ``zero`` as it is
-            # and keeps its dict, since ``one`` is dropped after the run
-            for h, coeff in one.items():
-                have = zero.get(h)
-                if have is None:
-                    zero[h] = coeff
-                else:
-                    for e, c in coeff.items():
-                        have[e] = have.get(e, 0) + c
+            zero = _merged(chain(zero.items(), one.items()))
         one = lifted
 
-    heights = zero.keys() | one.keys()
-    exponents = _exponents(graph, columns, len(btilde), heights)
     # every state dict is the transfer's own and sits in one of the two
-    return _merged(
-        (exponents[h], coeff) for h, coeff in chain(zero.items(), one.items())
-    )
+    states = _merged(chain(zero.items(), one.items()))
+    exponents = _exponents(graph, columns, len(btilde), states)
+    return _merged((exponents[h], coeff) for h, coeff in states.items())
 
 
 def commutative_expand(

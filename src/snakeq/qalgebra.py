@@ -98,14 +98,13 @@ def _merged(pairs: Iterable[tuple[K, Coeff]]) -> dict[K, Coeff]:
 
     Each later coefficient of a key is added into the first one, which is
     kept, so every dict passed in must be the caller's, passed once.  Keys
-    and counts are exact ints (or tuples of them) of one width, not converted.
+    and counts are exact ints (or tuples of them) of one width, not converted;
+    each key is hashed once.
     """
     out: dict[K, Coeff] = {}
     for key, coeff in pairs:
-        have = out.get(key)
-        if have is None:
-            out[key] = coeff
-        else:
+        have = out.setdefault(key, coeff)
+        if have is not coeff:
             for e, n in coeff.items():
                 have[e] = have.get(e, 0) + n
     return out

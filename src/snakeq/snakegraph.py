@@ -22,10 +22,10 @@ label-equivalence classes used to compare expansions across a flip.
 
 The graph's listing (:meth:`SnakeGraph._listed`) is primary: the fence walk
 keeps one row per matching, its bit string, its edge mask and its height
-packed into one int.  The audit rows, the valuation listing and the
-exhaustive valuation read those rows and build no edge set.  Only
-:meth:`SnakeGraph.matchings`, on its first call, turns the rows into
-frozensets of edges, for the public results keyed by edge set;
+packed into one int.  The audit rows, the matchings and valuation
+listings and the exhaustive valuation read those rows and build no edge
+set.  Only :meth:`SnakeGraph.matchings`, on its first call, turns the rows
+into frozensets of edges, for the public results keyed by edge set;
 :meth:`SnakeGraph.height_vector`, :meth:`SnakeGraph.mask` and
 :meth:`SnakeGraph.matching_bits` recompute one matching's entries from its
 edges.

@@ -41,7 +41,7 @@ from snakeq import (
     signed_adjacency,
 )
 from snakeq.cli import main
-from snakeq.valuation import TwistTable
+from snakeq.valuation import TwistTable, compute_valuation
 
 GOLDEN_COMMUTATIVE = (
     "x^(1,-2,0,0) + 2·x^(-1,0,1,1) + 2·x^(-1,-2,0,1) + x^(-3,4,3,2)"
@@ -409,6 +409,36 @@ def test_valuation_listing_increments_are_value_differences(
     assert checked == len(g.twist_graph()[1]) * 2
 
 
+@pytest.mark.parametrize(
+    "arc, doubled", [(golden_arc(), False), (annulus_bridge(5)[0], True)]
+)
+def test_matchings_listing_rows_match_the_edge_sets(capsys, files, arc, doubled):
+    # the listing reads masks only; each row's labels and value must be those
+    # of the edge set that SnakeGraph.matchings() builds for it
+    t = annulus()
+    b = signed_adjacency(t)
+    argv = ["matchings", "--surface", files["annulus"]]
+    argv += ["--arc", files["write"]("arc.json", arc.to_dict())]
+    d = 1
+    if doubled:
+        seed = Seed(principal_seed(b).btilde, doubled_lambda(b))
+        d = seed.d
+        assert d == 2
+        argv += ["--seed", files["write"]("doubled.json", seed.to_dict())]
+    code, out, _ = run_main(capsys, *argv)
+    assert code == 0
+    g = SnakeGraph(t, arc)
+    values = compute_valuation(g, d)
+    row = re.compile(r"(\d+) labels=([\d,]+) h=[\d,]+ v=(-?\d+)")
+    rows = [row.fullmatch(line).groups() for line in out.splitlines()]
+    assert len(rows) == len(g.matchings())
+    for m, (bits, labels, v) in zip(g.matchings(), rows):
+        assert bits == g.matching_bits(m)
+        assert labels == ",".join(map(str, sorted(g.edge_label(r) for r in m)))
+        assert int(v) == values[m]
+    assert len(set(values.values())) > 1
+
+
 LISTING_COMMANDS = {
     "audit": ["expand", "--quantum", "--audit"],
     "commutative-audit": ["expand", "--audit"],
@@ -422,9 +452,9 @@ def test_listings_read_the_rows_of_one_fence_walk(
     capsys, files, monkeypatch, command
 ):
     # bits, masks and heights come from the graph's listing: no per-matching
-    # reference method runs, and the walk runs once for the one graph; only
-    # the matchings listing, which prints edge labels, builds edge sets; both
-    # audits total their own rows, so no transfer runs beside the walk
+    # reference method runs, no edge set is built, and the walk runs once for
+    # the one graph; both audits total their own rows, so no transfer runs
+    # beside the walk
     calls = {
         "height_vector": 0,
         "mask": 0,
@@ -453,16 +483,14 @@ def test_listings_read_the_rows_of_one_fence_walk(
     code, out, _ = run_main(capsys, *argv)
     assert code == 0
     assert len(out.splitlines()) >= 89
-    built = calls.pop("_matching")
     assert calls == {
         "height_vector": 0,
         "mask": 0,
         "matching_bits": 0,
         "_fence_walk": 1,
+        "_matching": 0,
         "_transfer": 0,
     }
-    if command != "matchings":
-        assert built == 0
 
 
 def test_expand_renders_each_distinct_value_once(capsys, files, monkeypatch):
