@@ -61,7 +61,7 @@ from .qalgebra import (
 from .seeds import Matrix, Seed, SeedError, mutate_seed
 from .snakegraph import SnakeGraph
 from .surface import Arc, Triangulation, _add_adjacency, flip, signed_adjacency
-from .valuation import _valued_masks, twist_chain
+from .valuation import _tile_constants, _valued_masks
 
 __all__ = [
     "ExpansionError",
@@ -232,34 +232,6 @@ def _exponents(
     }
 
 
-def _tile_constants(
-    graph: SnakeGraph,
-    pairing: Sequence[Sequence[tuple[int, int]]],
-    d_scale: int,
-) -> list[int]:
-    """The linear coefficient c_p of the valuation for each tile p, in order.
-
-    The valuation is v(P) = sum of c_p·t_p + sum over q < p of
-    d·B[tau_q][tau_p]·t_q·t_p.  Along the chain of :func:`twist_chain`,
-    raising t_p changes v by the chain's step and the quadratic part by
-    d·B[tau_q][tau_p] for each raised tile q before p and
-    d·B[tau_p][tau_q] = -d·B[tau_q][tau_p] for each raised tile q after it;
-    c_p is the difference.  Raised tiles are kept as one bit mask per label,
-    indexed like ``pairing`` by the graph's slot of the label.
-    """
-    constants = [0] * graph.d
-    raised = [0] * len(graph._slot)
-    for p, step in twist_chain(graph, d_scale):
-        k = graph._slot[graph.tiles[p - 1].diagonal]
-        below = (1 << p) - 1
-        for i, db in pairing[k]:
-            before = (raised[i] & below).bit_count()
-            step -= db * (2 * before - raised[i].bit_count())
-        constants[p - 1] = step
-        raised[k] |= 1 << p
-    return constants
-
-
 def _transfer(
     graph: SnakeGraph, btilde: Sequence[Sequence[int]], d_scale: int
 ) -> dict[Vector, Coeff]:
@@ -271,7 +243,8 @@ def _transfer(
     (x = X^g F(y-hat)), normalized tropically below (:func:`_exponents`).
     Its valuation is a quadratic form in the tile bits,
     v(P) = sum of c_p·t_p + sum over q < p of d·B[tau_q][tau_p]·t_q·t_p,
-    with tau_p tile p's label and c_p from :func:`_tile_constants`.
+    with tau_p tile p's label and c_p from
+    :func:`~snakeq.valuation._tile_constants`, one twist chain in fence order.
 
     The sum runs over states (last bit, h), each holding a dict from
     s-exponent to count, and walks the fence's maximal runs, not single

@@ -18,14 +18,15 @@ listings, and :func:`compute_valuation`, which keys its values by edge set)
 checks every twist move from both of its ends, so any twist cycle that fails
 to sum to zero raises, and it raises too if the twists leave a matching
 unreached or the other extremal matching off 0.  The expansions need only
-:func:`twist_chain`, d twists from one extremal matching to the other, which
-raises unless it ends at 0.
+:func:`_tile_constants`, the linear coefficients of the valuation as a
+quadratic form in the tile bits, read off d twists from one extremal
+matching to the other; it raises unless the chain ends at 0.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 from .snakegraph import Matching, SnakeGraph
 
@@ -34,7 +35,6 @@ __all__ = [
     "ValuationError",
     "compute_valuation",
     "omega",
-    "twist_chain",
 ]
 
 
@@ -189,19 +189,27 @@ def compute_valuation(graph: SnakeGraph, d_scale: int = 1) -> dict[Matching, int
     }
 
 
-def twist_chain(graph: SnakeGraph, d_scale: int = 1) -> list[tuple[int, int]]:
-    """One chain of twists from the minimal to the maximal matching.
+def _tile_constants(
+    graph: SnakeGraph,
+    pairing: Sequence[Sequence[tuple[int, int]]],
+    d_scale: int,
+) -> list[int]:
+    """The linear coefficient c_p of the valuation for each tile p, in order.
 
-    Each step raises one tile bit t_p from 0 to 1 by a twist and gives
-    ``(p, v(after) - v(before))`` from one :class:`TwistTable` row, so the d
-    steps cost d rows.  The order is the fence's: ``fence[p - 1]`` True puts
-    tile p + 1 before tile p and False after it, so the tiles are cut into
-    runs at each False entry and the runs are raised left to right, each
-    from its last tile down.  Against the tiles raised before, the steps
-    give the linear coefficients of the valuation, a quadratic form in the
-    tile bits (:func:`~snakeq.expansion._tile_constants`).  Raises
-    :class:`ValuationError` unless the chain ends on the maximal matching at
-    value 0.
+    The valuation is v(P) = sum of c_p·t_p + sum over q < p of
+    d·B[tau_q][tau_p]·t_q·t_p, with tau_p tile p's label and ``pairing``
+    holding d·B[i][tau] as (slot of i, value) per slot of tau (slots are the
+    graph's :attr:`SnakeGraph._slot`).  One chain of d twists raises every
+    tile bit t_p from 0 to 1, from the minimal to the maximal matching, each
+    by one :class:`TwistTable` row.  The order is the fence's:
+    ``fence[p - 1]`` True puts tile p + 1 before tile p and False after it,
+    so the tiles are cut into runs at each False entry and the runs are
+    raised left to right, each from its last tile down.  Raising t_p
+    changes v by the twist's step and the quadratic part by d·B[tau_q][tau_p]
+    for each raised tile q before p and d·B[tau_p][tau_q] = -d·B[tau_q][tau_p]
+    for each raised tile q after it; c_p is the difference.  Raised tiles are
+    kept as one bit mask per slot.  Raises :class:`ValuationError` unless
+    the chain ends on the maximal matching at value 0.
     """
     order: list[int] = []
     start = 1
@@ -210,18 +218,26 @@ def twist_chain(graph: SnakeGraph, d_scale: int = 1) -> list[tuple[int, int]]:
             order += range(p, start - 1, -1)
             start = p + 1
     table = TwistTable(graph)
-    mask, maximal = graph._minimal, graph._maximal
+    slot = graph._slot
+    mask = graph._minimal
     value = 0
-    steps = []
+    constants = [0] * graph.d
+    raised = [0] * len(slot)
     for p in order:
         # every tile the fence puts before p is raised, so raising t_p is
         # one twist
         ((_, mask, step),) = table.twists(mask, d_scale, (table.tiles[p - 1],))
         value -= step
-        steps.append((p, -step))
-    if mask != maximal or value != 0:
+        k = slot[graph.tiles[p - 1].diagonal]
+        below = (1 << p) - 1
+        for i, db in pairing[k]:
+            before = (raised[i] & below).bit_count()
+            step += db * (2 * before - raised[i].bit_count())
+        constants[p - 1] = -step
+        raised[k] |= 1 << p
+    if mask != graph._maximal or value != 0:
         raise ValuationError(
             "valuation ill-defined: the twist chain from the minimal matching "
             f"ends at value {value}, not on the maximal matching at 0"
         )
-    return steps
+    return constants

@@ -21,21 +21,20 @@ from conftest import (
     seed_choices,
     sheared_seed,
     tile_bits,
-    transfer_corpus,
     valuation_corpus,
 )
 from snakeq import (
     SnakeGraph,
     ValuationError,
+    commutative_expand,
     compute_valuation,
     omega,
     principal_seed,
     quantum_expand,
     signed_adjacency,
 )
-from snakeq.expansion import _tile_constants
 from snakeq.snakegraph import POSITION_ORDER
-from snakeq.valuation import TwistTable, _valued_masks, twist_chain
+from snakeq.valuation import TwistTable, _tile_constants, _valued_masks
 
 
 def golden_graph() -> SnakeGraph:
@@ -349,25 +348,6 @@ def test_a_matching_meets_a_tile_twice_on_an_adjacent_opposite_pair():
 # ----------------------------------------------------------------------
 # the twist chain of the expansion
 
-def test_twist_chain_steps_are_valuation_differences():
-    for name, t, arc in transfer_corpus():
-        if len(arc.crossings) > 15:
-            continue
-        g = SnakeGraph(t, arc)
-        for d_scale in (1, 2):
-            values = compute_valuation(g, d_scale)
-            current = g.minimal_matching()
-            raised = []
-            for p, step in twist_chain(g, d_scale):
-                assert tile_bits(g, current)[p - 1] == 0, name
-                twisted = g.twist(current, p)
-                assert values[twisted] - values[current] == step, name
-                current = twisted
-                raised.append(p)
-            assert sorted(raised) == list(range(1, g.d + 1)), name
-            assert current == g.maximal_matching(), name
-
-
 def test_valuation_is_a_quadratic_form_in_the_tile_bits():
     # v(P) = sum of c_p t_p + sum over q < p of d B[tau_q][tau_p] t_q t_p,
     # with c from _tile_constants and the pairing _transfer builds: d B[i][tau]
@@ -395,7 +375,15 @@ def test_valuation_is_a_quadratic_form_in_the_tile_bits():
                 assert value == linear + quadratic, (name, seed.d, bits)
 
 
-def test_a_wrong_chain_increment_makes_the_expansion_ill_defined(monkeypatch):
+@pytest.mark.parametrize(
+    "expand",
+    [quantum_expand, lambda t, arc, seed: commutative_expand(t, arc, seed.btilde)],
+    ids=["quantum_expand", "commutative_expand"],
+)
+def test_a_wrong_chain_increment_makes_the_expansion_ill_defined(
+    monkeypatch, expand
+):
+    # the commutative expansion runs the same chain with d = 0
     t = annulus()
     seed = principal_seed(signed_adjacency(t))
     twists = TwistTable.twists
@@ -405,4 +393,4 @@ def test_a_wrong_chain_increment_makes_the_expansion_ill_defined(monkeypatch):
         lambda *args: [(p, m, step + (p == 3)) for p, m, step in twists(*args)],
     )
     with pytest.raises(ValuationError, match="the twist chain .* ends at value"):
-        quantum_expand(t, golden_arc(), seed)
+        expand(t, golden_arc(), seed)
