@@ -23,18 +23,19 @@ The oracle takes the same initial seed and computes cluster variables the
 long way around, by mutating seeds and dividing binomials exactly in the
 associative initial quantum torus: powers are taken by squaring, adjacent
 one-term factors are multiplied together before a long one meets them, an
-initial variable is built only when read, a unit (one term ±s^e·X^w) is
-inverted, not divided by, each product's shift is read off row k of the
-current form, and each mutated seed is checked for compatibility where its
-changed rows reach.  Agreement of the two paths is the package's strongest
-check; the verification entry point below walks the flip plan once, and each
-step flips the surface, takes the oracle's exchange step and compares the
-flip's change to the signed adjacency with the mutation's change to the top
-block.  The compared exchange is checked with one product: the torus has no
-zero divisors, so expansion·x_k equals the exchange binomial exactly when the
-last division would return the expansion; an inverted unit's quotient is
-compared as it is.  Only when that fails, or another slot is compared, does
-the last step divide.  Records are :func:`~collections.namedtuple` classes.
+initial variable is built only when read, each of the two power products,
+ending in x_k^(-1) when x_k is a unit (one term ±s^e·X^w, inverted, not
+divided by), is shifted by s^σ read off row k of the current form, and each
+mutated seed is checked for compatibility where its changed rows reach.
+Agreement of the two paths is the package's strongest check; the
+verification entry point below walks the flip plan once, and each step flips
+the surface, takes the oracle's exchange step and compares the flip's change
+to the signed adjacency with the mutation's change to the top block.  The
+compared exchange is checked with one product: the torus has no zero
+divisors, so expansion·x_k equals the exchange binomial exactly when the last
+division would return the expansion; an inverted unit's quotient is compared
+as it is.  Only when that fails, or another slot is compared, does the last
+step divide.  Records are :func:`~collections.namedtuple` classes.
 """
 
 from __future__ import annotations
@@ -464,15 +465,15 @@ def _exchange(
     """Exchange ``variables[k]`` in place; return the seed mutated at k.
 
     x_k' is the exchange binomial divided on the right by x_k in the initial
-    quantum torus; each of its two ordered power products p is normalized
-    with the current skew form by a shift s^σ, σ = -Λ_k·p - twist(p), read
-    off row k of Λ with one dot product.  A unit x_k = ±s^e·X^w has the
-    inverse ±s^-e·X^-w (Λ is skew), so each product ends with s^σ·x_k^(-1)
-    and the two are merged once, with no division.  Otherwise the shifted
-    products are merged into the binomial, and a given ``quotient`` is taken
-    when quotient·x_k is the binomial: the torus has no zero divisors, so that
-    holds exactly when the division would return it.  Else the binomial is
-    divided, and a failed division names flip ``position`` of ``total``.
+    quantum torus.  Each of its two ordered power products p, ending in
+    x_k^(-1) = ±s^-e·X^-w when x_k is a unit ±s^e·X^w (Λ is skew), is
+    normalized with the current skew form by a shift s^σ, σ = -Λ_k·p -
+    twist(p), read off row k of Λ with one dot product, and the two are
+    merged once.  At a unit that merge is x_k', with no division.  Otherwise
+    it is the binomial, and a given ``quotient`` is taken when quotient·x_k
+    is the binomial: the torus has no zero divisors, so that holds exactly
+    when the division would return it.  Else the binomial is divided, and a
+    failed division names flip ``position`` of ``total``.
     """
     if not 0 <= k < current.n:
         raise SeedError(f"flip direction {k} out of range")
@@ -481,6 +482,8 @@ def _exchange(
     ((w, coeff),) = outgoing._terms.items() if len(outgoing) == 1 else [((), {})]
     ((e, sign),) = coeff.items() if len(coeff) == 1 else [(0, 0)]
     unit = sign in (1, -1)
+    # a unit's inverse ±s^-e·X^-w (Λ is skew) ends both products
+    inverse = _value(current.m, {tuple(map(neg, w)): {-e: sign}}) if unit else None
     pairs: list[tuple[Vector, Coeff]] = []
     column = list(map(itemgetter(k), current.btilde))
     rising = [x if x > 0 else 0 for x in column]
@@ -489,16 +492,13 @@ def _exchange(
     for powers in (rising, falling):
         # σ = Λ(p - e_k, e_k) - twist(p); Λ is skew, so Λ(p - e_k, e_k) = -Λ_k·p
         shift = -_dot(row, powers) - lam.ordered_product_twist(powers)
-        if unit:
-            inverse = _value(current.m, {tuple(map(neg, w)): {shift - e: sign}})
-            product = _ordered_power_product(variables, powers, form0, inverse)
-            pairs += product._terms.items()
-        else:
-            product = _ordered_power_product(variables, powers, form0)
-            pairs += [
-                (v, {s + shift: n for s, n in c.items()})
-                for v, c in product._terms.items()
-            ]
+        product = _ordered_power_product(variables, powers, form0, inverse)
+        # new dicts even at σ = 0: the merge adds into them, and a product
+        # may be a stored variable or the inverse both products share
+        pairs += [
+            (v, {s + shift: n for s, n in c.items()})
+            for v, c in product._terms.items()
+        ]
     merged = _value(current.m, _canonical_terms(pairs))
     if unit:
         quotient = merged

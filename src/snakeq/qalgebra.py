@@ -27,17 +27,18 @@ only those, so their cost follows the nonzeros of L, not m^2;
 :mod:`snakeq.seeds` checks and mutates seeds through ``pair``.
 
 The one nontrivial algorithm is :func:`exact_right_divide`, which solves
-Q * D = N for Q by eliminating lexicographically maximal terms.  Because a
-quantum torus over a domain has no zero divisors, the exponents of any exact
-quotient are confined to a finite box computed from N and D, which makes the
-elimination loop a decision procedure: it either returns the exact quotient or
-proves there is none.  Each step subtracts its quotient term times D straight
-into the remainder, with every term of D paired with L once per division, and
-the leading term comes from a heap.  One full product checks the quotient.  A
-coefficient divided by a one-entry coefficient is one shift and one exact
-integer division per count, with no elimination.  :func:`_qsquare` squares a
-value with one coefficient product per unordered pair of terms, added at the
-pair's two opposite twists.
+Q * D = N for Q in one function by eliminating lexicographically maximal
+terms: the leading remainder term comes from a heap of negated exponents and
+strictly falls each step.  Because a quantum torus over a domain has no zero
+divisors, the exponents of any exact quotient are confined to a finite box
+computed from N and D, which makes the elimination loop a decision procedure:
+it either returns the exact quotient or proves there is none.  Each step
+subtracts its quotient term times D straight into the remainder, with every
+term of D paired with L once per division, and one closing product checks the
+quotient.  A coefficient divided by a one-entry coefficient is one shift and
+one exact integer division per count, with no elimination.  :func:`_qsquare`
+squares a value with one coefficient product per unordered pair of terms,
+added at the pair's two opposite twists.
 """
 
 from __future__ import annotations
@@ -527,36 +528,33 @@ def _support_box(
     return lo, hi
 
 
-def _term_quotient(
-    coeff: Coeff, twist: int, den_coeff: Coeff, at: Vector
-) -> Coeff:
-    """The coefficient c with s^twist·c·den_coeff = coeff, for exponent ``at``.
+def exact_right_divide(
+    numerator: QuantumLaurent, denominator: QuantumLaurent, form: LambdaForm
+) -> QuantumLaurent:
+    """Return the unique Q with qmul(Q, denominator, form) == numerator.
 
-    Raises :class:`ExactDivisionError` naming ``at`` when there is none.
+    Raises :class:`ExactDivisionError` when no such Q exists.  Each step
+    pops the lexicographically greatest remainder term off a heap of negated
+    exponents and cancels it against the greatest denominator term, so the
+    leading term strictly falls.  Since the quantum torus has no zero
+    divisors, every exponent of a genuine quotient lies in a finite box
+    determined by the two supports (:func:`_support_box`), so a step leaving
+    that box disproves divisibility, as does a coefficient that does not
+    divide.  One closing product checks the quotient.
     """
-    c = _coeff_div({s_exp - twist: n for s_exp, n in coeff.items()}, den_coeff)
-    if c is None:
-        raise ExactDivisionError(
-            f"no exact quotient: coefficient division fails at exponent {at}"
-        )
-    return c
+    numerator._check_width(denominator)
+    if form.size != numerator.width:
+        raise ValueError("form rank does not match the operands")
+    if denominator.is_zero():
+        raise ZeroDivisionError("division by zero")
 
-
-def _eliminate(
-    terms: Mapping[Vector, Coeff],
-    den: dict[Vector, tuple[list[int], Coeff]],
-    box: tuple[Vector, Vector],
-) -> dict[Vector, Coeff]:
-    """The quotient's terms, by eliminating the leading remainder term.
-
-    ``den`` maps each denominator exponent to its pairing with L and its
-    coefficient; ``box`` is :func:`_support_box` of the two operands.
-    """
-    lo, hi = box
-    quotient: dict[Vector, Coeff] = {}
+    lo, hi = _support_box(numerator, denominator)
+    # each denominator exponent with its pairing with L and its coefficient
+    den = {v: (form.pair(v), c) for v, c in denominator._terms.items()}
     d_top = max(den)
     l_top, d_top_coeff = den[d_top]
-    remainder = {v: dict(c) for v, c in terms.items()}
+    quotient: dict[Vector, Coeff] = {}
+    remainder = {v: dict(c) for v, c in numerator._terms.items()}
     # Negated exponents, so the heap's least entry is the leading term.
     # Leading terms strictly decrease, so a popped exponent never returns;
     # exponents cancelled below the top stay in the heap and are skipped.
@@ -571,7 +569,15 @@ def _eliminate(
             raise ExactDivisionError(
                 "no exact quotient: elimination left the admissible exponent box"
             )
-        c = _term_quotient(remainder[r_top], _dot(e, l_top), d_top_coeff, r_top)
+        # the c with s^twist·c·d_top_coeff = the leading remainder coefficient
+        twist = _dot(e, l_top)
+        c = _coeff_div(
+            {s_exp - twist: n for s_exp, n in remainder[r_top].items()}, d_top_coeff
+        )
+        if c is None:
+            raise ExactDivisionError(
+                f"no exact quotient: coefficient division fails at exponent {r_top}"
+            )
         # The leading remainder term cancels, so r_top and e strictly
         # decrease and every quotient exponent is new.
         quotient[e] = c
@@ -593,31 +599,6 @@ def _eliminate(
                         target.pop(s_exp, None)
             if not target:
                 del remainder[key]
-    return quotient
-
-
-def exact_right_divide(
-    numerator: QuantumLaurent, denominator: QuantumLaurent, form: LambdaForm
-) -> QuantumLaurent:
-    """Return the unique Q with qmul(Q, denominator, form) == numerator.
-
-    Raises :class:`ExactDivisionError` when no such Q exists.  The quotient is
-    found by repeatedly cancelling the lexicographically greatest remainder
-    term against the lexicographically greatest denominator term; since the
-    quantum torus has no zero divisors, every exponent of a genuine quotient
-    lies in a finite coordinate box determined by the two supports, so an
-    elimination step leaving that box disproves divisibility.
-    """
-    numerator._check_width(denominator)
-    if form.size != numerator.width:
-        raise ValueError("form rank does not match the operands")
-    if denominator.is_zero():
-        raise ZeroDivisionError("division by zero")
-
-    den = {v: (form.pair(v), c) for v, c in denominator._terms.items()}
-    quotient = _eliminate(
-        numerator._terms, den, _support_box(numerator, denominator)
-    )
     # every quotient exponent is new and every coefficient nonzero: canonical
     result = _value(numerator.width, quotient)
     if qmul(result, denominator, form) != numerator:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import random
 from fractions import Fraction
 from functools import cache
 
@@ -502,6 +504,41 @@ def test_a_sum_changes_and_shares_no_operand_dict(a_terms, b_terms, total):
     assert dict(result.items()) == total
     stored = {id(c) for x in (a, b) for c in x._terms.values()}
     assert stored.isdisjoint(map(id, result._terms.values()))
+
+
+def test_products_and_quotients_change_and_share_no_operand_dict():
+    # the division copies the numerator's dicts into its remainder and
+    # subtracts into them in place; no result may be an operand's dict
+    form = LambdaForm([[0, 1, -2], [-1, 0, 1], [2, -1, 0]])
+    rng = random.Random(3)
+
+    def value():
+        return QuantumLaurent(3, {
+            tuple(rng.randint(-1, 1) for _ in range(3)): {
+                rng.randint(-2, 2): rng.choice([-3, -2, -1, 1, 2, 3])
+                for _ in range(rng.randint(1, 2))
+            }
+            for _ in range(rng.randint(1, 3))
+        })
+
+    messages = set()
+    for _ in range(300):
+        a, b = value(), value()
+        before_a, before_b = copy.deepcopy(a), copy.deepcopy(b)
+        results = [qmul(a, b, form), _qsquare(a, form)]
+        results.append(exact_right_divide(qmul(a, b, form), b, form))
+        try:
+            results.append(exact_right_divide(a, b, form))
+        except ExactDivisionError as exc:
+            messages.add(str(exc).split(" at exponent ")[0])
+        assert a == before_a and b == before_b
+        stored = {id(c) for x in (a, b) for c in x._terms.values()}
+        for result in results:
+            assert stored.isdisjoint(map(id, result._terms.values()))
+    assert messages == {
+        "no exact quotient: elimination left the admissible exponent box",
+        "no exact quotient: coefficient division fails",
+    }
 
 
 # ----------------------------------------------------------------------
